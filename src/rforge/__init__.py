@@ -2,8 +2,8 @@
 
 Core surface:
 
-- :mod:`rforge.linalg` -- dense symmetric kernels (eigendecomposition,
-  resolvent solves, rank-one inverse updates, frame whitening).
+- :mod:`rforge.linalg` -- dense symmetric kernels (validated
+  eigendecomposition, frame whitening, rank-one inverse updates).
 - :mod:`rforge.bss` -- barrier-potential frame sparsification.
 - :mod:`rforge.graphs` -- weighted graphs, Laplacians, graph sparsification
   and its spectral certificate.
@@ -39,7 +39,6 @@ from .errors import (
     BarrierInvariantError,
     CertificationError,
     EigenConvergenceError,
-    NotPositiveDefiniteError,
     RforgeError,
     SelectionInvariantError,
     SingularUpdateError,
@@ -60,7 +59,6 @@ from .linalg import (
     ReductionMap,
     eigh,
     isotropic_reduce,
-    resolvent_apply,
     sherman_morrison_inverse_update,
     symmetrize,
     trace_after_rank_one,
@@ -87,7 +85,6 @@ __all__ = [
     "EmbeddedPoints",
     "Frame",
     "JohnDecomposition",
-    "NotPositiveDefiniteError",
     "ProbeSet",
     "QualityReport",
     "ReductionMap",
@@ -114,7 +111,6 @@ __all__ = [
     "monotonicity_check",
     "p_energy",
     "quality_lower_bound",
-    "resolvent_apply",
     "ri_barrier",
     "ri_candidate_test",
     "ri_select",

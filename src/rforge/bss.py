@@ -12,12 +12,14 @@ both potentials in check; the iteration picks the one with the largest
 slack and steps with weight 1/alpha, where alpha is the chosen vector's
 upper-barrier score.
 
-The default implementation refactorizes both shifted resolvents at every
-step and re-checks all invariants eagerly (any violation raises
-BarrierInvariantError rather than returning a bad certificate).  A faster
-path maintains the potentials through the Sherman-Morrison trace identity
-instead of re-eigendecomposing; it is cross-checked against the default
-path in the test suite.
+Every step eigendecomposes the running sum once, A = U diag(lam) U^T, and
+keeps both factors.  The potentials and gaps come from lam alone, and every
+candidate is scored in that eigenbasis: with Y = X U (one row per
+candidate), all four resolvent quadratic forms are the columns of
+(Y*Y) @ [du, du^2, dl, dl^2], where du = 1/(u' - lam) and dl = 1/(lam - l')
+at the advanced barriers u' and l'.  All invariants are re-checked eagerly
+at every step (any violation raises BarrierInvariantError rather than
+returning a bad certificate).
 """
 
 from __future__ import annotations
@@ -26,17 +28,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import BarrierInvariantError, CertificationError
-from .linalg import (
-    Frame,
-    eigh,
-    isotropic_reduce,
-    resolvent_apply,
-    symmetrize,
-    trace_after_rank_one,
-)
+from .linalg import Frame, eigh, isotropic_reduce, symmetrize
 
 # Tolerances for the per-step invariant checks.
 _UPPER_CONSERVATION_RTOL = 1e-8
@@ -44,6 +38,9 @@ _LOWER_MONOTONE_TOL = 1e-9
 _LOWER_CAP_TOL = 1e-8
 _SCORE_SUM_TOL = 1e-8
 _FEASIBILITY_SLACK = 1e-9
+# Slacks this close to the best one (relative to the score magnitudes) tie;
+# the lowest tied index wins.
+_TIE_RTOL = 1e-12
 
 
 @dataclass
@@ -54,7 +51,8 @@ class BarrierState:
     ``lower`` are the current barrier positions theta*(n/eps + step) and
     -n/eps + step; the two potentials are the sums of reciprocal gaps
     between the barriers and the eigenvalues of A (cached in
-    ``eigenvalues``, descending).
+    ``eigenvalues``, descending, with the matching orthonormal eigenvectors
+    as the columns of ``eigenvectors``).
     """
 
     step: int
@@ -66,6 +64,7 @@ class BarrierState:
     upper_potential: float
     lower_potential: float
     eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
 
     @property
     def order(self) -> int:
@@ -124,6 +123,7 @@ def initial_barrier_state(n: int, eps: float) -> BarrierState:
         upper_potential=eps / theta,
         lower_potential=eps,
         eigenvalues=np.zeros(n),
+        eigenvectors=np.eye(n),
     )
 
 
@@ -165,8 +165,10 @@ def candidate_scores(
     1/score keeps the upper potential exactly conserved.  The lower score is
     <S^2 x, x>/lower_gap - <S x, x> with S the resolvent at the advanced
     lower barrier; any step weight up to 1/score keeps the lower potential
-    from growing.  A single factorization per resolvent is shared by all
-    vectors.
+    from growing.  Both resolvents are diagonal in the state's eigenbasis,
+    so one product of the squared eigen-coordinates of all vectors with the
+    four reciprocal-gap columns gives every score.  The spectrum must lie
+    strictly inside the advanced barriers (BarrierInvariantError otherwise).
 
     Requires an isotropy-certified frame; with it, the score sums must
     satisfy sum(upper) <= 1 - eps and sum(lower) >= 1 - eps, which is
@@ -175,16 +177,18 @@ def candidate_scores(
     if not frame.isotropy_certified:
         raise ValueError("candidate_scores requires an isotropy-certified frame")
     upper_next, lower_next = _next_barriers(state)
-    x = frame.vectors.T  # columns are the candidate vectors
-
-    w_up = resolvent_apply(state.A, upper_next, "upper", x)
-    lin_up = np.einsum("ij,ij->j", x, w_up)
-    quad_up = np.einsum("ij,ij->j", w_up, w_up)
+    lam = state.eigenvalues
+    if not (lam[0] < upper_next and lam[-1] > lower_next):
+        raise BarrierInvariantError(
+            f"eigenvalue window violated before step {state.step + 1}: "
+            f"spectrum [{lam[-1]:.6g}, {lam[0]:.6g}] not inside "
+            f"({lower_next:.6g}, {upper_next:.6g})"
+        )
+    du = 1.0 / (upper_next - lam)
+    dl = 1.0 / (lam - lower_next)
+    y = frame.vectors @ state.eigenvectors
+    lin_up, quad_up, lin_lo, quad_lo = ((y * y) @ np.column_stack([du, du * du, dl, dl * dl])).T
     upper_scores = lin_up + quad_up / upper_gap
-
-    w_lo = resolvent_apply(state.A, lower_next, "lower", x)
-    lin_lo = np.einsum("ij,ij->j", x, w_lo)
-    quad_lo = np.einsum("ij,ij->j", w_lo, w_lo)
     lower_scores = quad_lo / lower_gap - lin_lo
 
     _check_score_sums(state.eps, float(upper_scores.sum()), float(lower_scores.sum()))
@@ -215,13 +219,19 @@ def select_and_step(
 ) -> tuple[BarrierState, int, float]:
     """Pick the candidate with the largest score slack and add it to A.
 
+    The slack of a candidate is lower_score - upper_score.  Ties are broken
+    deterministically: the choice is the lowest index whose slack is at
+    least max(slack) - 1e-12 * max(1, max|lower_scores|, max|upper_scores|),
+    so rounding noise between exactly tied candidates never decides.
     Returns the advanced state, the chosen index, and the step weight
     t = 1/upper_score.  The new state's invariants (eigenvalue window,
     exact upper-potential conservation, lower-potential monotonicity) are
     verified eagerly; a violation raises BarrierInvariantError.
     """
     slack = lower_scores - upper_scores
-    chosen = int(np.argmax(slack))
+    magnitude = max(1.0, float(np.max(np.abs(lower_scores))), float(np.max(np.abs(upper_scores))))
+    tol = _TIE_RTOL * magnitude
+    chosen = int(np.argmax(slack >= slack.max() - tol))
     if slack[chosen] < -_FEASIBILITY_SLACK:
         raise BarrierInvariantError(
             f"no feasible candidate: best slack {slack[chosen]:.3e} "
@@ -231,7 +241,8 @@ def select_and_step(
     xj = frame.vectors[chosen]
     new_a = state.A + t * np.outer(xj, xj)
     upper_next, lower_next = _next_barriers(state)
-    lam = eigh(new_a).values
+    decomp = eigh(new_a)
+    lam = decomp.values
 
     if not (lam[0] < upper_next and lam[-1] > lower_next):
         raise BarrierInvariantError(
@@ -267,21 +278,12 @@ def select_and_step(
         upper_potential=upper_potential,
         lower_potential=lower_potential,
         eigenvalues=lam,
+        eigenvectors=decomp.vectors,
     )
     return new_state, chosen, t
 
 
-def _trace_inverse_from_cholesky(factor) -> float:
-    # tr(M^-1) = ||L^-1||_F^2 for M = L L^T.
-    c, lower = factor
-    tri = np.tril(c) if lower else np.triu(c).T
-    inv_tri, info = scipy.linalg.lapack.dtrtri(tri, lower=1)
-    if info != 0:
-        raise BarrierInvariantError(f"triangular inversion failed (info={info})")
-    return float(np.sum(inv_tri**2))
-
-
-def _run_factorized(frame: Frame, eps: float, steps: int, history: list | None):
+def _run_barrier(frame: Frame, eps: float, steps: int, history: list | None):
     state = initial_barrier_state(frame.ambient_dim, eps)
     totals: dict[int, float] = {}
     for _ in range(steps):
@@ -311,113 +313,10 @@ def _run_factorized(frame: Frame, eps: float, steps: int, history: list | None):
     return state, totals
 
 
-def _run_sherman_morrison(frame: Frame, eps: float, steps: int, history: list | None):
-    """Barrier loop that never eigendecomposes the running matrix.
-
-    Each step still factorizes the two freshly shifted resolvents (the
-    barrier shift is full rank, so this cannot be avoided), but the
-    potentials before and after the rank-one update come from inverse
-    traces and the Sherman-Morrison trace identity.  The upper potential is
-    conserved identically by construction on this path.
-    """
-    n = frame.ambient_dim
-    theta = (1.0 + eps) / (1.0 - eps)
-    a = np.zeros((n, n))
-    x = frame.vectors.T
-    upper_potential = eps / theta
-    lower_potential = eps
-    totals: dict[int, float] = {}
-    eye = np.eye(n)
-    for i in range(1, steps + 1):
-        upper_next = theta * (n / eps + i)
-        lower_next = -n / eps + i
-
-        try:
-            fac_up = scipy.linalg.cho_factor(upper_next * eye - a, lower=True, check_finite=False)
-            fac_lo = scipy.linalg.cho_factor(a - lower_next * eye, lower=True, check_finite=False)
-        except scipy.linalg.LinAlgError as exc:
-            raise BarrierInvariantError(
-                f"barrier matrix lost positive definiteness at step {i}: {exc}"
-            ) from exc
-        trace_up = _trace_inverse_from_cholesky(fac_up)
-        upper_gap = upper_potential - trace_up
-        trace_lo = _trace_inverse_from_cholesky(fac_lo)
-        lower_gap = trace_lo - lower_potential
-        if not (upper_gap > 0.0 and lower_gap > 0.0):
-            raise BarrierInvariantError(
-                f"barrier gaps must be positive, got ({upper_gap:.3e}, {lower_gap:.3e})"
-            )
-
-        w_up = scipy.linalg.cho_solve(fac_up, x, check_finite=False)
-        lin_up = np.einsum("ij,ij->j", x, w_up)
-        quad_up = np.einsum("ij,ij->j", w_up, w_up)
-        upper_scores = lin_up + quad_up / upper_gap
-
-        w_lo = scipy.linalg.cho_solve(fac_lo, x, check_finite=False)
-        lin_lo = np.einsum("ij,ij->j", x, w_lo)
-        quad_lo = np.einsum("ij,ij->j", w_lo, w_lo)
-        lower_scores = quad_lo / lower_gap - lin_lo
-
-        _check_score_sums(eps, float(upper_scores.sum()), float(lower_scores.sum()))
-        slack = lower_scores - upper_scores
-        chosen = int(np.argmax(slack))
-        if slack[chosen] < -_FEASIBILITY_SLACK:
-            raise BarrierInvariantError(
-                f"no feasible candidate at step {i}: best slack {slack[chosen]:.3e}"
-            )
-        t = 1.0 / float(upper_scores[chosen])
-        xj = frame.vectors[chosen]
-        a = a + t * np.outer(xj, xj)
-        totals[chosen] = totals.get(chosen, 0.0) + t
-
-        # Post-step potentials at the same barriers via the trace identity;
-        # the upper side lands back on the conserved value exactly.
-        upper_potential = trace_up + t * quad_up[chosen] / (1.0 - t * lin_up[chosen])
-        z = math.sqrt(t) * xj
-        new_lower = trace_after_rank_one(
-            trace_lo, math.sqrt(t) * w_lo[:, chosen], t * quad_lo[chosen], z
-        )
-        if new_lower > lower_potential + _LOWER_MONOTONE_TOL:
-            raise BarrierInvariantError(
-                f"lower potential rose from {lower_potential:.15g} to {new_lower:.15g}"
-            )
-        lower_potential = new_lower
-        if history is not None:
-            history.append(
-                {
-                    "step": i,
-                    "dimension": n,
-                    "upper_barrier": upper_next,
-                    "lower_barrier": lower_next,
-                    "upper_gap": upper_gap,
-                    "lower_gap": lower_gap,
-                    "chosen": chosen,
-                    "weight": t,
-                    "upper_potential": upper_potential,
-                    "lower_potential": lower_potential,
-                }
-            )
-
-    lam = eigh(a).values
-    state = BarrierState(
-        step=steps,
-        A=a,
-        eps=eps,
-        theta=theta,
-        upper=theta * (n / eps + steps),
-        lower=-n / eps + steps,
-        upper_potential=upper_potential,
-        lower_potential=lower_potential,
-        eigenvalues=lam,
-    )
-    return state, totals
-
-
 def sparsify_frame(
     frame: Frame,
     eps: float,
     *,
-    method: str = "factorize",
     history: list | None = None,
 ) -> SparseWeights:
     """Select and weight at most ceil(n/eps^2) frame vectors.
@@ -432,10 +331,8 @@ def sparsify_frame(
     Frames that are not isotropy-certified are whitened onto their span
     first; the guarantee then holds on the span.
 
-    ``method`` selects the robust per-step refactorization path
-    ("factorize", default) or the Sherman-Morrison trace-maintenance path
-    ("sherman-morrison").  ``history``, if a list, receives one record per
-    iteration with the step diagnostics.
+    ``history``, if a list, receives one record per iteration with the
+    step diagnostics.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
@@ -443,13 +340,7 @@ def sparsify_frame(
     if not frame.isotropy_certified:
         work, _ = isotropic_reduce(frame)
     steps = support_bound(work.ambient_dim, eps)
-
-    if method == "factorize":
-        state, totals = _run_factorized(work, eps, steps, history)
-    elif method == "sherman-morrison":
-        state, totals = _run_sherman_morrison(work, eps, steps, history)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    state, totals = _run_barrier(work, eps, steps, history)
 
     lam_min = float(state.eigenvalues[-1])
     if not lam_min > 0.0:

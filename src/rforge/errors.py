@@ -22,21 +22,6 @@ class EigenConvergenceError(RforgeError):
         super().__init__(msg)
 
 
-class NotPositiveDefiniteError(RforgeError):
-    """A matrix that a barrier invariant promised to be positive definite is not.
-
-    Carries the smallest pivot (smallest eigenvalue of the offending matrix)
-    so callers can see how badly the invariant was violated.
-    """
-
-    def __init__(self, smallest_pivot: float, context: str = ""):
-        self.smallest_pivot = smallest_pivot
-        msg = f"matrix is not positive definite (smallest pivot {smallest_pivot:.6e})"
-        if context:
-            msg = f"{context}: {msg}"
-        super().__init__(msg)
-
-
 class SingularUpdateError(RforgeError):
     """A rank-one inverse update hit a vanishing denominator."""
 

@@ -1,10 +1,12 @@
 """Dense symmetric linear algebra kernel.
 
 Everything downstream (barrier iterations, graph certificates, embeddings)
-is built on the handful of operations here: descending-order
-eigendecomposition, positive-definite resolvent solves, rank-one inverse
-update identities, and whitening of a vector frame to an exact
-decomposition of the identity.
+is built on the two operations here: validated descending-order
+eigendecomposition, and whitening of a vector frame to an exact
+decomposition of the identity.  Resolvents are never formed or solved
+against; callers apply them in the eigenbasis that eigh returns.  The two
+Sherman-Morrison helpers (rank-one inverse update and the trace after it)
+are standalone public utilities; no selection loop uses them.
 
 Matrices are plain float64 ``numpy`` arrays and are required to be stored
 exactly symmetric (``M[i, j] == M[j, i]`` bitwise).  All functions are pure;
@@ -16,21 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .errors import (
-    EigenConvergenceError,
-    NotPositiveDefiniteError,
-    SingularUpdateError,
-    ZeroFrameError,
-)
+from .errors import EigenConvergenceError, SingularUpdateError, ZeroFrameError
 
 # Max-entry tolerance under which a frame counts as a decomposition of the identity.
 ISOTROPY_TOL = 1e-8
 
 _RECONSTRUCT_TOL = 1e-10
 _ORTHONORMAL_TOL = 1e-10
-_SOLVE_TOL = 1e-10
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
@@ -163,53 +158,6 @@ def eigh(m: np.ndarray) -> EigenDecomposition:
     if ortho_err > _ORTHONORMAL_TOL:
         raise EigenConvergenceError(n, off, f"orthonormality residual {ortho_err:.3e}")
     return decomp
-
-
-def _cholesky(m: np.ndarray, context: str):
-    try:
-        return scipy.linalg.cho_factor(m, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        smallest = float(np.linalg.eigvalsh(m)[0])
-        raise NotPositiveDefiniteError(smallest, context) from exc
-
-
-def resolvent_apply(m: np.ndarray, shift: float, sign: str, rhs: np.ndarray) -> np.ndarray:
-    """Apply (shift*I - M)^-1 (sign="upper") or (M - shift*I)^-1 (sign="lower").
-
-    ``rhs`` may be a single vector of length n or an (n, k) array of columns;
-    one internal Cholesky factorization is shared by every column.  Solutions
-    are refined until the relative residual per column is at most 1e-10.
-    """
-    m = require_symmetric(m)
-    n = m.shape[0]
-    if sign == "upper":
-        shifted = shift * np.eye(n) - m
-    elif sign == "lower":
-        shifted = m - shift * np.eye(n)
-    else:
-        raise ValueError(f"sign must be 'upper' or 'lower', got {sign!r}")
-
-    rhs = np.asarray(rhs, dtype=float)
-    single = rhs.ndim == 1
-    b = rhs.reshape(n, 1) if single else rhs
-    if b.shape[0] != n:
-        raise ValueError(f"rhs has leading dimension {b.shape[0]}, expected {n}")
-
-    factor = _cholesky(shifted, f"resolvent solve (sign={sign}, shift={shift:g})")
-    x = scipy.linalg.cho_solve(factor, b, check_finite=False)
-    b_norm = np.maximum(np.linalg.norm(b, axis=0), np.finfo(float).tiny)
-    for _ in range(3):
-        residual = b - shifted @ x
-        rel = np.linalg.norm(residual, axis=0) / b_norm
-        if np.max(rel) <= _SOLVE_TOL:
-            break
-        x = x + scipy.linalg.cho_solve(factor, residual, check_finite=False)
-    else:
-        raise NotPositiveDefiniteError(
-            float(np.linalg.eigvalsh(shifted)[0]),
-            f"resolvent solve did not reach relative residual {_SOLVE_TOL:.1e}",
-        )
-    return x[:, 0] if single else x
 
 
 def sherman_morrison_inverse_update(m_inv: np.ndarray, z: np.ndarray) -> np.ndarray:

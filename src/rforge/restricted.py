@@ -25,12 +25,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CertificationError, SelectionInvariantError
-from .linalg import Frame, eigh, isotropic_reduce, symmetrize
+from .linalg import EigenDecomposition, Frame, eigh, isotropic_reduce, symmetrize
 
 _MU_TOL = 1e-9
 _MARGIN_SLACK = 1e-12
 _POTENTIAL_DECREASE_RTOL = 1e-9
 _EIGENCOUNT_TOL = 1e-9
+_BARRIER_SEPARATION_RTOL = 1e-12
 
 
 @dataclass
@@ -81,18 +82,15 @@ def ri_candidate_test(state: RiState, t: np.ndarray, x: np.ndarray, mu: float) -
     Returns (lhs, rhs); the candidate is admissible iff lhs < rhs.  The lhs
     is a squared norm, hence nonnegative; for any admissible candidate the
     shifted quadratic form 1 + <(A - b' I)^{-1} T x, T x> is negative.
+    Raises SelectionInvariantError when b' lies on the spectrum of A.
     """
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
     b_next = ri_barrier(state.step + 1, state.t_hs_sq, state.t_op_sq, state.m, state.eps)
     image = t @ x
-    shifted = state.A - b_next * np.eye(state.A.shape[0])
-    try:
-        w = np.linalg.solve(shifted, image)
-    except np.linalg.LinAlgError as exc:
-        raise SelectionInvariantError(
-            f"shifted matrix at barrier {b_next:.6g} is singular"
-        ) from exc
+    decomp = eigh(symmetrize(state.A))
+    d = _resolvent_diagonal(decomp.values, b_next, state.step + 1)
+    w = decomp.vectors @ (d * (decomp.vectors.T @ image))
     lhs = float(np.sum((t.T @ w) ** 2))
     rhs = float(-mu * (1.0 + w @ image))
     return lhs, rhs
@@ -125,7 +123,9 @@ def ri_select(
     ``history`` (a caller-supplied list) receives one record per step with
     the barrier level, the feasibility margin, and the trace potential.
     ``check_invariants`` controls the per-step eigenvalue-count and
-    kernel-mass assertions, which need one extra eigendecomposition each.
+    kernel-mass assertions.  Each step eigendecomposes the running sum once;
+    the candidate scores, both invariant checks and the recomputed trace
+    potential all read that one decomposition.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
@@ -163,28 +163,25 @@ def ri_select(
 
     images = t @ work.vectors.T  # column j is T x_j
     dim = images.shape[0]
-    eye = np.eye(dim)
     a = np.zeros((dim, dim))
+    decomp = eigh(a)
+    coords = decomp.vectors.T @ images  # images in the eigenbasis of a
     potential = -hs_sq / ri_barrier(0, hs_sq, op_sq, m, eps)  # exactly -m/(1-eps)
     floor_level = -m / (1.0 - eps)
     selected: list[int] = []
 
     for i in range(1, k + 1):
         b_i = ri_barrier(i, hs_sq, op_sq, m, eps)
-        shifted = a - b_i * eye
-        try:
-            w = np.linalg.solve(shifted, images)
-        except np.linalg.LinAlgError as exc:
-            raise SelectionInvariantError(
-                f"shifted matrix at step {i} (barrier {b_i:.6g}) is singular"
-            ) from exc
-        lin = np.einsum("ij,ij->j", w, images)
+        d = _resolvent_diagonal(decomp.values, b_i, i)
+        lin = d @ (coords * coords)
         mu = potential - float(lin.sum())
         if mu < -_MU_TOL * max(1.0, abs(potential)):
             raise SelectionInvariantError(
                 f"barrier drop mu = {mu:.6g} negative at step {i}; breakdown"
             )
-        lhs = np.einsum("ij,ij->j", t.T @ w, t.T @ w)
+        # T^* (a - b_i I)^{-1} T x_j for every candidate j, as columns.
+        pulled = (t.T @ decomp.vectors) @ (d[:, None] * coords)
+        lhs = np.einsum("ij,ij->j", pulled, pulled)
         rhs = -mu * (1.0 + lin)
         margin = lhs - rhs
         chosen = int(np.argmin(margin))
@@ -199,13 +196,14 @@ def ri_select(
                 f"{1.0 + lin[chosen]:.6g} at step {i}"
             )
         if check_invariants:
-            _check_kernel_mass(a, t, i, hs_sq, op_sq)
+            _check_kernel_mass(decomp, t, i, hs_sq, op_sq)
         a = a + np.outer(images[:, chosen], images[:, chosen])
         selected.append(chosen)
 
-        shifted_new = a - b_i * eye
-        w_new = np.linalg.solve(shifted_new, images)
-        new_potential = float(np.einsum("ij,ij->j", w_new, images).sum())
+        decomp = eigh(symmetrize(a))
+        coords = decomp.vectors.T @ images
+        d_new = _resolvent_diagonal(decomp.values, b_i, i)
+        new_potential = float(d_new @ np.sum(coords * coords, axis=1))
         if not new_potential < potential + _POTENTIAL_DECREASE_RTOL * abs(potential):
             raise SelectionInvariantError(
                 f"trace potential failed to decrease at step {i}: "
@@ -216,7 +214,7 @@ def ri_select(
                 f"trace potential {new_potential:.6g} above {floor_level:.6g} at step {i}"
             )
         if check_invariants:
-            _check_eigenvalue_counts(a, b_i, i)
+            _check_eigenvalue_counts(decomp.values, b_i, i)
         if history is not None:
             history.append(
                 {
@@ -244,8 +242,18 @@ def ri_select(
     return selected, gram
 
 
-def _check_eigenvalue_counts(a: np.ndarray, barrier: float, step: int) -> None:
-    lam = eigh(symmetrize(a)).values
+def _resolvent_diagonal(lam: np.ndarray, barrier: float, step: int) -> np.ndarray:
+    # (a - b I)^{-1} in the eigenbasis of a; refuses a barrier on the spectrum.
+    gap = lam - barrier
+    if float(np.min(np.abs(gap))) <= _BARRIER_SEPARATION_RTOL * max(1.0, float(lam[0])):
+        raise SelectionInvariantError(
+            f"barrier {barrier:.6g} at step {step} sits on the spectrum "
+            f"(closest eigenvalue gap {float(np.min(np.abs(gap))):.3e})"
+        )
+    return 1.0 / gap
+
+
+def _check_eigenvalue_counts(lam: np.ndarray, barrier: float, step: int) -> None:
     above = int(np.count_nonzero(lam > barrier))
     if above != step:
         raise SelectionInvariantError(
@@ -260,10 +268,11 @@ def _check_eigenvalue_counts(a: np.ndarray, barrier: float, step: int) -> None:
         )
 
 
-def _check_kernel_mass(a: np.ndarray, t: np.ndarray, step: int, hs_sq: float, op_sq: float) -> None:
+def _check_kernel_mass(
+    decomp: EigenDecomposition, t: np.ndarray, step: int, hs_sq: float, op_sq: float
+) -> None:
     # Mass of T on the kernel of the running sum cannot drop faster than one
     # squared operator norm per completed step.
-    decomp = eigh(symmetrize(a))
     lam = decomp.values
     positive = lam > _EIGENCOUNT_TOL * max(float(lam[0]), 1.0)
     basis = decomp.vectors[:, positive]

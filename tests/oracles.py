@@ -29,7 +29,8 @@ def barrier_step_oracle(a_prev: np.ndarray, frame_vectors: np.ndarray, eps: floa
     ``a_prev`` is the running matrix before iteration ``step`` (1-based),
     ``frame_vectors`` the (m, n) candidate rows.  Returns a dict with the
     gap pair, all candidate scores, the chosen index, and the step weight,
-    everything via explicit inverses and eigenvalue sums.
+    everything via explicit inverses and eigenvalue sums.  Exact ties in
+    slack go to the lowest index, by the same rule as the production step.
     """
     a_prev = np.asarray(a_prev, dtype=float)
     x = np.asarray(frame_vectors, dtype=float)
@@ -56,7 +57,12 @@ def barrier_step_oracle(a_prev: np.ndarray, frame_vectors: np.ndarray, eps: floa
         xj = x[j]
         upper_scores[j] = xj @ res_up @ xj + (xj @ res_up @ res_up @ xj) / upper_gap
         lower_scores[j] = (xj @ res_lo @ res_lo @ xj) / lower_gap - xj @ res_lo @ xj
-    chosen = int(np.argmax(lower_scores - upper_scores))
+    # Tie rule: the lowest index whose slack is within
+    # 1e-12 * max(1, max|lower|, max|upper|) of the best slack.
+    slack = lower_scores - upper_scores
+    best = max(slack)
+    tol = 1e-12 * max(1.0, max(abs(lower_scores)), max(abs(upper_scores)))
+    chosen = next(j for j in range(m) if slack[j] >= best - tol)
     weight = 1.0 / upper_scores[chosen]
     return {
         "upper_gap": upper_gap,

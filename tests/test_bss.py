@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -71,6 +72,18 @@ class TestCandidateScores:
                 assert upper_scores.sum() <= 1 - eps + 1e-8
                 assert lower_scores.sum() >= 1 - eps - 1e-8
                 state, _, _ = select_and_step(state, frame, upper_scores, lower_scores)
+
+    def test_window_guard_upper(self):
+        state = initial_barrier_state(1, 0.5)  # advanced barriers: (-1, 9)
+        state = replace(state, A=np.array([[9.0]]), eigenvalues=np.array([9.0]))
+        with pytest.raises(BarrierInvariantError, match="window"):
+            candidate_scores(state, scalar_frame(), 1.0, 1.0)
+
+    def test_window_guard_lower(self):
+        state = initial_barrier_state(1, 0.5)
+        state = replace(state, A=np.array([[-1.0]]), eigenvalues=np.array([-1.0]))
+        with pytest.raises(BarrierInvariantError, match="window"):
+            candidate_scores(state, scalar_frame(), 1.0, 1.0)
 
     def test_requires_certified_frame(self):
         state = initial_barrier_state(2, 0.5)
@@ -184,49 +197,57 @@ class TestSparsifyFrame:
         assert pencil[-1] <= (1 + eps) ** 2 + 1e-7
 
 
-class TestPathAgreement:
-    def test_sherman_morrison_path_matches_factorized(self, rng):
-        for n, m, eps in [(2, 6, 0.8), (3, 5, 0.9), (4, 12, 0.6)]:
-            frame = random_isotropic_frame(rng, n, m)
-            hist_a, hist_b = [], []
-            wa = sparsify_frame(frame, eps, method="factorize", history=hist_a)
-            wb = sparsify_frame(frame, eps, method="sherman-morrison", history=hist_b)
-            assert wa.support == wb.support
-            for idx in wa.weights:
-                assert wa.weights[idx] == pytest.approx(wb.weights[idx], rel=1e-9)
-            for ra, rb in zip(hist_a, hist_b):
-                assert ra["chosen"] == rb["chosen"]
-                assert ra["upper_gap"] == pytest.approx(rb["upper_gap"], rel=1e-9)
-                assert ra["lower_gap"] == pytest.approx(rb["lower_gap"], rel=1e-9)
-                assert ra["lower_potential"] == pytest.approx(rb["lower_potential"], rel=1e-9)
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError, match="method"):
-            sparsify_frame(scalar_frame(), 0.5, method="mystery")
-
-
 class TestOracleEquivalence:
+    @staticmethod
+    def assert_run_matches_oracle(frame, eps):
+        state = initial_barrier_state(frame.ambient_dim, eps)
+        for _ in range(support_bound(frame.ambient_dim, eps)):
+            oracle = barrier_step_oracle(state.A, frame.vectors, eps, state.step + 1)
+            upper_gap, lower_gap = barrier_gaps(state)
+            assert upper_gap == pytest.approx(oracle["upper_gap"], rel=1e-9)
+            assert lower_gap == pytest.approx(oracle["lower_gap"], rel=1e-9)
+            upper_scores, lower_scores = candidate_scores(state, frame, upper_gap, lower_gap)
+            np.testing.assert_allclose(upper_scores, oracle["upper_scores"], rtol=1e-9)
+            np.testing.assert_allclose(lower_scores, oracle["lower_scores"], rtol=1e-9)
+            state, chosen, weight = select_and_step(state, frame, upper_scores, lower_scores)
+            assert chosen == oracle["chosen"]
+            assert weight == pytest.approx(oracle["weight"], rel=1e-9)
+
     def test_single_step_matches_brute_force(self, rng):
         # small instances, large eps so runs stay short
         for n, m in [(1, 1), (2, 4), (3, 6), (2, 6), (3, 3)]:
             frame = random_isotropic_frame(rng, n, m) if n > 1 else scalar_frame()
-            eps = 0.8
-            state = initial_barrier_state(n, eps)
-            for _ in range(support_bound(n, eps)):
-                oracle = barrier_step_oracle(state.A, frame.vectors, eps, state.step + 1)
-                upper_gap, lower_gap = barrier_gaps(state)
-                assert upper_gap == pytest.approx(oracle["upper_gap"], rel=1e-9)
-                assert lower_gap == pytest.approx(oracle["lower_gap"], rel=1e-9)
-                upper_scores, lower_scores = candidate_scores(
-                    state, frame, upper_gap, lower_gap
-                )
-                np.testing.assert_allclose(upper_scores, oracle["upper_scores"], rtol=1e-9)
-                np.testing.assert_allclose(lower_scores, oracle["lower_scores"], rtol=1e-9)
-                state, chosen, weight = select_and_step(
-                    state, frame, upper_scores, lower_scores
-                )
-                assert chosen == oracle["chosen"]
-                assert weight == pytest.approx(oracle["weight"], rel=1e-9)
+            self.assert_run_matches_oracle(frame, 0.8)
+
+    def test_full_run_matches_brute_force(self, rng):
+        # 32 steps at n = 8 over 40 candidates
+        self.assert_run_matches_oracle(random_isotropic_frame(rng, 8, 40), 0.5)
+
+
+class TestTieRule:
+    def run_choices(self, frame, eps):
+        state = initial_barrier_state(frame.ambient_dim, eps)
+        choices = []
+        for _ in range(support_bound(frame.ambient_dim, eps)):
+            scores = candidate_scores(state, frame, *barrier_gaps(state))
+            state, chosen, _ = select_and_step(state, frame, *scores)
+            choices.append(chosen)
+        return choices
+
+    def test_orthonormal_basis_picks_lowest_index(self, rng):
+        # every slack ties at the first step, up to rounding
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        for vectors in (np.eye(4), q):
+            frame = Frame(vectors, isotropy_certified=True)
+            assert self.run_choices(frame, 0.8)[0] == 0
+
+    def test_mirrored_frame_never_picks_the_mirror(self, rng):
+        # x and -x always tie exactly; the lower index must win every step
+        q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        frame = Frame(np.vstack([q, -q]) / math.sqrt(2.0), isotropy_certified=True)
+        choices = self.run_choices(frame, 0.5)
+        assert choices[0] == 0
+        assert all(chosen < 3 for chosen in choices)
 
 
 class TestEigenWindow:

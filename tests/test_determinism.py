@@ -1,0 +1,52 @@
+"""Results must not depend on the BLAS thread count.
+
+Each case runs in a fresh interpreter, because OpenBLAS reads its thread
+count once, when numpy is first imported.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+SCRIPT = """
+import numpy as np
+from rforge import JohnDecomposition, WeightedGraph, approximate_john, sparsify_graph
+
+rng = np.random.default_rng(40)
+n = 40
+edges = [(i, j, float(w)) for (i, j), w in zip(
+    [(i, j) for i in range(n) for j in range(i + 1, n)],
+    np.exp(rng.uniform(0.0, np.log(100.0), n * (n - 1) // 2)),
+)]
+h = sparsify_graph(WeightedGraph(n, edges), 0.5)
+print(repr(h.edges))
+
+rows = []
+for _ in range(8):
+    q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+    rows += [q.T, -q.T]
+points = np.vstack(rows)
+out = approximate_john(JohnDecomposition(6, points, np.full(len(points), 1.0 / 16)), 0.8)
+print(repr(out.points.tolist()))
+print(repr(out.weights.tolist()))
+"""
+
+
+def run_with_threads(threads):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env["OPENBLAS_NUM_THREADS"] = str(threads)
+    done = subprocess.run(
+        [sys.executable, "-c", SCRIPT], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_outputs_identical_with_one_and_two_threads():
+    single = run_with_threads(1)
+    assert single.count("\n") == 3
+    assert run_with_threads(2) == single

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from rforge.errors import NotPositiveDefiniteError, SingularUpdateError, ZeroFrameError
+from rforge.errors import SingularUpdateError, ZeroFrameError
 from rforge.linalg import (
     Frame,
     eigh,
     isotropic_reduce,
-    resolvent_apply,
     sherman_morrison_inverse_update,
     symmetrize,
     trace_after_rank_one,
@@ -43,37 +42,6 @@ class TestEigh:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
             eigh(np.array([[1.0, 2.0], [2.0 + 1e-12, 1.0]]))
-
-
-class TestResolventApply:
-    def test_zero_matrix_upper(self):
-        out = resolvent_apply(np.zeros((2, 2)), 2.0, "upper", np.array([1.0, 0.0]))
-        assert np.allclose(out, [0.5, 0.0])
-
-    def test_identity_lower(self):
-        out = resolvent_apply(np.eye(2), 0.0, "lower", np.array([1.0, 1.0]))
-        assert np.allclose(out, [1.0, 1.0])
-
-    def test_diagonal_upper(self):
-        # (3 - 2)^-1 = 1 on the first coordinate
-        out = resolvent_apply(np.diag([2.0, 0.0]), 3.0, "upper", np.array([1.0, 0.0]))
-        assert np.allclose(out, [1.0, 0.0], atol=1e-14)
-
-    def test_batch_matches_explicit_inverse(self, rng):
-        for _ in range(20):
-            n = int(rng.integers(2, 12))
-            m = random_spd(rng, n, cond=50.0)
-            shift = float(np.linalg.eigvalsh(m)[-1] + rng.uniform(0.5, 2.0))
-            rhs = rng.standard_normal((n, 7))
-            got = resolvent_apply(m, shift, "upper", rhs)
-            want = explicit_inverse(shift * np.eye(n) - m) @ rhs
-            denom = np.linalg.norm(want)
-            assert np.linalg.norm(got - want) <= 1e-10 * max(denom, 1.0)
-
-    def test_not_positive_definite_reports_pivot(self):
-        with pytest.raises(NotPositiveDefiniteError) as err:
-            resolvent_apply(np.diag([2.0, 0.0]), 1.0, "upper", np.array([1.0, 0.0]))
-        assert err.value.smallest_pivot < 0
 
 
 class TestShermanMorrison:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rforge.errors import SelectionInvariantError
 from rforge.linalg import Frame
 from rforge.restricted import (
     RiState,
@@ -74,6 +75,13 @@ class TestRiCandidateTest:
         assert lhs == pytest.approx(1600.0 / 9.0, rel=1e-12)
         assert rhs == pytest.approx(1850.0 / 9.0, rel=1e-12)
         assert lhs < rhs  # admissible
+
+    def test_barrier_on_spectrum_raises(self):
+        state = self.hand_state()
+        b_next = ri_barrier(1, state.t_hs_sq, state.t_op_sq, state.m, state.eps)
+        state.A = np.diag([b_next, 0.0])
+        with pytest.raises(SelectionInvariantError, match="spectrum"):
+            ri_candidate_test(state, np.eye(2), np.array([1.0, 0.0]), 1.0)
 
     def test_lhs_nonnegative(self, rng):
         state = self.hand_state()
