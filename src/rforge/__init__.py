@@ -3,7 +3,7 @@
 Core surface:
 
 - :mod:`rforge.linalg` -- dense symmetric kernels (validated
-  eigendecomposition, frame whitening, rank-one inverse updates).
+  eigendecomposition, frame whitening).
 - :mod:`rforge.bss` -- barrier-potential frame sparsification.
 - :mod:`rforge.graphs` -- weighted graphs, Laplacians, graph sparsification
   and its spectral certificate.
@@ -41,7 +41,6 @@ from .errors import (
     EigenConvergenceError,
     RforgeError,
     SelectionInvariantError,
-    SingularUpdateError,
     ZeroFrameError,
 )
 from .graphs import (
@@ -59,9 +58,7 @@ from .linalg import (
     ReductionMap,
     eigh,
     isotropic_reduce,
-    sherman_morrison_inverse_update,
     symmetrize,
-    trace_after_rank_one,
 )
 from .nonlinear import (
     ProbeSet,
@@ -91,7 +88,6 @@ __all__ = [
     "RforgeError",
     "RiState",
     "SelectionInvariantError",
-    "SingularUpdateError",
     "SparseWeights",
     "WeightedGraph",
     "ZeroFrameError",
@@ -116,13 +112,11 @@ __all__ = [
     "ri_select",
     "select_and_step",
     "selection_size",
-    "sherman_morrison_inverse_update",
     "sparsify_frame",
     "sparsify_graph",
     "spectral_gap_ratio",
     "standard_probes",
     "support_bound",
     "symmetrize",
-    "trace_after_rank_one",
     "verify_quality",
 ]

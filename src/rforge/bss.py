@@ -20,6 +20,12 @@ candidate), all four resolvent quadratic forms are the columns of
 at the advanced barriers u' and l'.  All invariants are re-checked eagerly
 at every step (any violation raises BarrierInvariantError rather than
 returning a bad certificate).
+
+A frame with at most ceil(r/eps^2) nonzero vectors, r its whitened
+dimension, already fits the support bound: weighting every nonzero vector
+by (1-eps)^2 puts the weighted sum at exactly (1-eps)^2 times the frame's
+own form, so ``sparsify_frame`` returns that reweighting, once it passes
+the same spectral certificate, and runs no barrier step.
 """
 
 from __future__ import annotations
@@ -329,10 +335,18 @@ def sparsify_frame(
     which is certified before returning by eigendecomposing the weighted
     sum (CertificationError on failure -- this should never trigger).
     Frames that are not isotropy-certified are whitened onto their span
-    first; the guarantee then holds on the span.
+    first; the guarantee then holds on the span.  As in the barrier
+    result, the smallest eigenvalue of the weighted sum is (1-eps)^2.
 
-    ``history``, if a list, receives one record per iteration with the
-    step diagnostics.
+    When the frame has at most ceil(r/eps^2) nonzero vectors (r the
+    whitened dimension), every nonzero vector gets weight exactly
+    (1-eps)^2, which meets the sandwich at its lower end, and no barrier
+    step runs.  The same certificate decides: a frame certified isotropic
+    only to within ISOTROPY_TOL can have a Gram spectrum too far from I for
+    the uniform weights to pass it, and then the barrier loop runs instead.
+
+    ``history``, if a list, receives one record per barrier iteration with
+    the step diagnostics; it stays empty when no barrier step runs.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
@@ -340,6 +354,14 @@ def sparsify_frame(
     if not frame.isotropy_certified:
         work, _ = isotropic_reduce(frame)
     steps = support_bound(work.ambient_dim, eps)
+    nonzero = np.flatnonzero(np.any(work.vectors != 0.0, axis=1))
+    if nonzero.size <= steps:
+        uniform = SparseWeights({int(i): (1.0 - eps) ** 2 for i in nonzero}, frame.size)
+        try:
+            _certify_sandwich(work, uniform, eps)
+            return uniform
+        except CertificationError:
+            pass  # Gram only near I: the loop's final rescaling absorbs the gap
     state, totals = _run_barrier(work, eps, steps, history)
 
     lam_min = float(state.eigenvalues[-1])

@@ -7,7 +7,6 @@ bounds.  Field order is fixed, so reports are byte-identical across runs
 on the same platform (apart from the wall-clock entry).  Exit status is 0
 on success, 1 when a certificate or invariant fails, and 2 for bad input.
 
-The environment variable RFORGE_THREADS caps internal (BLAS) parallelism;
 --seed overrides the probe-generation seed.
 """
 
@@ -16,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -75,24 +73,6 @@ class RunConfig:
     n: int | None = None
     p: float | None = None
     q: float | None = None
-
-
-def _apply_thread_cap():
-    cap = os.environ.get("RFORGE_THREADS")
-    if not cap:
-        return None
-    try:
-        limit = max(1, int(cap))
-    except ValueError:
-        return None
-    try:
-        from threadpoolctl import threadpool_limits
-
-        threadpool_limits(limits=limit)
-    except ImportError:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(limit))
-    return limit
 
 
 def _require(config: RunConfig, *names: str) -> None:
@@ -435,7 +415,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     args = _build_parser().parse_args(argv)
     config = RunConfig(
         command=args.command,

@@ -94,7 +94,9 @@ def approximate_john(jd: JohnDecomposition, eps: float) -> JohnDecomposition:
     the surviving points through the inverse square root and mirrors them.
     The output satisfies both decomposition identities: the identity
     residual is at machine precision and the center of mass is exactly
-    zero by symmetry.
+    zero by symmetry.  An input of at most ceil(n/eps0^2) points is kept
+    whole: the frame sparsifier gives every point the same weight, which
+    the lift turns into 1, so the reweighted sum is I up to rounding.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
@@ -180,6 +182,8 @@ def cut_decompose(points: np.ndarray) -> CutDecomposition:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 2:
         raise ValueError(f"need at least two points in a 2-D array, got shape {pts.shape}")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("points must be finite")
     n = pts.shape[0]
     merged: dict[frozenset[int], float] = {}
     for col in range(pts.shape[1]):
@@ -211,7 +215,11 @@ def embed_l1(points: np.ndarray, eps: float) -> EmbeddedPoints:
 
     The output lives in l1^k with k at most ceil(n / eps0^2) for
     eps0 = (sqrt(1+eps) - 1)/(sqrt(1+eps) + 1), and every pairwise distance
-    satisfies  d(i,j) <= ||z_i - z_j||_1 <= (1+eps) d(i,j).
+    satisfies  d(i,j) <= ||z_i - z_j||_1 <= (1+eps) d(i,j).  When the cut
+    decomposition has at most ceil(r/eps0^2) cuts (r the rank of its
+    frame), every cut is kept with its own weight and the embedding is an
+    isometry: k is the number of cuts and every distortion is 1.  Points
+    must be finite.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")

@@ -22,10 +22,6 @@ class EigenConvergenceError(RforgeError):
         super().__init__(msg)
 
 
-class SingularUpdateError(RforgeError):
-    """A rank-one inverse update hit a vanishing denominator."""
-
-
 class ZeroFrameError(RforgeError):
     """Every vector of a frame lies below the rank tolerance."""
 

@@ -14,6 +14,7 @@ dense generalized eigensolver on the common range.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -27,7 +28,7 @@ from .linalg import Frame, eigh, symmetrize
 
 @dataclass
 class WeightedGraph:
-    """Vertices 0..n-1 with positive undirected edge weights.
+    """Vertices 0..n-1 with positive, finite undirected edge weights.
 
     Edges are (i, j, w) with i < j and at most one entry per vertex pair.
     """
@@ -46,8 +47,8 @@ class WeightedGraph:
                 raise ValueError(f"edge ({i}, {j}) must satisfy 0 <= i < j < {self.n}")
             if (i, j) in seen:
                 raise ValueError(f"duplicate edge ({i}, {j})")
-            if not w > 0:
-                raise ValueError(f"edge ({i}, {j}) has nonpositive weight {w}")
+            if not 0 < w < math.inf:
+                raise ValueError(f"edge ({i}, {j}) has nonpositive or non-finite weight {w}")
             seen.add((i, j))
             canon.append((i, j, float(w)))
         self.edges = canon

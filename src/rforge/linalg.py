@@ -4,9 +4,7 @@ Everything downstream (barrier iterations, graph certificates, embeddings)
 is built on the two operations here: validated descending-order
 eigendecomposition, and whitening of a vector frame to an exact
 decomposition of the identity.  Resolvents are never formed or solved
-against; callers apply them in the eigenbasis that eigh returns.  The two
-Sherman-Morrison helpers (rank-one inverse update and the trace after it)
-are standalone public utilities; no selection loop uses them.
+against; callers apply them in the eigenbasis that eigh returns.
 
 Matrices are plain float64 ``numpy`` arrays and are required to be stored
 exactly symmetric (``M[i, j] == M[j, i]`` bitwise).  All functions are pure;
@@ -19,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EigenConvergenceError, SingularUpdateError, ZeroFrameError
+from .errors import EigenConvergenceError, ZeroFrameError
 
 # Max-entry tolerance under which a frame counts as a decomposition of the identity.
 ISOTROPY_TOL = 1e-8
@@ -158,46 +156,6 @@ def eigh(m: np.ndarray) -> EigenDecomposition:
     if ortho_err > _ORTHONORMAL_TOL:
         raise EigenConvergenceError(n, off, f"orthonormality residual {ortho_err:.3e}")
     return decomp
-
-
-def sherman_morrison_inverse_update(m_inv: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Given M^-1, return (M + z (x) z)^-1 by the Sherman-Morrison formula.
-
-    The result is exactly symmetric by construction.  Raises
-    SingularUpdateError when the update denominator 1 + <M^-1 z, z> is
-    smaller than 1e-12 in magnitude.
-    """
-    m_inv = require_symmetric(m_inv, "inverse matrix")
-    z = np.asarray(z, dtype=float)
-    u = m_inv @ z
-    denom = 1.0 + float(u @ z)
-    if abs(denom) < 1e-12:
-        raise SingularUpdateError(
-            f"rank-one update denominator {denom:.3e} below 1e-12; update is singular"
-        )
-    return m_inv - np.outer(u, u) / denom
-
-
-def trace_after_rank_one(
-    m_inv_trace: float,
-    m_inv_z: np.ndarray,
-    m_inv2_z_dot_z: float,
-    z: np.ndarray,
-) -> float:
-    """Trace of (M + z (x) z)^-1 from quantities already solved against M.
-
-    Takes tr(M^-1), the vector M^-1 z, and the scalar <M^-2 z, z>; this is
-    the trace of the Sherman-Morrison identity, so no new factorization is
-    needed.
-    """
-    m_inv_z = np.asarray(m_inv_z, dtype=float)
-    z = np.asarray(z, dtype=float)
-    denom = 1.0 + float(m_inv_z @ z)
-    if abs(denom) < 1e-12:
-        raise SingularUpdateError(
-            f"rank-one trace denominator {denom:.3e} below 1e-12; update is singular"
-        )
-    return float(m_inv_trace) - float(m_inv2_z_dot_z) / denom
 
 
 def isotropic_reduce(frame: Frame, rank_tol: float | None = None) -> tuple[Frame, ReductionMap]:

@@ -44,7 +44,9 @@ class ProbeSet:
 
     @classmethod
     def filtered(cls, candidates, g: WeightedGraph, p: float) -> "ProbeSet":
-        kept = [x for x in candidates if p_energy(g, x, p) > 0.0]
+        candidates = list(candidates)
+        energies = _energies(g, candidates, p) if candidates else []
+        kept = [x for x, energy in zip(candidates, energies) if energy > 0.0]
         if not kept:
             raise ValueError("every candidate probe has zero energy on the reference graph")
         return cls(kept)
@@ -52,8 +54,7 @@ class ProbeSet:
     @classmethod
     def from_matrix(cls, matrix: np.ndarray, g: WeightedGraph, p: float) -> "ProbeSet":
         """Each row of a dense matrix is one vertex-value configuration."""
-        rows = np.atleast_2d(np.asarray(matrix, dtype=float))
-        return cls.filtered(list(rows), g, p)
+        return cls.filtered(np.atleast_2d(np.asarray(matrix, dtype=float)), g, p)
 
     def __len__(self) -> int:
         return len(self.probes)
@@ -70,15 +71,19 @@ def p_energy(g: WeightedGraph, x: np.ndarray, p: float) -> float:
 
     Each undirected edge contributes twice, once per orientation.
     """
+    return float(_energies(g, np.asarray(x, dtype=float)[None, :], p)[0])
+
+
+def _energies(g: WeightedGraph, probes, p: float) -> np.ndarray:
+    """p-energies of every row of ``probes`` on g, as one matrix product."""
     if not p > 0:
         raise ValueError(f"exponent must be positive, got {p}")
-    x = np.asarray(x, dtype=float)
-    if x.shape != (g.n,):
-        raise ValueError(f"probe must assign one value per vertex, got shape {x.shape}")
-    total = 0.0
-    for i, j, w in g.edges:
-        total += 2.0 * w * abs(x[i] - x[j]) ** p
-    return total
+    x = np.asarray(probes, dtype=float)
+    if x.ndim != 2 or x.shape[1] != g.n:
+        raise ValueError(f"probes must assign one value per vertex, got shape {x.shape}")
+    edges = np.array([(i, j) for i, j, _ in g.edges], dtype=int).reshape(-1, 2)
+    weights = np.array([w for _, _, w in g.edges])
+    return 2.0 * (np.abs(x[:, edges[:, 0]] - x[:, edges[:, 1]]) ** p) @ weights
 
 
 def energy_ratio_range(
@@ -92,7 +97,7 @@ def energy_ratio_range(
     extra = h.edge_pairs() - g.edge_pairs()
     if extra:
         raise ValueError(f"candidate edge {min(extra)} missing from the reference support")
-    ratios = np.array([p_energy(h, x, p) / p_energy(g, x, p) for x in probes.probes])
+    ratios = _energies(h, probes.probes, p) / _energies(g, probes.probes, p)
     return float(ratios.min()), float(ratios.max())
 
 

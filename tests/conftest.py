@@ -11,9 +11,3 @@ sys.path.insert(0, str(Path(__file__).parent))
 def rng():
     return np.random.default_rng(20240817)
 
-
-def random_spd(rng, n, cond=10.0):
-    """Random symmetric positive definite matrix with bounded condition number."""
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    lam = np.linspace(1.0, cond, n)
-    return 0.5 * ((q * lam) @ q.T + ((q * lam) @ q.T).T)

@@ -137,9 +137,13 @@ class TestSparsifyFrame:
 
     def test_unscaled_ratio_bound(self, rng):
         eps = 0.5
-        frame = random_isotropic_frame(rng, 3, 12)
+        # m = 12 = ceil(3/eps^2): uniform weights, no barrier step, no history
         history = []
-        sparsify_frame(frame, eps, history=history)
+        weights = sparsify_frame(random_isotropic_frame(rng, 3, 12), eps, history=history)
+        assert history == []
+        assert all(w == (1 - eps) ** 2 for w in weights.weights.values())
+        # m = 13: the loop runs, and its final unscaled spectrum fits the ratio
+        sparsify_frame(random_isotropic_frame(rng, 3, 13), eps, history=history)
         last = history[-1]
         ratio = last["spectrum_max"] / last["spectrum_min"]
         assert ratio <= ((1 + eps) / (1 - eps)) ** 2 + 1e-9
@@ -195,6 +199,43 @@ class TestSparsifyFrame:
         )
         assert pencil[0] >= (1 - eps) ** 2 - 1e-7
         assert pencil[-1] <= (1 + eps) ** 2 + 1e-7
+
+
+class TestShortCircuit:
+    def test_boundary(self, rng):
+        eps = 0.5
+        bound = support_bound(3, eps)
+        history = []
+        weights = sparsify_frame(random_isotropic_frame(rng, 3, bound), eps, history=history)
+        assert history == []
+        assert weights.support == list(range(bound))
+        sparsify_frame(random_isotropic_frame(rng, 3, bound + 1), eps, history=history)
+        assert len(history) == bound
+
+    def test_zero_rows_get_no_weight(self, rng):
+        vectors = rng.standard_normal((6, 3))
+        vectors[[1, 4]] = 0.0
+        weights = sparsify_frame(Frame(vectors), 0.5)
+        assert weights.support == [0, 2, 3, 5]
+
+    def test_rescaling_gives_identical_weights(self, rng):
+        vectors = rng.standard_normal((10, 3))
+        weights = sparsify_frame(Frame(vectors), 0.5)
+        assert weights.support_size == 10
+        assert sparsify_frame(Frame(1e3 * vectors), 0.5).weights == weights.weights
+
+    def test_uncertifiable_uniform_weights_run_the_loop(self, rng):
+        # certified isotropic to 9.9e-9 max-entry, but lambda_min(Gram) is
+        # 1 - 4.95e-8: uniform (1-eps)^2 weights would fall below the window
+        frame = random_isotropic_frame(rng, 6, 20)
+        target = np.eye(6) - 0.99e-8 * (np.ones((6, 6)) - np.eye(6))
+        near = Frame(frame.vectors @ np.real(scipy.linalg.sqrtm(target)), isotropy_certified=True)
+        history = []
+        weights = sparsify_frame(near, 0.5, history=history)
+        assert len(history) == support_bound(6, 0.5)
+        weighted = symmetrize((near.vectors * weights.dense()[:, None]).T @ near.vectors)
+        lam = np.linalg.eigvalsh(weighted)
+        assert lam[0] >= 0.25 - 1e-8 and lam[-1] <= 2.25 + 1e-8
 
 
 class TestOracleEquivalence:

@@ -114,6 +114,13 @@ class TestRun:
         )
         assert status == EXIT_INPUT
 
+    def test_infinite_weight_exit_code(self, tmp_path):
+        path = tmp_path / "inf.edges"
+        path.write_text("n 3\n0\t1\t1.0\n1\t2\tinf\n")
+        status, report = run(RunConfig(command="sparsify-graph", eps=0.5, input=str(path)))
+        assert status == EXIT_INPUT
+        assert "non-finite" in report["error"]
+
     def test_bad_eps_exit_code(self, tmp_path):
         src = write_single_edge(tmp_path / "g.edges")
         status, _ = run(RunConfig(command="sparsify-graph", eps=1.5, input=src))

@@ -119,6 +119,20 @@ class TestEmbedL1:
         embedded = pairwise_l1_distances(out.points)
         assert np.all(embedded >= direct - 1e-8)
 
+    def test_few_cuts_embed_isometrically(self, rng):
+        pts = rng.integers(0, 3, size=(6, 2)).astype(float)
+        out = embed_l1(pts, 0.5)
+        assert out.k == cut_decompose(pts).size
+        direct = pairwise_l1_distances(pts)
+        mask = direct > 0
+        ratios = pairwise_l1_distances(out.points)[mask] / direct[mask]
+        np.testing.assert_allclose(ratios, 1.0, rtol=0, atol=1e-12)
+
+    def test_non_finite_points_rejected(self):
+        pts = np.array([[0.0, 1.0], [np.nan, 2.0], [1.0, 1.0]])
+        with pytest.raises(ValueError, match="points must be finite"):
+            embed_l1(pts, 0.5)
+
     def test_coincident_points(self):
         out = embed_l1(np.zeros((3, 2)), 0.5)
         assert np.array_equal(out.points, np.zeros((3, 1)))

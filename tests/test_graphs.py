@@ -40,6 +40,11 @@ class TestWeightedGraph:
         with pytest.raises(ValueError, match="nonpositive"):
             WeightedGraph(3, [(0, 1, 0.0)])
 
+    def test_non_finite_weight_rejected(self):
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match=r"edge \(1, 2\) .*non-finite"):
+                WeightedGraph(3, [(0, 1, 1.0), (1, 2, bad)])
+
     def test_self_loop_helper_warns(self):
         with pytest.warns(UserWarning, match="self-loop"):
             edges = ignore_self_loops(3, [(0, 0, 1.0), (2, 1, 3.0)])
@@ -107,6 +112,18 @@ class TestSparsifyGraph:
         report = verify_quality(g, h)
         assert report.min_quotient == pytest.approx(1.0, abs=1e-9)
         assert report.max_quotient == pytest.approx(1.0, abs=1e-9)
+
+    def test_tree_keeps_every_edge_exactly(self, rng):
+        # a tree has n-1 edges on an (n-1)-dim range: no barrier step runs
+        n = 9
+        g = WeightedGraph(
+            n, [(int(rng.integers(0, j)), j, float(rng.uniform(0.1, 10.0))) for j in range(1, n)]
+        )
+        h = sparsify_graph(g, 0.3)
+        assert h.edge_pairs() == g.edge_pairs()
+        report = verify_quality(g, h)
+        assert report.min_quotient == pytest.approx(1.0, abs=1e-12)
+        assert report.max_quotient == pytest.approx(1.0, abs=1e-12)
 
     def test_complete_graph_support_and_quality(self):
         eps = 0.6

@@ -1,18 +1,8 @@
 import numpy as np
 import pytest
 
-from rforge.errors import SingularUpdateError, ZeroFrameError
-from rforge.linalg import (
-    Frame,
-    eigh,
-    isotropic_reduce,
-    sherman_morrison_inverse_update,
-    symmetrize,
-    trace_after_rank_one,
-)
-
-from conftest import random_spd
-from oracles import explicit_inverse
+from rforge.errors import ZeroFrameError
+from rforge.linalg import Frame, eigh, isotropic_reduce, symmetrize
 
 
 class TestEigh:
@@ -42,76 +32,6 @@ class TestEigh:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
             eigh(np.array([[1.0, 2.0], [2.0 + 1e-12, 1.0]]))
-
-
-class TestShermanMorrison:
-    def test_orthogonal_coordinates(self):
-        out = sherman_morrison_inverse_update(np.eye(2), np.array([1.0, 0.0]))
-        assert np.allclose(out, np.diag([0.5, 1.0]))
-
-    def test_scalar(self):
-        out = sherman_morrison_inverse_update(np.eye(1), np.array([1.0]))
-        assert np.allclose(out, [[0.5]])
-
-    def test_product_with_updated_matrix_is_identity(self):
-        m_inv = np.diag([1.0, 0.5])
-        z = np.array([1.0, 1.0])
-        out = sherman_morrison_inverse_update(m_inv, z)
-        updated = np.diag([1.0, 2.0]) + np.outer(z, z)
-        assert np.max(np.abs(out @ updated - np.eye(2))) <= 1e-12
-
-    def test_random_trials(self, rng):
-        # 100 well-conditioned trials, n <= 16
-        for _ in range(100):
-            n = int(rng.integers(1, 17))
-            m = random_spd(rng, n)
-            z = rng.standard_normal(n)
-            out = sherman_morrison_inverse_update(symmetrize(explicit_inverse(m)), z)
-            product = out @ (m + np.outer(z, z))
-            assert np.max(np.abs(product - np.eye(n))) <= 1e-10
-            assert np.array_equal(out, out.T)
-
-    def test_singular_update(self):
-        with pytest.raises(SingularUpdateError):
-            sherman_morrison_inverse_update(np.array([[-1.0]]), np.array([1.0]))
-
-
-class TestTraceAfterRankOne:
-    def test_identity_plus_e1(self):
-        got = trace_after_rank_one(2.0, np.array([1.0, 0.0]), 1.0, np.array([1.0, 0.0]))
-        assert got == pytest.approx(1.5, abs=1e-15)
-
-    def test_zero_update(self):
-        got = trace_after_rank_one(2.0, np.zeros(2), 0.0, np.zeros(2))
-        assert got == 2.0
-
-    def test_against_explicit_inversion(self):
-        # M = diag(2, 2), z = e1: trace of (M + z z^T)^-1 is 1/3 + 1/2
-        m = np.diag([2.0, 2.0])
-        z = np.array([1.0, 0.0])
-        m_inv = explicit_inverse(m)
-        got = trace_after_rank_one(
-            float(np.trace(m_inv)), m_inv @ z, float(z @ m_inv @ m_inv @ z), z
-        )
-        want = float(np.trace(explicit_inverse(m + np.outer(z, z))))
-        assert got == pytest.approx(want, rel=1e-12)
-        assert got == pytest.approx(0.8333333333333334, rel=1e-12)
-
-    def test_random_trials(self, rng):
-        for _ in range(100):
-            n = int(rng.integers(1, 17))
-            m = random_spd(rng, n)
-            z = rng.standard_normal(n)
-            m_inv = symmetrize(explicit_inverse(m))
-            got = trace_after_rank_one(
-                float(np.trace(m_inv)), m_inv @ z, float(z @ m_inv @ m_inv @ z), z
-            )
-            want = float(np.trace(explicit_inverse(m + np.outer(z, z))))
-            assert got == pytest.approx(want, rel=1e-10)
-
-    def test_singular_denominator(self):
-        with pytest.raises(SingularUpdateError):
-            trace_after_rank_one(1.0, np.array([-1.0]), 1.0, np.array([1.0]))
 
 
 class TestIsotropicReduce:

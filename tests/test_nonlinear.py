@@ -6,6 +6,7 @@ from rforge.graphs import WeightedGraph, sparsify_graph, verify_quality
 from rforge.nonlinear import (
     ProbeSet,
     cycle_counterexample,
+    energy_ratio_range,
     monotonicity_check,
     p_energy,
     quality_lower_bound,
@@ -41,6 +42,18 @@ class TestPEnergy:
             assert p_energy(g, x, p) == pytest.approx(
                 power_energy_double_sum(6, g.edges, x, p), rel=1e-12
             )
+
+    def test_ratio_range_matches_per_probe_loop(self, rng):
+        g = WeightedGraph(6, [(0, 1, 1.5), (0, 5, 0.5), (2, 4, 2.0), (3, 4, 1.0), (1, 2, 0.7)])
+        h = WeightedGraph(6, [(0, 1, 3.0), (2, 4, 1.0), (3, 4, 2.5)])
+        probes = ProbeSet.filtered(standard_probes(6, count=40), g, 3.0)
+        ratios = [
+            power_energy_double_sum(6, h.edges, x, 3.0) / power_energy_double_sum(6, g.edges, x, 3.0)
+            for x in probes.probes
+        ]
+        low, high = energy_ratio_range(g, h, 3.0, probes)
+        assert low == pytest.approx(min(ratios), rel=1e-12)
+        assert high == pytest.approx(max(ratios), rel=1e-12)
 
 
 class TestQualityLowerBound:
