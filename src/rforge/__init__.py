@@ -3,7 +3,8 @@
 Core surface:
 
 - :mod:`rforge.linalg` -- dense symmetric kernels (validated
-  eigendecomposition, frame whitening).
+  eigendecomposition, frame whitening) and the spectral ``Certificate``
+  check every builder goes through.
 - :mod:`rforge.bss` -- barrier-potential frame sparsification.
 - :mod:`rforge.graphs` -- weighted graphs, Laplacians, graph sparsification
   and its spectral certificate.
@@ -53,9 +54,11 @@ from .graphs import (
     verify_quality,
 )
 from .linalg import (
+    Certificate,
     EigenDecomposition,
     Frame,
     ReductionMap,
+    certify_spectrum,
     eigh,
     isotropic_reduce,
     symmetrize,
@@ -75,6 +78,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BarrierInvariantError",
     "BarrierState",
+    "Certificate",
     "CertificationError",
     "CutDecomposition",
     "EigenConvergenceError",
@@ -95,6 +99,7 @@ __all__ = [
     "barrier_eps_for_ratio",
     "barrier_gaps",
     "candidate_scores",
+    "certify_spectrum",
     "cut_decompose",
     "cycle_counterexample",
     "edge_frame",

@@ -25,7 +25,8 @@ A frame with at most ceil(r/eps^2) nonzero vectors, r its whitened
 dimension, already fits the support bound: weighting every nonzero vector
 by (1-eps)^2 puts the weighted sum at exactly (1-eps)^2 times the frame's
 own form, so ``sparsify_frame`` returns that reweighting, once it passes
-the same spectral certificate, and runs no barrier step.
+the same spectral certificate, and runs no barrier step.  Either way the
+returned ``SparseWeights`` carries that certificate.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BarrierInvariantError, CertificationError
-from .linalg import Frame, eigh, isotropic_reduce, symmetrize
+from .linalg import Certificate, Frame, certify_spectrum, eigh, isotropic_reduce, symmetrize
 
 # Tolerances for the per-step invariant checks.
 _UPPER_CONSERVATION_RTOL = 1e-8
@@ -47,6 +48,14 @@ _FEASIBILITY_SLACK = 1e-9
 # Slacks this close to the best one (relative to the score magnitudes) tie;
 # the lowest tied index wins.
 _TIE_RTOL = 1e-12
+_SANDWICH_TOL = 1e-8
+
+
+def check_eps(eps: float) -> float:
+    """Return ``eps`` if it lies in (0, 1); raise ValueError otherwise."""
+    if not 0.0 < eps < 1.0:
+        raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    return eps
 
 
 @dataclass
@@ -83,6 +92,7 @@ class SparseWeights:
 
     weights: dict[int, float]
     source_size: int
+    certificate: Certificate  # the sandwich as sparsify_frame measured it
 
     def __post_init__(self):
         for idx, w in self.weights.items():
@@ -112,8 +122,7 @@ def support_bound(n: int, eps: float) -> int:
 
 
 def initial_barrier_state(n: int, eps: float) -> BarrierState:
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    check_eps(eps)
     if n < 1:
         raise ValueError(f"dimension must be positive, got {n}")
     theta = (1.0 + eps) / (1.0 - eps)
@@ -333,7 +342,8 @@ def sparsify_frame(
                                       <=  (1+eps)^2 * sum_i <x_i, y>^2,
 
     which is certified before returning by eigendecomposing the weighted
-    sum (CertificationError on failure -- this should never trigger).
+    sum (CertificationError on failure -- this should never trigger); the
+    result carries that check as ``certificate``.
     Frames that are not isotropy-certified are whitened onto their span
     first; the guarantee then holds on the span.  As in the barrier
     result, the smallest eigenvalue of the weighted sum is (1-eps)^2.
@@ -348,18 +358,16 @@ def sparsify_frame(
     ``history``, if a list, receives one record per barrier iteration with
     the step diagnostics; it stays empty when no barrier step runs.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    check_eps(eps)
     work = frame
     if not frame.isotropy_certified:
         work, _ = isotropic_reduce(frame)
     steps = support_bound(work.ambient_dim, eps)
     nonzero = np.flatnonzero(np.any(work.vectors != 0.0, axis=1))
     if nonzero.size <= steps:
-        uniform = SparseWeights({int(i): (1.0 - eps) ** 2 for i in nonzero}, frame.size)
+        uniform = {int(i): (1.0 - eps) ** 2 for i in nonzero}
         try:
-            _certify_sandwich(work, uniform, eps)
-            return uniform
+            return _certified(work, uniform, frame.size, eps)
         except CertificationError:
             pass  # Gram only near I: the loop's final rescaling absorbs the gap
     state, totals = _run_barrier(work, eps, steps, history)
@@ -371,20 +379,14 @@ def sparsify_frame(
         )
     gamma = (1.0 - eps) ** 2 / lam_min
     weights = {idx: gamma * t for idx, t in sorted(totals.items())}
-    result = SparseWeights(weights=weights, source_size=frame.size)
-    _certify_sandwich(work, result, eps)
-    return result
+    return _certified(work, weights, frame.size, eps)
 
 
-def _certify_sandwich(work: Frame, result: SparseWeights, eps: float) -> None:
-    dense = result.dense()
-    idx = np.flatnonzero(dense)
+def _certified(work: Frame, weights: dict[int, float], size: int, eps: float) -> SparseWeights:
+    idx = sorted(weights)
     rows = work.vectors[idx]
-    weighted = symmetrize((rows * dense[idx][:, None]).T @ rows)
-    lam = eigh(weighted).values
-    lo, hi = (1.0 - eps) ** 2, (1.0 + eps) ** 2
-    if lam[-1] < lo - 1e-8 or lam[0] > hi + 1e-8:
-        raise CertificationError(
-            f"weighted sum spectrum [{lam[-1]:.12g}, {lam[0]:.12g}] escapes "
-            f"[{lo:.12g}, {hi:.12g}]"
-        )
+    s = np.array([weights[i] for i in idx])
+    lam = eigh(symmetrize((rows * s[:, None]).T @ rows)).values
+    low, high = (1.0 - eps) ** 2, (1.0 + eps) ** 2
+    cert = certify_spectrum(lam, low, high, tol=_SANDWICH_TOL, what="weighted sum")
+    return SparseWeights(weights, size, cert)

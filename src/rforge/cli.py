@@ -20,10 +20,9 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import formats
-from .bss import sparsify_frame, support_bound
+from .bss import check_eps, sparsify_frame, support_bound
 from .embed import (
     JohnDecomposition,
     apply_lp_embedding,
@@ -34,7 +33,7 @@ from .embed import (
 )
 from .errors import RforgeError
 from .graphs import sparsify_graph, spectral_gap_ratio, verify_quality
-from .linalg import Frame, symmetrize
+from .linalg import Frame
 from .nonlinear import (
     DEFAULT_PROBE_SEED,
     ProbeSet,
@@ -81,19 +80,13 @@ def _require(config: RunConfig, *names: str) -> None:
             raise ValueError(f"command {config.command!r} requires --{name.replace('_', '-')}")
 
 
-def _check_eps(eps: float) -> float:
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    return eps
-
-
 def _theta(eps: float) -> float:
     return (1.0 + eps) / (1.0 - eps)
 
 
 def _run_sparsify_graph(config: RunConfig) -> dict:
     _require(config, "eps", "input")
-    eps = _check_eps(config.eps)
+    eps = check_eps(config.eps)
     g = formats.read_graph(config.input)
     h = sparsify_graph(g, eps)
     report_quality = verify_quality(g, h)
@@ -126,30 +119,22 @@ def _run_sparsify_graph(config: RunConfig) -> dict:
 
 def _run_sparsify_frame(config: RunConfig) -> dict:
     _require(config, "eps", "input")
-    eps = _check_eps(config.eps)
+    eps = check_eps(config.eps)
     vectors = formats.read_matrix(config.input)
     frame = Frame(vectors)
     weights = sparsify_frame(frame, eps)
-    dense = weights.dense()
-    weighted = symmetrize((vectors * dense[:, None]).T @ vectors)
-    plain = symmetrize(vectors.T @ vectors)
-    # quadratic-form ratio on the span of the input frame
-    lam, vecs = np.linalg.eigh(plain)
-    keep = lam > vectors.shape[1] * np.finfo(float).eps * lam[-1]
-    basis = vecs[:, keep]
-    pencil = scipy.linalg.eigh(
-        symmetrize(basis.T @ weighted @ basis),
-        symmetrize(basis.T @ plain @ basis),
-        eigvals_only=True,
-    )
+    # the quadratic-form ratio on the span of the input frame, as certified
+    cert = weights.certificate
     certificate = {
         "eps": eps,
         "support": weights.support_size,
         "support_bound": support_bound(vectors.shape[1], eps),
-        "quadratic_ratio_min": float(pencil[0]),
-        "quadratic_ratio_max": float(pencil[-1]),
-        "target_low": (1 - eps) ** 2,
-        "target_high": (1 + eps) ** 2,
+        "quadratic_ratio_min": cert.measured_min,
+        "quadratic_ratio_max": cert.measured_max,
+        "target_low": cert.low,
+        "target_high": cert.high,
+        "range_dim": cert.range_dim,
+        "margin": cert.margin,
     }
     if config.output:
         formats.write_weights(config.output, weights.weights, certificate)
@@ -166,7 +151,7 @@ def _run_sparsify_frame(config: RunConfig) -> dict:
 
 def _run_ri_select(config: RunConfig) -> dict:
     _require(config, "eps", "input")
-    eps = _check_eps(config.eps)
+    eps = check_eps(config.eps)
     operator = formats.read_matrix(config.input)
     if operator.shape[0] != operator.shape[1]:
         raise ValueError(f"operator must be square, got shape {operator.shape}")
@@ -199,7 +184,7 @@ def _run_ri_select(config: RunConfig) -> dict:
 
 def _run_embed_l1(config: RunConfig) -> dict:
     _require(config, "eps", "input")
-    eps = _check_eps(config.eps)
+    eps = check_eps(config.eps)
     points = formats.read_matrix(config.input)
     embedded = embed_l1(points, eps)
     if config.output:
@@ -225,7 +210,7 @@ def _run_embed_l1(config: RunConfig) -> dict:
 
 def _run_embed_lp(config: RunConfig) -> dict:
     _require(config, "eps", "input", "p")
-    eps = _check_eps(config.eps)
+    eps = check_eps(config.eps)
     p = int(config.p)
     basis = formats.read_matrix(config.input)
     selected, weights = embed_lp_even(basis, p, eps)
@@ -267,7 +252,7 @@ def _run_embed_lp(config: RunConfig) -> dict:
 
 def _run_john_approx(config: RunConfig) -> dict:
     _require(config, "eps", "input")
-    eps = _check_eps(config.eps)
+    eps = check_eps(config.eps)
     raw = formats.read_matrix(config.input)
     if raw.shape[1] < 2:
         raise ValueError("John input needs point coordinates plus a trailing weight column")

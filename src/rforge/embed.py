@@ -25,9 +25,9 @@ from itertools import combinations_with_replacement
 import numpy as np
 import scipy.linalg
 
-from .bss import sparsify_frame, support_bound
+from .bss import check_eps, sparsify_frame, support_bound
 from .errors import CertificationError
-from .linalg import Frame, eigh, symmetrize
+from .linalg import Frame, certify_spectrum, eigh, symmetrize
 
 _JOHN_IDENTITY_TOL = 1e-8
 _JOHN_CENTER_TOL = 1e-8
@@ -97,9 +97,10 @@ def approximate_john(jd: JohnDecomposition, eps: float) -> JohnDecomposition:
     zero by symmetry.  An input of at most ceil(n/eps0^2) points is kept
     whole: the frame sparsifier gives every point the same weight, which
     the lift turns into 1, so the reweighted sum is I up to rounding.
+    The eps/4 gap is certified on the spectrum of the same eigendecomposition
+    that gives the inverse square root.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    check_eps(eps)
     jd.validate()
     eps0 = barrier_eps_for_ratio(1.0 + eps / 4.0)
     scaled = jd.points * np.sqrt(jd.weights)[:, None]
@@ -115,11 +116,8 @@ def approximate_john(jd: JohnDecomposition, eps: float) -> JohnDecomposition:
     wts = jd.weights[support]
 
     total = symmetrize((pts * (s * wts)[:, None]).T @ pts)
-    gap = float(np.max(np.abs(np.linalg.eigvalsh(total) - 1.0)))
-    if gap > eps / 4.0 + 1e-9:
-        raise CertificationError(f"reweighted sum is {gap:.3e} from the identity, over eps/4")
-
     decomp = eigh(total)
+    certify_spectrum(decomp.values, 1.0 - eps / 4.0, 1.0 + eps / 4.0, tol=1e-9, what="reweighted sum")
     inv_sqrt = (decomp.vectors / np.sqrt(decomp.values)) @ decomp.vectors.T
     mapped = pts @ inv_sqrt
     norms = np.linalg.norm(mapped, axis=1)
@@ -221,8 +219,7 @@ def embed_l1(points: np.ndarray, eps: float) -> EmbeddedPoints:
     isometry: k is the number of cuts and every distortion is 1.  Points
     must be finite.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    check_eps(eps)
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 2:
         raise ValueError(f"need at least two points, got shape {pts.shape}")
@@ -254,13 +251,14 @@ def embed_lp_even(basis: np.ndarray, p: int, eps: float) -> tuple[list[int], lis
     coordinate indices and their weights; applying
     x -> (s_i^(1/p) * x_i) for selected i realizes the embedding.
 
-    The quadratic certificate on Y is verified by eigendecomposition, which
-    covers every vector of X, not just sampled ones.
+    The quadratic certificate on Y covers every vector of X, not just
+    sampled ones.  It is the frame sparsifier's own certificate scaled by the
+    lift: the lifted basis is orthonormal, so the sparsifier measures the
+    spectrum of exactly these weighted rows, up to the scalar lift.
     """
     if p % 2 != 0 or p < 4:
         raise ValueError(f"exponent must be an even integer >= 4, got {p}")
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    check_eps(eps)
     u = np.asarray(basis, dtype=float)
     if u.ndim != 2:
         raise ValueError(f"basis must be a 2-D array, got shape {u.shape}")
@@ -290,14 +288,8 @@ def embed_lp_even(basis: np.ndarray, p: int, eps: float) -> tuple[list[int], lis
     selected = sparse.support
     weights = [sparse.weights[i] * lift for i in selected]
 
-    rows = v[selected]
-    certificate = symmetrize((rows * np.asarray(weights)[:, None]).T @ rows)
-    lam = np.linalg.eigvalsh(certificate)
-    hi = 1.0 + eps * p / 4.0
-    if lam[0] < 1.0 - 1e-8 or lam[-1] > hi + 1e-8:
-        raise CertificationError(
-            f"lifted-space spectrum [{lam[0]:.12g}, {lam[-1]:.12g}] escapes [1, {hi:.12g}]"
-        )
+    lifted = [sparse.certificate.measured_min * lift, sparse.certificate.measured_max * lift]
+    certify_spectrum(lifted, 1.0, 1.0 + eps * p / 4.0, tol=1e-8, what="lifted-space")
     return selected, weights
 
 

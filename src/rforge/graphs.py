@@ -15,15 +15,16 @@ dense generalized eigensolver on the common range.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .bss import sparsify_frame
+from .bss import check_eps, sparsify_frame
 from .errors import CertificationError
 from .linalg import Frame, eigh, symmetrize
+
+_KERNEL_TOL = 1e-8  # relative size at which a Laplacian eigenvalue or kernel residual is zero
 
 
 @dataclass
@@ -117,8 +118,7 @@ def sparsify_graph(g: WeightedGraph, eps: float, *, history: list | None = None)
     on the range of L_G lie in [1, ((1+eps)/(1-eps))^2].  Vertices with no
     surviving edge are kept; the Laplacian kernel is preserved.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    check_eps(eps)
     if g.edge_count == 0:
         return WeightedGraph(g.n, [])
     frame = edge_frame(g)
@@ -132,13 +132,14 @@ def sparsify_graph(g: WeightedGraph, eps: float, *, history: list | None = None)
     return WeightedGraph(g.n, edges)
 
 
-def verify_quality(g: WeightedGraph, h: WeightedGraph, *, kernel_tol: float = 1e-8) -> QualityReport:
+def verify_quality(g: WeightedGraph, h: WeightedGraph) -> QualityReport:
     """Certify h's quadratic form against g's on the range of g's Laplacian.
 
     Checks the support and kernel preconditions (raising CertificationError
     with a witness edge or vector on violation), projects both Laplacians
     onto the orthogonal complement of g's kernel, and solves the dense
-    symmetric-definite generalized eigenproblem there.
+    symmetric-definite generalized eigenproblem there.  Eigenvalues of L_G
+    below 1e-8 times max(1, its largest) count as its kernel.
     """
     if g.n != h.n:
         raise ValueError(f"vertex counts differ: {g.n} vs {h.n}")
@@ -152,12 +153,12 @@ def verify_quality(g: WeightedGraph, h: WeightedGraph, *, kernel_tol: float = 1e
     lap_h = laplacian(h)
     decomp = eigh(lap_g)
     scale = max(float(decomp.values[0]), 1.0)
-    in_range = decomp.values > kernel_tol * scale
+    in_range = decomp.values > _KERNEL_TOL * scale
     kernel_vectors = decomp.vectors[:, ~in_range]
     if kernel_vectors.shape[1]:
         residuals = np.linalg.norm(lap_h @ kernel_vectors, axis=0)
         worst = int(np.argmax(residuals))
-        if residuals[worst] > kernel_tol * max(1.0, float(np.abs(lap_h).max())):
+        if residuals[worst] > _KERNEL_TOL * max(1.0, float(np.abs(lap_h).max())):
             raise CertificationError(
                 "kernel vector of the reference Laplacian is not annihilated by the "
                 f"candidate (residual {residuals[worst]:.3e}); witness vector index {worst}"
@@ -196,14 +197,3 @@ def spectral_gap_ratio(h: WeightedGraph) -> float:
         )
     return float((lam[0] - lam[-1]) / gap)
 
-
-def ignore_self_loops(n: int, raw_edges) -> list[tuple[int, int, float]]:
-    """Canonicalize raw (i, j, w) entries, dropping self-loops with a warning."""
-    edges = []
-    for i, j, w in raw_edges:
-        i, j = int(i), int(j)
-        if i == j:
-            warnings.warn(f"ignoring self-loop at vertex {i}; it has no effect", stacklevel=2)
-            continue
-        edges.append((min(i, j), max(i, j), float(w)))
-    return edges

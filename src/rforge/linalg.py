@@ -1,10 +1,12 @@
 """Dense symmetric linear algebra kernel.
 
 Everything downstream (barrier iterations, graph certificates, embeddings)
-is built on the two operations here: validated descending-order
-eigendecomposition, and whitening of a vector frame to an exact
-decomposition of the identity.  Resolvents are never formed or solved
-against; callers apply them in the eigenbasis that eigh returns.
+is built on the three operations here: validated descending-order
+eigendecomposition, whitening of a vector frame to an exact decomposition
+of the identity, and the spectral certificate check, which compares a
+measured spectrum with a claimed interval and returns the ``Certificate``
+every builder carries.  Resolvents are never formed or solved against;
+callers apply them in the eigenbasis that eigh returns.
 
 Matrices are plain float64 ``numpy`` arrays and are required to be stored
 exactly symmetric (``M[i, j] == M[j, i]`` bitwise).  All functions are pure;
@@ -17,10 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EigenConvergenceError, ZeroFrameError
+from .errors import CertificationError, EigenConvergenceError, ZeroFrameError
 
 # Max-entry tolerance under which a frame counts as a decomposition of the identity.
 ISOTROPY_TOL = 1e-8
+_RANK_RTOL = np.finfo(float).eps  # whitening's rank cut, relative, per dimension
 
 _RECONSTRUCT_TOL = 1e-10
 _ORTHONORMAL_TOL = 1e-10
@@ -158,26 +161,22 @@ def eigh(m: np.ndarray) -> EigenDecomposition:
     return decomp
 
 
-def isotropic_reduce(frame: Frame, rank_tol: float | None = None) -> tuple[Frame, ReductionMap]:
+def isotropic_reduce(frame: Frame) -> tuple[Frame, ReductionMap]:
     """Whiten a frame to an exact decomposition of the identity on its span.
 
     Computes A = sum_i x_i (x) x_i, eigendecomposes it, discards eigenvalues
-    below ``rank_tol`` times the largest one, and rescales the frame into the
-    r-dimensional range coordinates.  A final symmetric correction makes the
-    reduced Gram matrix equal the identity to machine precision, so the
-    returned frame is isotropy-certified.  The accompanying ReductionMap
-    converts directions between the two coordinate systems.
-
-    ``rank_tol`` defaults to n times the machine epsilon.
+    below n times the machine epsilon times the largest one, and rescales
+    the frame into the r-dimensional range coordinates.  A final symmetric
+    correction makes the reduced Gram matrix equal the identity to machine
+    precision, so the returned frame is isotropy-certified.  The
+    accompanying ReductionMap converts directions between the two
+    coordinate systems.
     """
-    n = frame.ambient_dim
-    if rank_tol is None:
-        rank_tol = n * np.finfo(float).eps
     decomp = eigh(frame.gram())
     lam = decomp.values
     if lam[0] <= 0.0:
         raise ZeroFrameError("frame has no positive-energy direction; all vectors are zero")
-    keep = lam > rank_tol * lam[0]
+    keep = lam > frame.ambient_dim * _RANK_RTOL * lam[0]
     r = int(np.count_nonzero(keep))
     if r == 0:
         raise ZeroFrameError("all frame eigenvalues fall below the rank tolerance")
@@ -199,3 +198,34 @@ def isotropic_reduce(frame: Frame, rank_tol: float | None = None) -> tuple[Frame
 
     out = Frame(reduced, isotropy_certified=True)
     return out, ReductionMap(matrix=lift)
+
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """Measured extremes of a spectrum against the interval a result claims.
+
+    ``range_dim`` is the number of eigenvalues measured; ``high`` may be inf.
+    """
+
+    low: float
+    high: float
+    measured_min: float
+    measured_max: float
+    range_dim: int
+
+    @property
+    def margin(self) -> float:
+        """Distance to the nearer claimed end; negative when within tolerance outside."""
+        return min(self.measured_min - self.low, self.high - self.measured_max)
+
+
+def certify_spectrum(values, low: float, high: float, *, tol: float, what: str) -> Certificate:
+    """Certificate of ``values`` inside [low - tol, high + tol], else CertificationError."""
+    lam = np.asarray(values, dtype=float)
+    lo, hi = float(np.min(lam)), float(np.max(lam))
+    if not (lo >= low - tol and hi <= high + tol):  # NaN fails too
+        raise CertificationError(
+            f"{what} spectrum [{lo:.12g}, {hi:.12g}] escapes [{low:.12g}, {high:.12g}]"
+        )
+    return Certificate(float(low), float(high), lo, hi, int(lam.size))

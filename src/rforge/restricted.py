@@ -24,14 +24,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CertificationError, SelectionInvariantError
-from .linalg import EigenDecomposition, Frame, eigh, isotropic_reduce, symmetrize
+from .bss import check_eps
+from .errors import SelectionInvariantError
+from .linalg import EigenDecomposition, Frame, certify_spectrum, eigh, isotropic_reduce, symmetrize
 
 _MU_TOL = 1e-9
 _MARGIN_SLACK = 1e-12
 _POTENTIAL_DECREASE_RTOL = 1e-9
 _EIGENCOUNT_TOL = 1e-9
 _BARRIER_SEPARATION_RTOL = 1e-12
+_GRAM_FLOOR_TOL = 1e-8
 
 
 @dataclass
@@ -66,8 +68,7 @@ def ri_barrier(i: int, t_hs_sq: float, t_op_sq: float, m: int, eps: float) -> fl
     Stays at least (1-eps)^2 * ||T||_HS^2 / m for all admissible i, which is
     what makes the final Gram bound work out.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    check_eps(eps)
     if m < 1:
         raise ValueError(f"frame size must be positive, got {m}")
     k = selection_size(t_hs_sq, t_op_sq, eps)
@@ -108,7 +109,6 @@ def ri_select(
     eps: float,
     *,
     history: list | None = None,
-    check_invariants: bool = True,
 ) -> tuple[list[int], np.ndarray]:
     """Select k = floor(eps^2 ||T||_HS^2/||T||^2) well-conditioned columns.
 
@@ -122,13 +122,11 @@ def ri_select(
 
     ``history`` (a caller-supplied list) receives one record per step with
     the barrier level, the feasibility margin, and the trace potential.
-    ``check_invariants`` controls the per-step eigenvalue-count and
-    kernel-mass assertions.  Each step eigendecomposes the running sum once;
-    the candidate scores, both invariant checks and the recomputed trace
-    potential all read that one decomposition.
+    Each step eigendecomposes the running sum once; the candidate scores,
+    the kernel-mass and eigenvalue-count invariant checks and the
+    recomputed trace potential all read that one decomposition.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    check_eps(eps)
     t = np.asarray(t, dtype=float)
     if t.ndim != 2:
         raise ValueError(f"operator must be a matrix, got shape {t.shape}")
@@ -195,8 +193,7 @@ def ri_select(
                 f"admissible candidate {chosen} has nonnegative shifted form "
                 f"{1.0 + lin[chosen]:.6g} at step {i}"
             )
-        if check_invariants:
-            _check_kernel_mass(decomp, t, i, hs_sq, op_sq)
+        _check_kernel_mass(decomp, t, i, hs_sq, op_sq)
         a = a + np.outer(images[:, chosen], images[:, chosen])
         selected.append(chosen)
 
@@ -213,8 +210,7 @@ def ri_select(
             raise SelectionInvariantError(
                 f"trace potential {new_potential:.6g} above {floor_level:.6g} at step {i}"
             )
-        if check_invariants:
-            _check_eigenvalue_counts(decomp.values, b_i, i)
+        _check_eigenvalue_counts(decomp.values, b_i, i)
         if history is not None:
             history.append(
                 {
@@ -232,13 +228,9 @@ def ri_select(
         raise SelectionInvariantError(f"selected indices repeat: {selected}")
     picked = images[:, selected]
     gram = symmetrize(picked.T @ picked)
-    bound = (1.0 - eps) ** 2 * hs_sq / m
-    lam_min = float(np.linalg.eigvalsh(gram)[0])
-    if lam_min < bound - 1e-8:
-        raise CertificationError(
-            f"selected Gram matrix has smallest eigenvalue {lam_min:.9g}, "
-            f"below the certified bound {bound:.9g}"
-        )
+    floor = (1.0 - eps) ** 2 * hs_sq / m
+    lam = np.linalg.eigvalsh(gram)
+    certify_spectrum(lam, floor, np.inf, tol=_GRAM_FLOOR_TOL, what="selected Gram matrix")
     return selected, gram
 
 

@@ -238,6 +238,31 @@ class TestShortCircuit:
         assert lam[0] >= 0.25 - 1e-8 and lam[-1] <= 2.25 + 1e-8
 
 
+class TestCertificate:
+    def test_short_circuit_path(self, rng):
+        eps = 0.5
+        history = []
+        weights = sparsify_frame(Frame(rng.standard_normal((12, 3))), eps, history=history)
+        assert history == []
+        cert = weights.certificate
+        assert (cert.low, cert.high, cert.range_dim) == ((1 - eps) ** 2, (1 + eps) ** 2, 3)
+        assert cert.measured_min == pytest.approx((1 - eps) ** 2, abs=1e-12)
+        assert cert.measured_max == pytest.approx((1 - eps) ** 2, abs=1e-12)
+
+    def test_loop_path(self, rng):
+        eps = 0.5
+        vectors = rng.standard_normal((40, 4))
+        vectors[:, 3] = vectors[:, 0] - vectors[:, 2]  # rank 3
+        history = []
+        weights = sparsify_frame(Frame(vectors), eps, history=history)
+        assert len(history) == support_bound(3, eps)
+        cert = weights.certificate
+        assert cert.range_dim == 3
+        assert cert.measured_min == pytest.approx((1 - eps) ** 2, abs=1e-12)
+        assert cert.measured_max <= (1 + eps) ** 2 + 1e-8
+        assert cert.margin == pytest.approx(0.0, abs=1e-12)  # the rescaling lands on the low end
+
+
 class TestOracleEquivalence:
     @staticmethod
     def assert_run_matches_oracle(frame, eps):

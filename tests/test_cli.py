@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from rforge import formats
 from rforge.cli import EXIT_CERTIFICATION, EXIT_INPUT, EXIT_OK, RunConfig, main, run
@@ -162,6 +163,37 @@ class TestRun:
         res = report["results"]
         assert res["quadratic_ratio_min"] >= (1 - 0.5) ** 2 - 1e-8
         assert res["quadratic_ratio_max"] <= (1 + 0.5) ** 2 + 1e-8
+
+    def test_sparsify_frame_report_matches_span_pencil(self, tmp_path, rng):
+        eps = 0.5
+        vectors = rng.standard_normal((60, 6)) * np.exp(rng.uniform(-2.0, 2.0, 6))
+        vectors[:, 5] = vectors[:, 1] + vectors[:, 4]  # rank 5
+        src = tmp_path / "frame.mat"
+        formats.write_matrix(src, vectors)
+        out = tmp_path / "weights.tsv"
+        status, report = run(
+            RunConfig(command="sparsify-frame", eps=eps, input=str(src), output=str(out))
+        )
+        assert status == EXIT_OK
+        res = report["results"]
+        assert json.loads((tmp_path / "weights.tsv.json").read_text()) == res
+        # independent reference: the generalized eigenproblem of the weighted
+        # and plain sums, restricted to the span of the input frame
+        dense = np.zeros(len(vectors))
+        for idx, w in formats.read_weights(out).items():
+            dense[idx] = w
+        weighted = (vectors * dense[:, None]).T @ vectors
+        plain = vectors.T @ vectors
+        lam, vecs = np.linalg.eigh(0.5 * (plain + plain.T))
+        basis = vecs[:, lam > vectors.shape[1] * np.finfo(float).eps * lam[-1]]
+        pencil = scipy.linalg.eigh(basis.T @ weighted @ basis, basis.T @ plain @ basis, eigvals_only=True)
+        assert res["range_dim"] == basis.shape[1] == 5
+        assert abs(res["quadratic_ratio_min"] - pencil[0]) <= 1e-12
+        assert abs(res["quadratic_ratio_max"] - pencil[-1]) <= 1e-12
+        assert (res["target_low"], res["target_high"]) == ((1 - eps) ** 2, (1 + eps) ** 2)
+        assert res["margin"] == min(
+            res["quadratic_ratio_min"] - res["target_low"], res["target_high"] - res["quadratic_ratio_max"]
+        )
 
     def test_ri_select_round_trip(self, tmp_path, rng):
         n = 8

@@ -8,7 +8,6 @@ from rforge.errors import CertificationError
 from rforge.graphs import (
     WeightedGraph,
     edge_frame,
-    ignore_self_loops,
     laplacian,
     sparsify_graph,
     spectral_gap_ratio,
@@ -44,11 +43,6 @@ class TestWeightedGraph:
         for bad in (math.inf, math.nan):
             with pytest.raises(ValueError, match=r"edge \(1, 2\) .*non-finite"):
                 WeightedGraph(3, [(0, 1, 1.0), (1, 2, bad)])
-
-    def test_self_loop_helper_warns(self):
-        with pytest.warns(UserWarning, match="self-loop"):
-            edges = ignore_self_loops(3, [(0, 0, 1.0), (2, 1, 3.0)])
-        assert edges == [(1, 2, 3.0)]
 
 
 class TestLaplacian:

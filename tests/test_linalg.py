@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from rforge.errors import ZeroFrameError
-from rforge.linalg import Frame, eigh, isotropic_reduce, symmetrize
+from rforge.errors import CertificationError, ZeroFrameError
+from rforge.linalg import Certificate, Frame, certify_spectrum, eigh, isotropic_reduce, symmetrize
 
 
 class TestEigh:
@@ -92,3 +92,30 @@ class TestFrame:
     def test_certification_accepts_identity_frame(self):
         frame = Frame(np.eye(3), isotropy_certified=True)
         assert frame.size == 3 and frame.ambient_dim == 3
+
+
+class TestCertifySpectrum:
+    def test_returns_extremes_and_margin(self):
+        cert = certify_spectrum([1.5, 0.5, 1.0], 0.25, 2.25, tol=1e-8, what="test")
+        assert cert == Certificate(0.25, 2.25, 0.5, 1.5, 3)
+        assert cert.margin == 0.25
+
+    def test_margin_negative_within_tolerance(self):
+        cert = certify_spectrum([1.0 + 5e-9], 0.0, 1.0, tol=1e-8, what="test")
+        assert -1e-8 <= cert.margin < 0.0
+
+    def test_either_end_escaping_raises(self):
+        with pytest.raises(CertificationError, match=r"low end spectrum \[0\.2, 1\] escapes \[0\.25, 2\.25\]"):
+            certify_spectrum([0.2, 1.0], 0.25, 2.25, tol=1e-8, what="low end")
+        with pytest.raises(CertificationError, match="high end spectrum"):
+            certify_spectrum([1.0, 2.3], 0.25, 2.25, tol=1e-8, what="high end")
+
+    def test_unbounded_above(self):
+        cert = certify_spectrum([3.0, 1e300], 2.0, np.inf, tol=1e-8, what="floor")
+        assert cert.measured_max == 1e300 and cert.margin == 1.0
+        with pytest.raises(CertificationError, match=r"escapes \[2, inf\]"):
+            certify_spectrum([1.9, 1e300], 2.0, np.inf, tol=1e-8, what="floor")
+
+    def test_nan_fails(self):
+        with pytest.raises(CertificationError):
+            certify_spectrum([1.0, np.nan], 0.0, 2.0, tol=1e-8, what="test")
