@@ -42,7 +42,7 @@ from .nonlinear import (
     quality_lower_bound,
     standard_probes,
 )
-from .restricted import ri_select, selection_size
+from .restricted import operator_norms, ri_select, selection_size
 
 COMMANDS = (
     "sparsify-graph",
@@ -157,9 +157,8 @@ def _run_ri_select(config: RunConfig) -> dict:
         raise ValueError(f"operator must be square, got shape {operator.shape}")
     n = operator.shape[0]
     frame = Frame(np.eye(n), isotropy_certified=True)
-    hs_sq = float(np.sum(operator**2))
-    op_sq = float(np.linalg.norm(operator, 2) ** 2)
     sigma, gram = ri_select(frame, operator, eps)
+    hs_sq, op_sq = operator_norms(operator)
     lam_min = float(np.linalg.eigvalsh(gram)[0]) if sigma else 0.0
     if config.output:
         formats.write_weights(

@@ -12,8 +12,9 @@ products always keeps its i nonzero eigenvalues above b_i, and the trace
 potential tr(T^* (A_i - b_i I)^{-1} T) strictly decreases.  At every step a
 feasibility inequality singles out candidates that keep both properties;
 one always exists, and the implementation picks the one with the most
-negative margin.  All of this is asserted at runtime; violations raise
-SelectionInvariantError instead of silently returning a weak subset.
+negative margin (the lowest index among exact ties).  All of this is
+asserted at runtime; violations raise SelectionInvariantError instead of
+silently returning a weak subset.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from .bss import check_eps
 from .errors import SelectionInvariantError
-from .linalg import EigenDecomposition, Frame, certify_spectrum, eigh, isotropic_reduce, symmetrize
+from .linalg import Frame, certify_spectrum, eigh, isotropic_reduce, symmetrize
 
 _MU_TOL = 1e-9
 _MARGIN_SLACK = 1e-12
@@ -34,6 +35,10 @@ _POTENTIAL_DECREASE_RTOL = 1e-9
 _EIGENCOUNT_TOL = 1e-9
 _BARRIER_SEPARATION_RTOL = 1e-12
 _GRAM_FLOOR_TOL = 1e-8
+_RANGE_BASIS_TOL = 1e-10
+# Margins this close to the best one (relative to the best candidate's lhs and
+# rhs) tie; the lowest tied index wins.
+_TIE_RTOL = 1e-12
 
 
 @dataclass
@@ -97,10 +102,15 @@ def ri_candidate_test(state: RiState, t: np.ndarray, x: np.ndarray, mu: float) -
     return lhs, rhs
 
 
-def _operator_norms(t: np.ndarray) -> tuple[float, float]:
-    hs_sq = float(np.sum(t * t))
-    op_sq = float(np.linalg.norm(t, ord=2) ** 2)
-    return hs_sq, op_sq
+def operator_norms(t: np.ndarray) -> tuple[float, float]:
+    """Squared Hilbert-Schmidt and operator norms of T.
+
+    ||T||^2 is the top eigenvalue of the smaller of T^T T and T T^T, which
+    costs a fraction of a singular value decomposition.
+    """
+    t = np.asarray(t, dtype=float)
+    small = t.T @ t if t.shape[1] <= t.shape[0] else t @ t.T
+    return float(np.sum(t * t)), float(np.linalg.eigvalsh(small)[-1])
 
 
 def ri_select(
@@ -120,23 +130,40 @@ def ri_select(
     too small for the requested accuracy (k == 0) an empty selection is
     returned with a warning.
 
+    T is first scaled by the power of two that puts max|T| in [0.5, 1), so
+    the selection does not depend on the scale of T: T * 2^j selects the
+    same columns bit for bit and returns the Gram matrix times 4^j.  A
+    ValueError is raised when that Gram matrix overflows or underflows at
+    the caller's scale.
+
+    The running sum A = P P^T of the i selected images P is kept factored.
+    Each step eigendecomposes the i x i Gram matrix P^T P = W Lambda W^T,
+    which gives A's range basis U = P W Lambda^{-1/2} (checked orthonormal)
+    and A's spectrum, Lambda padded with zeros.  The resolvent is applied as
+    U diag(1/(lambda - b) + 1/b) U^T - I/b, so the candidate scores, both
+    invariant checks and the recomputed trace potential cost O(n i m) per
+    step and no n x n matrix is decomposed.  Among candidates whose margin
+    is within 1e-12 * max(1, |lhs|, |rhs|) of the best (the scale taken at
+    the best one), the lowest index is picked, so rounding never decides
+    between exactly tied columns.
+
     ``history`` (a caller-supplied list) receives one record per step with
-    the barrier level, the feasibility margin, and the trace potential.
-    Each step eigendecomposes the running sum once; the candidate scores,
-    the kernel-mass and eigenvalue-count invariant checks and the
-    recomputed trace potential all read that one decomposition.
+    the barrier level (at the caller's scale), the feasibility margin, and
+    the trace potential.
     """
     check_eps(eps)
     t = np.asarray(t, dtype=float)
     if t.ndim != 2:
         raise ValueError(f"operator must be a matrix, got shape {t.shape}")
-    if not np.any(t):
-        raise ValueError("operator is zero; nothing to select")
+    if not np.all(np.isfinite(t)):
+        raise ValueError("operator must be finite")
 
     work = frame
     if not frame.isotropy_certified:
         work, mapping = isotropic_reduce(frame)
         t = t @ mapping.matrix
+        if not np.all(np.isfinite(t)):
+            raise ValueError("operator overflows float64 when conjugated onto the whitened span")
         warnings.warn(
             f"frame was not a decomposition of the identity; whitened onto its span "
             f"(rank {mapping.rank}) and conjugated the operator accordingly",
@@ -147,9 +174,14 @@ def ri_select(
             f"operator has {t.shape[1]} columns but the frame lives in "
             f"dimension {work.ambient_dim}"
         )
+    if not np.any(t):
+        raise ValueError("operator is zero on the frame's span; nothing to select")
 
+    _, exponent = np.frexp(np.max(np.abs(t)))
+    exponent = int(exponent)
+    t = np.ldexp(t, -exponent)  # exact: max|t| now in [0.5, 1)
     m = work.size
-    hs_sq, op_sq = _operator_norms(t)
+    hs_sq, op_sq = operator_norms(t)
     k = selection_size(hs_sq, op_sq, eps)
     if k == 0:
         warnings.warn(
@@ -160,29 +192,37 @@ def ri_select(
         return [], np.zeros((0, 0))
 
     images = t @ work.vectors.T  # column j is T x_j
-    dim = images.shape[0]
-    a = np.zeros((dim, dim))
-    decomp = eigh(a)
-    coords = decomp.vectors.T @ images  # images in the eigenbasis of a
+    pulled_fixed = t.T @ images  # column j is T^* T x_j
+    image_sq = np.einsum("ij,ij->j", images, images)
+    image_total = float(image_sq.sum())
+    # Factored state of the running sum: its nonzero eigenvalues, its range
+    # basis pulled back by T^*, and every image in that basis.
+    lam = np.zeros(0)
+    t_basis = np.zeros((t.shape[1], 0))
+    coords = np.zeros((0, m))
     potential = -hs_sq / ri_barrier(0, hs_sq, op_sq, m, eps)  # exactly -m/(1-eps)
     floor_level = -m / (1.0 - eps)
     selected: list[int] = []
 
     for i in range(1, k + 1):
         b_i = ri_barrier(i, hs_sq, op_sq, m, eps)
-        d = _resolvent_diagonal(decomp.values, b_i, i)
-        lin = d @ (coords * coords)
+        e, d_kernel = _factored_resolvent(lam, b_i, i)
+        weighted = e[:, None] * coords
+        lin = np.einsum("ij,ij->j", weighted, coords) + d_kernel * image_sq
         mu = potential - float(lin.sum())
         if mu < -_MU_TOL * max(1.0, abs(potential)):
             raise SelectionInvariantError(
                 f"barrier drop mu = {mu:.6g} negative at step {i}; breakdown"
             )
-        # T^* (a - b_i I)^{-1} T x_j for every candidate j, as columns.
-        pulled = (t.T @ decomp.vectors) @ (d[:, None] * coords)
+        # T^* (A - b_i I)^{-1} T x_j for every candidate j, as columns.
+        pulled = t_basis @ weighted
+        pulled += d_kernel * pulled_fixed
         lhs = np.einsum("ij,ij->j", pulled, pulled)
         rhs = -mu * (1.0 + lin)
         margin = lhs - rhs
-        chosen = int(np.argmin(margin))
+        best = int(np.argmin(margin))
+        scale = max(abs(lhs[best]), abs(rhs[best]), 1.0)
+        chosen = int(np.argmax(margin <= margin[best] + _TIE_RTOL * scale))
         scale = max(abs(lhs[chosen]), abs(rhs[chosen]), 1.0)
         if not margin[chosen] < -_MARGIN_SLACK * scale:
             raise SelectionInvariantError(
@@ -193,14 +233,26 @@ def ri_select(
                 f"admissible candidate {chosen} has nonnegative shifted form "
                 f"{1.0 + lin[chosen]:.6g} at step {i}"
             )
-        _check_kernel_mass(decomp, t, i, hs_sq, op_sq)
-        a = a + np.outer(images[:, chosen], images[:, chosen])
+        _check_kernel_mass(t_basis, i, hs_sq, op_sq)
         selected.append(chosen)
 
-        decomp = eigh(symmetrize(a))
-        coords = decomp.vectors.T @ images
-        d_new = _resolvent_diagonal(decomp.values, b_i, i)
-        new_potential = float(d_new @ np.sum(coords * coords, axis=1))
+        picked = images[:, selected]
+        gram = symmetrize(picked.T @ picked)
+        decomp = eigh(gram)
+        lam = decomp.values
+        _check_eigenvalue_counts(np.append(lam, np.zeros(images.shape[0] - i)), b_i, i)
+        to_basis = decomp.vectors / np.sqrt(lam)
+        basis = picked @ to_basis
+        residual = float(np.max(np.abs(basis.T @ basis - np.eye(i))))
+        if residual > _RANGE_BASIS_TOL:
+            raise SelectionInvariantError(
+                f"range basis of the running sum not orthonormal after step {i}: "
+                f"residual {residual:.3e}"
+            )
+        t_basis = pulled_fixed[:, selected] @ to_basis
+        coords = basis.T @ images
+        e, d_kernel = _factored_resolvent(lam, b_i, i)
+        new_potential = float(e @ np.sum(coords * coords, axis=1)) + d_kernel * image_total
         if not new_potential < potential + _POTENTIAL_DECREASE_RTOL * abs(potential):
             raise SelectionInvariantError(
                 f"trace potential failed to decrease at step {i}: "
@@ -210,12 +262,11 @@ def ri_select(
             raise SelectionInvariantError(
                 f"trace potential {new_potential:.6g} above {floor_level:.6g} at step {i}"
             )
-        _check_eigenvalue_counts(decomp.values, b_i, i)
         if history is not None:
             history.append(
                 {
                     "step": i,
-                    "barrier": b_i,
+                    "barrier": float(np.ldexp(b_i, 2 * exponent)),
                     "mu": mu,
                     "chosen": chosen,
                     "margin": float(margin[chosen]),
@@ -226,12 +277,28 @@ def ri_select(
 
     if len(set(selected)) != len(selected):
         raise SelectionInvariantError(f"selected indices repeat: {selected}")
-    picked = images[:, selected]
-    gram = symmetrize(picked.T @ picked)
+    # The last step decomposed exactly this Gram matrix.
     floor = (1.0 - eps) ** 2 * hs_sq / m
-    lam = np.linalg.eigvalsh(gram)
     certify_spectrum(lam, floor, np.inf, tol=_GRAM_FLOOR_TOL, what="selected Gram matrix")
-    return selected, gram
+    return selected, _at_scale(gram, floor, 2 * exponent)
+
+
+def _at_scale(gram: np.ndarray, floor: float, exponent: int) -> np.ndarray:
+    # The Gram matrix times 2^exponent; refuses a result float64 cannot hold.
+    with np.errstate(over="ignore", under="ignore"):
+        out = np.ldexp(gram, exponent)
+        floor_out = np.ldexp(floor, exponent)
+    if not np.all(np.isfinite(out)):
+        raise ValueError(
+            f"Gram matrix of the selected columns overflows float64 at the operator's scale "
+            f"(entries up to 2^{exponent} times {float(np.max(np.abs(gram))):.3g})"
+        )
+    if floor_out < np.finfo(float).tiny:
+        raise ValueError(
+            f"Gram matrix of the selected columns underflows float64 at the operator's scale "
+            f"(certified floor {floor:.3g} times 2^{exponent})"
+        )
+    return out
 
 
 def _resolvent_diagonal(lam: np.ndarray, barrier: float, step: int) -> np.ndarray:
@@ -243,6 +310,13 @@ def _resolvent_diagonal(lam: np.ndarray, barrier: float, step: int) -> np.ndarra
             f"(closest eigenvalue gap {float(np.min(np.abs(gap))):.3e})"
         )
     return 1.0 / gap
+
+
+def _factored_resolvent(lam: np.ndarray, barrier: float, step: int) -> tuple[np.ndarray, float]:
+    # (A - b I)^{-1} = U diag(e) U^T + d_kernel I when A = U diag(lam) U^T has
+    # orthonormal U; A's spectrum is lam padded with zeros.
+    d = _resolvent_diagonal(np.append(lam, 0.0), barrier, step)
+    return d[:-1] - d[-1], float(d[-1])
 
 
 def _check_eigenvalue_counts(lam: np.ndarray, barrier: float, step: int) -> None:
@@ -260,15 +334,11 @@ def _check_eigenvalue_counts(lam: np.ndarray, barrier: float, step: int) -> None
         )
 
 
-def _check_kernel_mass(
-    decomp: EigenDecomposition, t: np.ndarray, step: int, hs_sq: float, op_sq: float
-) -> None:
+def _check_kernel_mass(t_basis: np.ndarray, step: int, hs_sq: float, op_sq: float) -> None:
     # Mass of T on the kernel of the running sum cannot drop faster than one
-    # squared operator norm per completed step.
-    lam = decomp.values
-    positive = lam > _EIGENCOUNT_TOL * max(float(lam[0]), 1.0)
-    basis = decomp.vectors[:, positive]
-    kernel_mass = hs_sq - float(np.sum((basis.T @ t) ** 2))
+    # squared operator norm per completed step; ``t_basis`` is T^* U for the
+    # orthonormal range basis U.
+    kernel_mass = hs_sq - float(np.sum(t_basis * t_basis))
     required = hs_sq - (step - 1) * op_sq
     if kernel_mass < required - 1e-8 * max(hs_sq, 1.0):
         raise SelectionInvariantError(

@@ -74,6 +74,53 @@ def barrier_step_oracle(a_prev: np.ndarray, frame_vectors: np.ndarray, eps: floa
     }
 
 
+def ri_select_oracle(frame_vectors: np.ndarray, t: np.ndarray, eps: float):
+    """Restricted-invertibility selection with an explicit resolvent per step.
+
+    Runs the barrier loop on the running sum A of selected images, forming
+    np.linalg.inv(A - b_i I) at every step and nothing factored.  Every
+    quantity depends on the frame only through the images y_j = T x_j, since
+    a whitened frame with conjugated operator T' has T' T'^T = Y Y^T; so the
+    frame is never whitened here.  Exact ties in margin go to the lowest
+    index, by the same rule as the production loop.  Returns the selection
+    and one record per step with the keys of ``ri_select``'s history.
+    """
+    x = np.asarray(frame_vectors, dtype=float)
+    images = np.asarray(t, dtype=float) @ x.T
+    p, m = images.shape
+    hs = float(np.sum(images**2))
+    op = float(np.linalg.norm(images, 2) ** 2)
+    k = math.floor(eps**2 * hs / op)
+
+    def barrier(i):
+        return (1.0 - eps) / m * (hs - (i / eps) * op)
+
+    def potential(a, b):
+        return float(np.trace(explicit_inverse(a - b * np.eye(p)) @ images @ images.T))
+
+    a = np.zeros((p, p))
+    pot = potential(a, barrier(0))
+    selected, history = [], []
+    for i in range(1, k + 1):
+        b = barrier(i)
+        res = explicit_inverse(a - b * np.eye(p))
+        lin = np.array([images[:, j] @ res @ images[:, j] for j in range(m)])
+        mu = pot - float(np.sum(lin))
+        lhs = np.array([np.sum((images.T @ (res @ images[:, j])) ** 2) for j in range(m)])
+        rhs = -mu * (1.0 + lin)
+        margin = lhs - rhs
+        best = int(np.argmin(margin))
+        scale = max(abs(lhs[best]), abs(rhs[best]), 1.0)
+        chosen = next(j for j in range(m) if margin[j] <= margin[best] + 1e-12 * scale)
+        selected.append(chosen)
+        a = a + np.outer(images[:, chosen], images[:, chosen])
+        pot = potential(a, b)
+        history.append(
+            {"step": i, "barrier": b, "mu": mu, "chosen": chosen, "margin": float(margin[chosen]), "potential": pot}
+        )
+    return selected, history
+
+
 def pairwise_l1_distances(points: np.ndarray) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     n = pts.shape[0]

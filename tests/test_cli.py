@@ -205,6 +205,13 @@ class TestRun:
         assert len(report["results"]["selected"]) == report["derived"]["selection_size"]
         assert report["results"]["gram_min_eigenvalue"] >= report["results"]["certified_floor"] - 1e-8
 
+    def test_ri_select_overflowing_gram_exit_code(self, tmp_path, rng):
+        src = tmp_path / "op.mat"
+        formats.write_matrix(src, 1e160 * rng.standard_normal((8, 8)))
+        status, report = run(RunConfig(command="ri-select", eps=0.8, input=str(src)))
+        assert status == EXIT_INPUT
+        assert "overflows" in report["error"]
+
     def test_embed_l1_report(self, tmp_path, rng):
         pts = rng.standard_normal((8, 3))
         src = tmp_path / "pts.mat"

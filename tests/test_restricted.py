@@ -1,10 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from oracles import ri_select_oracle
 from rforge.errors import SelectionInvariantError
 from rforge.linalg import Frame
 from rforge.restricted import (
     RiState,
+    operator_norms,
     ri_barrier,
     ri_candidate_test,
     ri_select,
@@ -92,13 +96,16 @@ class TestRiCandidateTest:
 
 
 class TestRiSelect:
-    def test_orthonormal_columns(self):
-        # T = I_8: k = floor(0.25 * 8) = 2, gram is the 2x2 identity
-        sigma, gram = ri_select(basis_frame(8), np.eye(8), 0.5)
-        assert len(sigma) == 2
-        assert len(set(sigma)) == 2
-        assert np.allclose(gram, np.eye(2), atol=1e-12)
-        assert np.linalg.eigvalsh(gram)[0] >= (1 - 0.5) ** 2 * 8 / 8 - 1e-8
+    def test_orthonormal_columns(self, rng):
+        # T = I_8: k = floor(0.25 * 8) = 2, gram is the 2x2 identity; every
+        # unselected column ties, so the tie rule picks the lowest index, also
+        # on a rotated basis, where rounding alone would decide
+        q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+        for frame in (basis_frame(8), Frame(q, isotropy_certified=True)):
+            sigma, gram = ri_select(frame, np.eye(8), 0.5)
+            assert sigma == [0, 1]
+            assert np.allclose(gram, np.eye(2), atol=1e-12)
+            assert np.linalg.eigvalsh(gram)[0] >= (1 - 0.5) ** 2 * 8 / 8 - 1e-8
 
     def test_selection_count_exact(self, rng):
         for n in (4, 8, 16):
@@ -160,6 +167,12 @@ class TestRiSelect:
         with pytest.raises(ValueError, match="zero"):
             ri_select(basis_frame(3), np.zeros((3, 3)), 0.5)
 
+    def test_non_finite_operator_rejected(self):
+        t = np.eye(3)
+        t[1, 2] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            ri_select(basis_frame(3), t, 0.5)
+
     def test_k_zero_warns(self):
         # scalar operator: stable rank 1, so eps < 1 always gives k = 0
         with pytest.warns(UserWarning, match="stable rank"):
@@ -197,3 +210,68 @@ class TestEigenvalueCounts:
             lam = np.linalg.eigvalsh(0.5 * (a + a.T))[::-1]
             assert np.count_nonzero(lam > b_i) == step
             assert np.max(np.abs(lam[step:])) <= 1e-9 * max(lam[0], 1.0)
+
+
+class TestOperatorNorms:
+    def test_matches_singular_values(self, rng):
+        for shape in ((7, 7), (5, 11), (11, 5)):
+            t = rng.standard_normal(shape)
+            hs, op = operator_norms(t)
+            sv = np.linalg.svd(t, compute_uv=False)
+            assert hs == pytest.approx(float(np.sum(sv**2)), rel=1e-12)
+            assert op == pytest.approx(float(sv[0] ** 2), rel=1e-12)
+
+
+class TestScaleInvariance:
+    @pytest.mark.parametrize("whitened", [False, True])
+    def test_power_of_two_scaling_is_exact(self, rng, whitened):
+        n = 16
+        t = rng.standard_normal((n, n))
+        frame = Frame(rng.standard_normal((3 * n, n))) if whitened else basis_frame(n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            sigma, gram = ri_select(frame, t, 0.8)
+            assert len(sigma) >= 2
+            for j in (-400, -100, 100, 400):
+                sigma_j, gram_j = ri_select(frame, np.ldexp(t, j), 0.8)
+                assert sigma_j == sigma
+                assert np.array_equal(gram_j, np.ldexp(gram, 2 * j))
+
+    def test_tiny_operator_selects_the_same_columns(self, rng):
+        t = rng.standard_normal((16, 16))
+        sigma, gram = ri_select(basis_frame(16), t, 0.8)
+        sigma_tiny, gram_tiny = ri_select(basis_frame(16), 1e-30 * t, 0.8)
+        assert sigma_tiny == sigma
+        np.testing.assert_allclose(gram_tiny, 1e-60 * gram, rtol=1e-12, atol=0.0)
+
+    def test_gram_out_of_range_raises(self, rng):
+        t = rng.standard_normal((8, 8))
+        with pytest.raises(ValueError, match="overflows"):
+            ri_select(basis_frame(8), 1e160 * t, 0.8)
+        with pytest.raises(ValueError, match="underflows"):
+            ri_select(basis_frame(8), 1e-170 * t, 0.8)
+
+
+class TestDenseOracle:
+    def instances(self, rng):
+        yield basis_frame(20), rng.standard_normal((20, 20)), 0.8
+        yield basis_frame(48), rng.standard_normal((24, 48)), 0.8
+        vectors = rng.standard_normal((60, 12)) * np.exp(rng.uniform(-0.5, 0.5, 12))
+        yield Frame(vectors), well_spread_operator(rng, 12), 0.8
+
+    def test_selection_and_history_match(self, rng):
+        for frame, t, eps in self.instances(rng):
+            history = []
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                sigma, gram = ri_select(frame, t, eps, history=history)
+            expected_sigma, expected = ri_select_oracle(frame.vectors, t, eps)
+            assert len(sigma) >= 2
+            assert sigma == expected_sigma
+            assert len(history) == len(expected)
+            for got, want in zip(history, expected):
+                assert got["step"] == want["step"] and got["chosen"] == want["chosen"]
+                for key in ("barrier", "mu", "margin", "potential"):
+                    assert got[key] == pytest.approx(want[key], rel=1e-9), key
+            images = t @ frame.vectors[sigma].T
+            np.testing.assert_allclose(gram, images.T @ images, rtol=1e-9, atol=1e-9 * np.max(np.abs(gram)))
