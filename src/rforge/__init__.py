@@ -57,6 +57,7 @@ from .linalg import (
     Certificate,
     EigenDecomposition,
     Frame,
+    Incidence,
     ReductionMap,
     certify_spectrum,
     eigh,
@@ -85,6 +86,7 @@ __all__ = [
     "EigenDecomposition",
     "EmbeddedPoints",
     "Frame",
+    "Incidence",
     "JohnDecomposition",
     "ProbeSet",
     "QualityReport",

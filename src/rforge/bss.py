@@ -21,6 +21,15 @@ at the advanced barriers u' and l'.  All invariants are re-checked eagerly
 at every step (any violation raises BarrierInvariantError rather than
 returning a bad certificate).
 
+An edge frame (one that carries an ``Incidence`` factor) is scored without
+forming Y: its vector for edge e = (i, j) is sqrt(w_e) (B[i] - B[j]), so
+with V = B U every score is the effective-resistance form
+w_e (M[i,i] + M[j,j] - 2 M[i,j]) of one n x n matrix M = V diag(c) V^T, c
+the upper or lower combination of the reciprocal-gap columns.  Two such
+matrices score all m edges in O(n^3 + m) per step instead of O(m n^2).
+Edges whose endpoint rows are much longer than their difference, where
+that gather would cancel, are scored from their dense rows.
+
 A frame with at most ceil(r/eps^2) nonzero vectors, r its whitened
 dimension, already fits the support bound: weighting every nonzero vector
 by (1-eps)^2 puts the weighted sum at exactly (1-eps)^2 times the frame's
@@ -49,6 +58,10 @@ _FEASIBILITY_SLACK = 1e-9
 # the lowest tied index wins.
 _TIE_RTOL = 1e-12
 _SANDWICH_TOL = 1e-8
+# Largest rounding error, relative to the upper score, that an edge may carry
+# from the incidence gather before it is scored from its dense row instead.
+_GATHER_RTOL = 1e-10
+_MACHINE_EPS = np.finfo(float).eps
 
 
 def check_eps(eps: float) -> float:
@@ -180,10 +193,18 @@ def candidate_scores(
     1/score keeps the upper potential exactly conserved.  The lower score is
     <S^2 x, x>/lower_gap - <S x, x> with S the resolvent at the advanced
     lower barrier; any step weight up to 1/score keeps the lower potential
-    from growing.  Both resolvents are diagonal in the state's eigenbasis,
-    so one product of the squared eigen-coordinates of all vectors with the
-    four reciprocal-gap columns gives every score.  The spectrum must lie
-    strictly inside the advanced barriers (BarrierInvariantError otherwise).
+    from growing.  Both resolvents are diagonal in the state's eigenbasis U,
+    so each score is sum_k c_k (U^T x)_k^2 for a column c of reciprocal
+    gaps.  Without an incidence factor, one product of the squared
+    eigen-coordinates of all vectors with the four reciprocal-gap columns
+    gives every score.  With one, x_e = sqrt(w_e) (B[i] - B[j]) for edge
+    e = (i, j), so with V = B U and the n x n matrix M = V diag(c) V^T each
+    score is w_e (M[i,i] + M[j,j] - 2 M[i,j]), an effective-resistance
+    gather that costs O(n^3 + m) per step instead of O(m n^2).  Edges
+    whose gather could lose more than 1e-10 of their upper score to
+    cancellation (endpoint rows much longer than their difference) are
+    scored from their dense rows instead.  The spectrum must lie strictly
+    inside the advanced barriers (BarrierInvariantError otherwise).
 
     Requires an isotropy-certified frame; with it, the score sums must
     satisfy sum(upper) <= 1 - eps and sum(lower) >= 1 - eps, which is
@@ -201,12 +222,44 @@ def candidate_scores(
         )
     du = 1.0 / (upper_next - lam)
     dl = 1.0 / (lam - lower_next)
-    y = frame.vectors @ state.eigenvectors
-    lin_up, quad_up, lin_lo, quad_lo = ((y * y) @ np.column_stack([du, du * du, dl, dl * dl])).T
-    upper_scores = lin_up + quad_up / upper_gap
-    lower_scores = quad_lo / lower_gap - lin_lo
+    if frame.incidence is None:
+        upper_scores, lower_scores = _row_scores(frame.vectors, state, du, dl, upper_gap, lower_gap)
+    else:
+        upper_scores, lower_scores = _edge_scores(frame, state, du, dl, upper_gap, lower_gap)
 
     _check_score_sums(state.eps, float(upper_scores.sum()), float(lower_scores.sum()))
+    return upper_scores, lower_scores
+
+
+def _row_scores(rows, state, du, dl, upper_gap, lower_gap):
+    y = rows @ state.eigenvectors
+    lin_up, quad_up, lin_lo, quad_lo = ((y * y) @ np.column_stack([du, du * du, dl, dl * dl])).T
+    return lin_up + quad_up / upper_gap, quad_lo / lower_gap - lin_lo
+
+
+def _edge_scores(frame, state, du, dl, upper_gap, lower_gap):
+    inc = frame.incidence
+    v = inc.basis @ state.eigenvectors
+    c_up = du + du * du / upper_gap
+    c_lo = dl * dl / lower_gap - dl
+    heads, tails, w = inc.heads, inc.tails, inc.weights
+
+    def gather(c):
+        m = (v * c) @ v.T
+        d = np.diagonal(m)
+        return w * (d[heads] + d[tails] - 2.0 * m[heads, tails])
+
+    upper_scores, lower_scores = gather(c_up), gather(c_lo)
+    # Rounding in the gather is at most about r * eps_mach * w_e times the
+    # endpoint rows' |c|-weighted squared lengths; rows where that could
+    # reach _GATHER_RTOL of the upper score are scored from their dense rows.
+    reach = (v * v) @ (c_up + np.abs(c_lo))
+    error = (v.shape[1] * _MACHINE_EPS) * w * (reach[heads] + reach[tails])
+    loose = np.flatnonzero(~(error <= _GATHER_RTOL * upper_scores))
+    if loose.size:
+        upper_scores[loose], lower_scores[loose] = _row_scores(
+            frame.vectors[loose], state, du, dl, upper_gap, lower_gap
+        )
     return upper_scores, lower_scores
 
 

@@ -135,6 +135,7 @@ def _run_sparsify_frame(config: RunConfig) -> dict:
         "target_high": cert.high,
         "range_dim": cert.range_dim,
         "margin": cert.margin,
+        "headroom": cert.headroom,
     }
     if config.output:
         formats.write_weights(config.output, weights.weights, certificate)

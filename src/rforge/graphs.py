@@ -8,8 +8,9 @@ sandwiches the input's:
     <L_G y, y>  <=  <L_H y, y>  <=  ((1+eps)/(1-eps))^2 * <L_G y, y>
 
 for every y, with at most 2*ceil(n/eps^2) nonzero ordered entries in H.
-``verify_quality`` certifies any candidate sparsifier independently via a
-dense generalized eigensolver on the common range.
+``verify_quality`` certifies any candidate sparsifier independently: an
+exact connected-components check, then a dense generalized eigensolver on
+the common range.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import scipy.linalg
 
 from .bss import check_eps, sparsify_frame
 from .errors import CertificationError
-from .linalg import Frame, eigh, symmetrize
+from .linalg import Frame, Incidence, eigh, symmetrize
 
 _KERNEL_TOL = 1e-8  # relative size at which a Laplacian eigenvalue or kernel residual is zero
 
@@ -97,17 +98,20 @@ def laplacian(g: WeightedGraph) -> np.ndarray:
 def edge_frame(g: WeightedGraph) -> Frame:
     """One vector sqrt(w) * (e_i - e_j) per edge, in edge-list order.
 
-    The sum of outer products of these vectors equals the Laplacian.
-    Graphs with no edges have no frame; callers must check ``edge_count``.
+    The sum of outer products of these vectors equals the Laplacian.  The
+    frame carries its incidence factor (endpoints, weights, basis I_n), so
+    the barrier loop can score edges from n x n matrices.  Graphs with no
+    edges have no frame; callers must check ``edge_count``.
     """
     if g.edge_count == 0:
         raise ValueError("graph has no edges, so its edge frame is empty")
+    heads, tails, weights = (np.array(col) for col in zip(*g.edges))
+    rows = np.arange(g.edge_count)
+    root = np.sqrt(weights)
     vectors = np.zeros((g.edge_count, g.n))
-    for row, (i, j, w) in enumerate(g.edges):
-        root = np.sqrt(w)
-        vectors[row, i] = root
-        vectors[row, j] = -root
-    return Frame(vectors)
+    vectors[rows, heads] = root
+    vectors[rows, tails] = -root
+    return Frame(vectors, incidence=Incidence(heads, tails, weights, np.eye(g.n)))
 
 
 def sparsify_graph(g: WeightedGraph, eps: float, *, history: list | None = None) -> WeightedGraph:
@@ -132,14 +136,33 @@ def sparsify_graph(g: WeightedGraph, eps: float, *, history: list | None = None)
     return WeightedGraph(g.n, edges)
 
 
+def _components(g: WeightedGraph) -> list[int]:
+    """Lowest vertex of each vertex's connected component (union-find)."""
+    parent = list(range(g.n))
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for i, j, _ in g.edges:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[max(ri, rj)] = min(ri, rj)
+    return [find(v) for v in range(g.n)]
+
+
 def verify_quality(g: WeightedGraph, h: WeightedGraph) -> QualityReport:
     """Certify h's quadratic form against g's on the range of g's Laplacian.
 
-    Checks the support and kernel preconditions (raising CertificationError
-    with a witness edge or vector on violation), projects both Laplacians
-    onto the orthogonal complement of g's kernel, and solves the dense
-    symmetric-definite generalized eigenproblem there.  Eigenvalues of L_G
-    below 1e-8 times max(1, its largest) count as its kernel.
+    Checks the support precondition and, exactly, that h connects every
+    pair of vertices g connects (raising CertificationError with a witness
+    edge or vertex pair on violation), then the kernel residual, projects
+    both Laplacians onto the orthogonal complement of g's kernel, and
+    solves the dense symmetric-definite generalized eigenproblem there.
+    Eigenvalues of L_G below 1e-8 times max(1, its largest) count as its
+    kernel.
     """
     if g.n != h.n:
         raise ValueError(f"vertex counts differ: {g.n} vs {h.n}")
@@ -149,6 +172,13 @@ def verify_quality(g: WeightedGraph, h: WeightedGraph) -> QualityReport:
         raise CertificationError(
             f"candidate edge {witness} is not in the reference graph's support"
         )
+    # h's edges are g's, so its components refine g's; they must coincide.
+    for v, (root_g, root_h) in enumerate(zip(_components(g), _components(h))):
+        if root_h != root_g:
+            raise CertificationError(
+                f"candidate disconnects vertices {root_g} and {v}, which the reference "
+                "graph connects; its quadratic form vanishes on a vector the reference's does not"
+            )
     lap_g = laplacian(g)
     lap_h = laplacian(h)
     decomp = eigh(lap_g)

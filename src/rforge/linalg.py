@@ -8,6 +8,10 @@ measured spectrum with a claimed interval and returns the ``Certificate``
 every builder carries.  Resolvents are never formed or solved against;
 callers apply them in the eigenbasis that eigh returns.
 
+A frame of edge vectors may carry its ``Incidence`` factor (endpoints,
+weights and a per-vertex basis); whitening keeps the factor, so callers
+can work with per-vertex quantities instead of one row per edge.
+
 Matrices are plain float64 ``numpy`` arrays and are required to be stored
 exactly symmetric (``M[i, j] == M[j, i]`` bitwise).  All functions are pure;
 nothing here mutates its arguments.
@@ -15,7 +19,7 @@ nothing here mutates its arguments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,6 +31,7 @@ _RANK_RTOL = np.finfo(float).eps  # whitening's rank cut, relative, per dimensio
 
 _RECONSTRUCT_TOL = 1e-10
 _ORTHONORMAL_TOL = 1e-10
+_INCIDENCE_RTOL = 1e-12  # factor vs. rows, relative to the endpoint basis rows
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
@@ -51,16 +56,51 @@ def require_symmetric(m: np.ndarray, context: str = "matrix") -> np.ndarray:
 
 
 @dataclass
+class Incidence:
+    """Edge factor of a frame: row e is sqrt(w_e) * (basis[heads[e]] - basis[tails[e]]).
+
+    ``basis`` has one row per vertex and one column per frame dimension;
+    ``heads`` and ``tails`` index its rows and ``weights`` holds w.  An edge
+    frame starts with the identity basis, and whitening composes it with
+    the whitening map.
+    """
+
+    heads: np.ndarray
+    tails: np.ndarray
+    weights: np.ndarray
+    basis: np.ndarray
+
+    def __post_init__(self):
+        self.basis = np.asarray(self.basis, dtype=float)
+        self.weights = np.asarray(self.weights, dtype=float)
+        self.heads = np.asarray(self.heads, dtype=np.intp)
+        self.tails = np.asarray(self.tails, dtype=np.intp)
+        if self.basis.ndim != 2 or not np.all(np.isfinite(self.basis)):
+            raise ValueError("incidence basis must be a finite 2-D array")
+        m = self.weights.shape
+        if self.weights.ndim != 1 or self.heads.shape != m or self.tails.shape != m:
+            raise ValueError("incidence heads, tails and weights must be 1-D of equal length")
+        if not np.all((self.weights > 0.0) & np.isfinite(self.weights)):
+            raise ValueError("incidence weights must be positive and finite")
+        ends = np.concatenate([self.heads, self.tails])
+        if ends.size and not (ends.min() >= 0 and ends.max() < self.basis.shape[0]):
+            raise ValueError(f"incidence endpoints must lie in [0, {self.basis.shape[0]})")
+
+
+@dataclass
 class Frame:
     """An ordered list of m vectors in R^n, stored as the rows of ``vectors``.
 
     ``isotropy_certified`` records that the sum of outer products of the rows
     equals the identity to within ``ISOTROPY_TOL`` in max-entry norm; the flag
-    is re-verified at construction time.
+    is re-verified at construction time.  ``incidence``, when set, is the
+    edge factor of the rows; it is checked against them at construction
+    time, row by row, to 1e-12 relative to the endpoint basis rows.
     """
 
     vectors: np.ndarray
     isotropy_certified: bool = False
+    incidence: Incidence | None = None
 
     def __post_init__(self):
         v = np.asarray(self.vectors, dtype=float)
@@ -78,6 +118,8 @@ class Frame:
                     f"frame claimed isotropic but identity residual is {residual:.3e} "
                     f"(tolerance {ISOTROPY_TOL:.1e})"
                 )
+        if self.incidence is not None:
+            _check_incidence(v, self.incidence)
 
     @property
     def size(self) -> int:
@@ -90,6 +132,29 @@ class Frame:
     def gram(self) -> np.ndarray:
         """Sum of outer products of the frame vectors, exactly symmetric."""
         return symmetrize(self.vectors.T @ self.vectors)
+
+
+def _check_incidence(vectors: np.ndarray, inc: Incidence) -> None:
+    if inc.weights.shape[0] != vectors.shape[0] or inc.basis.shape[1] != vectors.shape[1]:
+        raise ValueError(
+            f"incidence factor of {inc.weights.shape[0]} edges in dimension {inc.basis.shape[1]} "
+            f"does not fit a frame of shape {vectors.shape}"
+        )
+    root = np.sqrt(inc.weights)
+    row_max = np.max(np.abs(inc.basis), axis=1)
+    scale = root * (row_max[inc.heads] + row_max[inc.tails])
+    diff = inc.basis[inc.heads]
+    diff -= inc.basis[inc.tails]
+    diff *= root[:, None]
+    diff -= vectors
+    residual = np.max(np.abs(diff, out=diff), axis=1)
+    bad = np.flatnonzero(residual > _INCIDENCE_RTOL * scale)
+    if bad.size:
+        e = int(bad[0])
+        raise ValueError(
+            f"incidence factor disagrees with frame row {e} (edge {inc.heads[e]}-{inc.tails[e]}): "
+            f"residual {residual[e]:.3e} against scale {scale[e]:.3e}"
+        )
 
 
 @dataclass
@@ -170,9 +235,18 @@ def isotropic_reduce(frame: Frame) -> tuple[Frame, ReductionMap]:
     correction makes the reduced Gram matrix equal the identity to machine
     precision, so the returned frame is isotropy-certified.  The
     accompanying ReductionMap converts directions between the two
-    coordinate systems.
+    coordinate systems; an ``incidence`` factor is carried along, its basis
+    composed with the whitening map.
+
+    The frame is first scaled by the power of two that puts its largest
+    entry in [0.5, 1), and the lift and the incidence basis absorb that
+    power: the Gram matrix neither overflows nor underflows, and a frame
+    times 2^j whitens to the same vectors bit for bit.
     """
-    decomp = eigh(frame.gram())
+    _, exponent = np.frexp(np.max(np.abs(frame.vectors)))
+    exponent = int(exponent)
+    scaled = np.ldexp(frame.vectors, -exponent)  # exact: max entry now in [0.5, 1)
+    decomp = eigh(symmetrize(scaled.T @ scaled))
     lam = decomp.values
     if lam[0] <= 0.0:
         raise ZeroFrameError("frame has no positive-energy direction; all vectors are zero")
@@ -184,7 +258,9 @@ def isotropic_reduce(frame: Frame) -> tuple[Frame, ReductionMap]:
     v_r = decomp.vectors[:, :r]
     scale = np.sqrt(lam_r)
 
-    reduced = frame.vectors @ (v_r / scale)
+    whiten = v_r / scale
+    reduced = scaled @ whiten
+    del scaled  # free the m x n copy before the reduced frame is built and checked
     # One Newton-style correction of the reduced Gram matrix; without it the
     # certificate can drift when the discarded/kept eigenvalue gap is narrow.
     gram = symmetrize(reduced.T @ reduced)
@@ -194,9 +270,13 @@ def isotropic_reduce(frame: Frame) -> tuple[Frame, ReductionMap]:
     inv_sqrt = (gd.vectors / np.sqrt(gd.values)) @ gd.vectors.T
     sqrt_gram = (gd.vectors * np.sqrt(gd.values)) @ gd.vectors.T
     reduced = reduced @ inv_sqrt
-    lift = (v_r * scale) @ sqrt_gram
+    lift = np.ldexp((v_r * scale) @ sqrt_gram, exponent)
 
-    out = Frame(reduced, isotropy_certified=True)
+    incidence = frame.incidence
+    if incidence is not None:
+        composed = incidence.basis @ np.ldexp(whiten @ inv_sqrt, -exponent)
+        incidence = replace(incidence, basis=composed)
+    out = Frame(reduced, isotropy_certified=True, incidence=incidence)
     return out, ReductionMap(matrix=lift)
 
 
@@ -218,6 +298,11 @@ class Certificate:
     def margin(self) -> float:
         """Distance to the nearer claimed end; negative when within tolerance outside."""
         return min(self.measured_min - self.low, self.high - self.measured_max)
+
+    @property
+    def headroom(self) -> float:
+        """Distance from the measured top to the claimed upper end."""
+        return self.high - self.measured_max
 
 
 def certify_spectrum(values, low: float, high: float, *, tol: float, what: str) -> Certificate:

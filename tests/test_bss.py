@@ -14,7 +14,8 @@ from rforge.bss import (
     support_bound,
 )
 from rforge.errors import BarrierInvariantError
-from rforge.linalg import Frame, eigh, symmetrize
+from rforge.graphs import WeightedGraph, edge_frame
+from rforge.linalg import Frame, eigh, isotropic_reduce, symmetrize
 
 from oracles import barrier_step_oracle
 
@@ -24,8 +25,6 @@ def scalar_frame():
 
 
 def random_isotropic_frame(rng, n, m):
-    from rforge.linalg import isotropic_reduce
-
     vectors = rng.standard_normal((m, n))
     frame, _ = isotropic_reduce(Frame(vectors))
     assert frame.ambient_dim == n
@@ -238,6 +237,26 @@ class TestShortCircuit:
         assert lam[0] >= 0.25 - 1e-8 and lam[-1] <= 2.25 + 1e-8
 
 
+class TestScaleInvariance:
+    @pytest.mark.parametrize("rows, dim", [(60, 6), (600, 24)])
+    def test_power_of_two_rescaling_gives_identical_weights(self, rng, rows, dim):
+        vectors = rng.standard_normal((rows, dim)) * np.exp(rng.uniform(-2.0, 2.0, dim))
+        weights = sparsify_frame(Frame(vectors), 0.5).weights
+        assert len(weights) < rows  # the barrier loop ran
+        for j in (-500, -100, 100, 500):
+            assert sparsify_frame(Frame(np.ldexp(vectors, j)), 0.5).weights == weights
+
+    @pytest.mark.parametrize("factor", [1e160, 1e-170])
+    def test_extreme_scales_certify(self, rng, factor):
+        # the Gram matrix of these frames overflows / underflows float64
+        vectors = rng.standard_normal((60, 6)) * np.exp(rng.uniform(-2.0, 2.0, 6))
+        weights = sparsify_frame(Frame(vectors * factor), 0.5)
+        cert = weights.certificate
+        assert cert.range_dim == 6
+        assert cert.measured_min >= 0.25 - 1e-8 and cert.measured_max <= 2.25 + 1e-8
+        assert set(weights.weights) == set(sparsify_frame(Frame(vectors), 0.5).weights)
+
+
 class TestCertificate:
     def test_short_circuit_path(self, rng):
         eps = 0.5
@@ -288,6 +307,16 @@ class TestOracleEquivalence:
     def test_full_run_matches_brute_force(self, rng):
         # 32 steps at n = 8 over 40 candidates
         self.assert_run_matches_oracle(random_isotropic_frame(rng, 8, 40), 0.5)
+
+    def test_factored_edge_frame_matches_brute_force(self, rng):
+        # whitened weighted K12: 44 steps scored from the incidence factor
+        n = 12
+        weights = np.exp(rng.uniform(0.0, math.log(100.0), n * (n - 1) // 2))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        g = WeightedGraph(n, [(i, j, float(w)) for (i, j), w in zip(pairs, weights)])
+        frame, _ = isotropic_reduce(edge_frame(g))
+        assert frame.incidence is not None
+        self.assert_run_matches_oracle(frame, 0.5)
 
 
 class TestTieRule:

@@ -99,6 +99,17 @@ class TestRun:
         assert status == EXIT_CERTIFICATION
         assert report["status"] == "certification-failure"
 
+    def test_verify_split_component_exit_code(self, tmp_path):
+        # K8 with weight 1e14 inside {0..3}; h keeps only those heavy edges
+        edges = [(i, j, 1e14 if j < 4 else 1.0) for i in range(8) for j in range(i + 1, 8)]
+        g_path, h_path = str(tmp_path / "g.edges"), str(tmp_path / "h.edges")
+        formats.write_graph(g_path, WeightedGraph(8, edges))
+        formats.write_graph(h_path, WeightedGraph(8, [e for e in edges if e[1] < 4]))
+        assert main(["verify", g_path, h_path, "--report", str(tmp_path / "v.json")]) == EXIT_CERTIFICATION
+        report = json.loads((tmp_path / "v.json").read_text())
+        assert report["status"] == "certification-failure"
+        assert "disconnects vertices 0 and 4" in report["error"]
+
     def test_parse_error_exit_code(self, tmp_path):
         path = tmp_path / "broken.edges"
         path.write_text("not a header\n")
@@ -194,6 +205,8 @@ class TestRun:
         assert res["margin"] == min(
             res["quadratic_ratio_min"] - res["target_low"], res["target_high"] - res["quadratic_ratio_max"]
         )
+        assert res["headroom"] == res["target_high"] - res["quadratic_ratio_max"]
+        assert res["headroom"] > 1.0  # the margin is ~0 by construction; the headroom is not
 
     def test_ri_select_round_trip(self, tmp_path, rng):
         n = 8

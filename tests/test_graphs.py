@@ -1,9 +1,11 @@
+import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from rforge.bss import support_bound
+from rforge.bss import sparsify_frame, support_bound
 from rforge.errors import CertificationError
 from rforge.graphs import (
     WeightedGraph,
@@ -28,6 +30,34 @@ def random_graph(rng, n, density):
     if not edges:
         edges = [(0, 1, 1.0)]
     return WeightedGraph(n, edges)
+
+
+def log_weighted(rng, n, pairs):
+    weights = np.exp(rng.uniform(0.0, math.log(100.0), len(pairs)))
+    return WeightedGraph(n, [(i, j, float(w)) for (i, j), w in zip(pairs, weights)])
+
+
+def heavy_cluster_graph(n, size, heavy):
+    """K_n with weight ``heavy`` on the edges inside {0..size-1}, 1 elsewhere."""
+    return WeightedGraph(
+        n, [(i, j, heavy if j < size else 1.0) for i, j in itertools.combinations(range(n), 2)]
+    )
+
+
+def factored_test_graphs(rng):
+    """Graphs whose edge frames run the barrier loop at eps 0.5."""
+    pairs30 = list(itertools.combinations(range(30), 2))
+    picks = sorted(rng.choice(len(pairs30), 150, replace=False))
+    return {
+        "weighted K12": log_weighted(rng, 12, list(itertools.combinations(range(12), 2))),
+        "sparse random": log_weighted(rng, 30, [pairs30[k] for k in picks]),
+        "two components": log_weighted(
+            rng, 20, [(i, j) for i, j in itertools.combinations(range(20), 2) if (i < 10) == (j < 10)]
+        ),
+        "isolated vertex": log_weighted(rng, 13, list(itertools.combinations(range(12), 2))),
+        # the gather cancels badly on the heavy edges; they are scored densely
+        "heavy cluster": heavy_cluster_graph(16, 6, 1e12),
+    }
 
 
 class TestWeightedGraph:
@@ -97,6 +127,35 @@ class TestEdgeFrame:
         with pytest.raises(ValueError, match="no edges"):
             edge_frame(WeightedGraph(2, []))
 
+    def test_carries_incidence_factor(self):
+        g = WeightedGraph(4, [(0, 2, 4.0), (1, 3, 0.25), (2, 3, 1.0)])
+        inc = edge_frame(g).incidence
+        assert inc.heads.tolist() == [0, 1, 2] and inc.tails.tolist() == [2, 3, 3]
+        assert inc.weights.tolist() == [4.0, 0.25, 1.0]
+        assert np.array_equal(inc.basis, np.eye(4))
+
+
+class TestFactoredScoring:
+    """Edge frames scored from n x n matrices against their dense rows."""
+
+    @pytest.mark.parametrize(
+        "name", ["weighted K12", "sparse random", "two components", "isolated vertex", "heavy cluster"]
+    )
+    def test_factored_run_matches_dense_run(self, rng, name):
+        frame = edge_frame(factored_test_graphs(rng)[name])
+        factored, dense = [], []
+        weights = sparsify_frame(frame, 0.5, history=factored)
+        dense_weights = sparsify_frame(replace(frame, incidence=None), 0.5, history=dense)
+        assert len(factored) == len(dense) > 0
+        assert [r["chosen"] for r in factored] == [r["chosen"] for r in dense]
+        for got, want in zip(factored, dense):
+            for key, value in want.items():
+                # abs: spectrum_min is a rounding-level zero until A has full rank
+                assert got[key] == pytest.approx(value, rel=1e-9, abs=1e-12), key
+        assert weights.support == dense_weights.support
+        for idx, w in dense_weights.weights.items():
+            assert weights.weights[idx] == pytest.approx(w, rel=1e-9)
+
 
 class TestSparsifyGraph:
     def test_single_edge_identity_quality(self):
@@ -148,6 +207,14 @@ class TestSparsifyGraph:
         h = sparsify_graph(WeightedGraph(4, []), 0.5)
         assert h.edge_count == 0
 
+    def test_power_of_four_weight_scaling(self, rng):
+        g = log_weighted(rng, 16, list(itertools.combinations(range(16), 2)))
+        h = sparsify_graph(g, 0.5)
+        for j in (-200, -50, 50, 200):
+            scaled = sparsify_graph(WeightedGraph(g.n, [(i, k, w * 4.0**j) for i, k, w in g.edges]), 0.5)
+            assert [e[:2] for e in scaled.edges] == [e[:2] for e in h.edges]
+            assert [e[2] for e in scaled.edges] == [e[2] * 4.0**j for e in h.edges]
+
     def test_random_graphs_certified(self, rng):
         for density in (0.3, 1.0):
             g = random_graph(rng, 10, density)
@@ -177,6 +244,14 @@ class TestVerifyQuality:
         g = WeightedGraph(3, [(0, 1, 1.0)])
         h = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
         with pytest.raises(CertificationError, match=r"\(1, 2\)"):
+            verify_quality(g, h)
+
+    def test_split_component_raises(self):
+        # H keeps only the heavy K4 inside {0..3}; numerically its quotients
+        # against G look like 1.0 on a 3-dimensional range
+        g = heavy_cluster_graph(8, 4, 1e14)
+        h = WeightedGraph(8, [e for e in g.edges if e[1] < 4])
+        with pytest.raises(CertificationError, match="disconnects vertices 0 and 4"):
             verify_quality(g, h)
 
     def test_support_counts_reported(self):

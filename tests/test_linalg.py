@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rforge.errors import CertificationError, ZeroFrameError
-from rforge.linalg import Certificate, Frame, certify_spectrum, eigh, isotropic_reduce, symmetrize
+from rforge.linalg import Certificate, Frame, Incidence, certify_spectrum, eigh, isotropic_reduce, symmetrize
 
 
 class TestEigh:
@@ -83,6 +83,29 @@ class TestIsotropicReduce:
         lifted = reduced.vectors @ mapping.matrix.T
         assert np.max(np.abs(lifted - vectors)) <= 1e-9
 
+    def test_power_of_two_scale_whitens_identically(self, rng):
+        vectors = rng.standard_normal((20, 5)) * np.exp(rng.uniform(-2.0, 2.0, 5))
+        reduced, mapping = isotropic_reduce(Frame(vectors))
+        for j in (-600, -1, 1, 600):
+            scaled, scaled_map = isotropic_reduce(Frame(np.ldexp(vectors, j)))
+            assert np.array_equal(scaled.vectors, reduced.vectors)
+            assert np.array_equal(scaled_map.matrix, np.ldexp(mapping.matrix, j))
+
+    def test_carries_incidence_factor(self):
+        # path 0-1-2 plus the chord 0-2; row e is sqrt(w) (B[i] - B[j])
+        heads, tails, weights = np.array([0, 1, 0]), np.array([1, 2, 2]), np.array([4.0, 1.0, 9.0])
+        vectors = np.zeros((3, 3))
+        vectors[np.arange(3), heads] = np.sqrt(weights)
+        vectors[np.arange(3), tails] = -np.sqrt(weights)
+        frame = Frame(vectors, incidence=Incidence(heads, tails, weights, np.eye(3)))
+        reduced, _ = isotropic_reduce(frame)
+        inc = reduced.incidence
+        assert inc.basis.shape == (3, 2)
+        assert np.array_equal(inc.heads, heads) and np.array_equal(inc.weights, weights)
+        rebuilt = np.sqrt(weights)[:, None] * (inc.basis[heads] - inc.basis[tails])
+        assert np.max(np.abs(rebuilt - reduced.vectors)) <= 1e-14
+        assert isotropic_reduce(Frame(vectors))[0].incidence is None
+
 
 class TestFrame:
     def test_certification_rejects_non_isotropic(self):
@@ -93,12 +116,31 @@ class TestFrame:
         frame = Frame(np.eye(3), isotropy_certified=True)
         assert frame.size == 3 and frame.ambient_dim == 3
 
+    def test_incidence_factor_must_match_rows(self):
+        vectors = np.array([[2.0, -2.0, 0.0], [0.0, 1.0, -1.0]])  # edges 0-1 (w 4), 1-2 (w 1)
+        heads, tails = np.array([0, 1]), np.array([1, 2])
+        Frame(vectors, incidence=Incidence(heads, tails, np.array([4.0, 1.0]), np.eye(3)))
+        with pytest.raises(ValueError, match="disagrees with frame row 1"):
+            Frame(vectors, incidence=Incidence(heads, tails, np.array([4.0, 1.0 + 1e-9]), np.eye(3)))
+        reversed_first = Incidence(np.array([1, 1]), np.array([0, 2]), np.array([4.0, 1.0]), np.eye(3))
+        with pytest.raises(ValueError, match="disagrees with frame row 0"):
+            Frame(vectors, incidence=reversed_first)
+        with pytest.raises(ValueError, match="does not fit"):
+            Frame(vectors, incidence=Incidence(heads, tails, np.array([4.0, 1.0]), np.eye(4)))
+        with pytest.raises(ValueError, match="endpoints"):
+            Incidence(heads, np.array([1, 3]), np.array([4.0, 1.0]), np.eye(3))
+
 
 class TestCertifySpectrum:
     def test_returns_extremes_and_margin(self):
         cert = certify_spectrum([1.5, 0.5, 1.0], 0.25, 2.25, tol=1e-8, what="test")
         assert cert == Certificate(0.25, 2.25, 0.5, 1.5, 3)
         assert cert.margin == 0.25
+
+    def test_headroom_is_distance_to_high_end(self):
+        cert = certify_spectrum([0.25, 1.5], 0.25, 2.25, tol=1e-8, what="test")
+        assert cert.margin == 0.0
+        assert cert.headroom == 0.75
 
     def test_margin_negative_within_tolerance(self):
         cert = certify_spectrum([1.0 + 5e-9], 0.0, 1.0, tol=1e-8, what="test")
