@@ -72,7 +72,7 @@ from .nonlinear import (
     quality_lower_bound,
     standard_probes,
 )
-from .restricted import RiState, ri_barrier, ri_candidate_test, ri_select, selection_size
+from .restricted import ri_barrier, ri_select, selection_size
 
 __version__ = "0.1.0"
 
@@ -92,7 +92,6 @@ __all__ = [
     "QualityReport",
     "ReductionMap",
     "RforgeError",
-    "RiState",
     "SelectionInvariantError",
     "SparseWeights",
     "WeightedGraph",
@@ -115,7 +114,6 @@ __all__ = [
     "p_energy",
     "quality_lower_bound",
     "ri_barrier",
-    "ri_candidate_test",
     "ri_select",
     "select_and_step",
     "selection_size",

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 import numpy as np
-import scipy.linalg
 
 from .bss import check_eps, sparsify_frame, support_bound
 from .errors import CertificationError
@@ -251,6 +250,9 @@ def embed_lp_even(basis: np.ndarray, p: int, eps: float) -> tuple[list[int], lis
     coordinate indices and their weights; applying
     x -> (s_i^(1/p) * x_i) for selected i realizes the embedding.
 
+    The orthonormal basis of Y is the leading left singular vectors of the
+    monomial matrix; singular values at or below count * eps_mach times the
+    largest (count the number of monomials) are cut as rank deficiency.
     The quadratic certificate on Y covers every vector of X, not just
     sampled ones.  It is the frame sparsifier's own certificate scaled by the
     lift: the lifted basis is orthonormal, so the sparsifier measures the
@@ -272,14 +274,18 @@ def embed_lp_even(basis: np.ndarray, p: int, eps: float) -> tuple[list[int], lis
         axis=1,
     )  # (m, number of monomials)
     count = monomials.shape[1]
-    q, r, _ = scipy.linalg.qr(monomials, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    threshold = count * np.finfo(float).eps * (diag[0] if diag.size else 0.0)
-    d = int(np.count_nonzero(diag > threshold))
+    # The lift keeps its own rank cut on singular values.  Whitening the
+    # monomials as a frame (isotropic_reduce) cuts Gram eigenvalues at
+    # n * eps_mach relative, i.e. singular values near 1e-8 relative: that
+    # drops true, small directions of a near-degenerate lift, and the
+    # certificate would then not cover them.
+    left, sigma, _ = np.linalg.svd(monomials, full_matrices=False)
+    threshold = count * np.finfo(float).eps * (sigma[0] if sigma.size else 0.0)
+    d = int(np.count_nonzero(sigma > threshold))
     if d == 0:
         raise ValueError("monomial lift collapsed to zero; basis is degenerate")
     assert d <= math.comb(n + half - 1, half)
-    v = q[:, :d]
+    v = left[:, :d]
 
     frame = Frame(v, isotropy_certified=True)
     eps0 = barrier_eps_for_ratio(1.0 + eps * p / 4.0)

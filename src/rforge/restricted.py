@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,28 +40,6 @@ _RANGE_BASIS_TOL = 1e-10
 _TIE_RTOL = 1e-12
 
 
-@dataclass
-class RiState:
-    """Selector state after ``step`` choices.
-
-    ``A`` is the sum of outer products of the selected images, ``b`` the
-    barrier level at this step, ``potential`` the trace potential
-    tr(T^* (A - b I)^{-1} T).  The instance constants (frame size, target
-    accuracy, and the two norms of T) ride along so per-candidate tests can
-    derive the next barrier level without extra arguments.
-    """
-
-    step: int
-    A: np.ndarray
-    b: float
-    potential: float
-    selected: list[int] = field(default_factory=list)
-    m: int = 0
-    eps: float = 0.0
-    t_hs_sq: float = 0.0
-    t_op_sq: float = 0.0
-
-
 def selection_size(t_hs_sq: float, t_op_sq: float, eps: float) -> int:
     return math.floor(eps**2 * t_hs_sq / t_op_sq)
 
@@ -80,26 +57,6 @@ def ri_barrier(i: int, t_hs_sq: float, t_op_sq: float, m: int, eps: float) -> fl
     if not 0 <= i <= k:
         raise ValueError(f"barrier index {i} outside [0, {k}]")
     return (1.0 - eps) / m * (t_hs_sq - (i / eps) * t_op_sq)
-
-
-def ri_candidate_test(state: RiState, t: np.ndarray, x: np.ndarray, mu: float) -> tuple[float, float]:
-    """Both sides of the feasibility inequality for one candidate vector.
-
-    Returns (lhs, rhs); the candidate is admissible iff lhs < rhs.  The lhs
-    is a squared norm, hence nonnegative; for any admissible candidate the
-    shifted quadratic form 1 + <(A - b' I)^{-1} T x, T x> is negative.
-    Raises SelectionInvariantError when b' lies on the spectrum of A.
-    """
-    t = np.asarray(t, dtype=float)
-    x = np.asarray(x, dtype=float)
-    b_next = ri_barrier(state.step + 1, state.t_hs_sq, state.t_op_sq, state.m, state.eps)
-    image = t @ x
-    decomp = eigh(symmetrize(state.A))
-    d = _resolvent_diagonal(decomp.values, b_next, state.step + 1)
-    w = decomp.vectors @ (d * (decomp.vectors.T @ image))
-    lhs = float(np.sum((t.T @ w) ** 2))
-    rhs = float(-mu * (1.0 + w @ image))
-    return lhs, rhs
 
 
 def operator_norms(t: np.ndarray) -> tuple[float, float]:
@@ -301,21 +258,19 @@ def _at_scale(gram: np.ndarray, floor: float, exponent: int) -> np.ndarray:
     return out
 
 
-def _resolvent_diagonal(lam: np.ndarray, barrier: float, step: int) -> np.ndarray:
-    # (a - b I)^{-1} in the eigenbasis of a; refuses a barrier on the spectrum.
-    gap = lam - barrier
-    if float(np.min(np.abs(gap))) <= _BARRIER_SEPARATION_RTOL * max(1.0, float(lam[0])):
-        raise SelectionInvariantError(
-            f"barrier {barrier:.6g} at step {step} sits on the spectrum "
-            f"(closest eigenvalue gap {float(np.min(np.abs(gap))):.3e})"
-        )
-    return 1.0 / gap
-
-
 def _factored_resolvent(lam: np.ndarray, barrier: float, step: int) -> tuple[np.ndarray, float]:
     # (A - b I)^{-1} = U diag(e) U^T + d_kernel I when A = U diag(lam) U^T has
-    # orthonormal U; A's spectrum is lam padded with zeros.
-    d = _resolvent_diagonal(np.append(lam, 0.0), barrier, step)
+    # orthonormal U; A's spectrum is lam padded with zeros.  Refuses a barrier
+    # on that spectrum.
+    spectrum = np.append(lam, 0.0)
+    gap = spectrum - barrier
+    closest = float(np.min(np.abs(gap)))
+    if closest <= _BARRIER_SEPARATION_RTOL * max(1.0, float(spectrum[0])):
+        raise SelectionInvariantError(
+            f"barrier {barrier:.6g} at step {step} sits on the spectrum "
+            f"(closest eigenvalue gap {closest:.3e})"
+        )
+    d = 1.0 / gap
     return d[:-1] - d[-1], float(d[-1])
 
 

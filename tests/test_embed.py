@@ -1,7 +1,9 @@
 import math
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from rforge.bss import support_bound
 from rforge.embed import (
@@ -181,6 +183,35 @@ class TestEmbedLpEven:
         dependent = np.vstack([basis[0], 2 * basis[0]])
         with pytest.raises(ValueError, match="dependent"):
             embed_lp_even(dependent, 4, 0.5)
+
+    def check_lifted_certificate(self, basis, p, eps, lift_dim):
+        # independent orthonormal basis of the monomial lift
+        monomials = np.stack(
+            [np.prod(basis[list(c)], axis=0) for c in combinations_with_replacement(range(len(basis)), p // 2)],
+            axis=1,
+        )
+        lift_basis = scipy.linalg.orth(monomials, rcond=1e-14)
+        assert lift_basis.shape[1] == lift_dim
+        selected, weights = embed_lp_even(basis, p, eps)
+        rows = lift_basis[selected]
+        lam = np.linalg.eigvalsh((rows * np.asarray(weights)[:, None]).T @ rows)
+        assert lam[0] >= 1.0 - 1e-8
+        assert lam[-1] <= 1.0 + eps * p / 4.0 + 1e-8
+
+    def test_rank_cut_disjoint_supports(self, rng):
+        # u0 * u1 vanishes identically, so the lift has rank 2 of 3
+        basis = np.zeros((2, 400))
+        basis[0, :200] = rng.standard_normal(200)
+        basis[1, 200:] = rng.standard_normal(200)
+        self.check_lifted_certificate(basis, 4, 0.5, lift_dim=2)
+
+    def test_rank_cut_near_degenerate(self, rng):
+        # b2's own direction is 1e-9 of b0's, so the lift has singular values
+        # near 5e-10 relative; a cut on Gram eigenvalues at n * eps_mach
+        # would drop them and leave this span uncertified
+        b0, b1 = rng.standard_normal((2, 300))
+        b2 = 1e-4 * b0 + 1e-9 * rng.standard_normal(300)
+        self.check_lifted_certificate(np.vstack([b0, b1, b2]), 4, 0.9, lift_dim=5)
 
     def test_higher_exponent(self, rng):
         basis = rng.standard_normal((2, 24))

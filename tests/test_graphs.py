@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from rforge.bss import sparsify_frame, support_bound
 from rforge.errors import CertificationError
@@ -259,6 +260,28 @@ class TestVerifyQuality:
         report = verify_quality(g, g)
         assert report.reference_support == 12
         assert report.candidate_support == 12
+
+    def reference_cases(self, rng):
+        # (G, H, component indicators of G); the indicators span L_G's kernel
+        k16 = log_weighted(rng, 16, list(itertools.combinations(range(16), 2)))
+        yield k16, sparsify_graph(k16, 0.5), np.ones((16, 1))
+        pairs = [(i, j) for i, j in itertools.combinations(range(12), 2) if (i < 6) == (j < 6)]
+        two_k6 = log_weighted(rng, 12, pairs)
+        reweighted = WeightedGraph(12, [(i, j, w * rng.uniform(0.5, 2.0)) for i, j, w in two_k6.edges])
+        indicators = np.zeros((12, 2))
+        indicators[:6, 0] = indicators[6:, 1] = 1.0
+        yield two_k6, reweighted, indicators
+
+    def test_matches_scipy_pencil(self, rng):
+        for g, h, indicators in self.reference_cases(rng):
+            basis = scipy.linalg.null_space(indicators.T)
+            pencil = scipy.linalg.eigh(
+                basis.T @ laplacian(h) @ basis, basis.T @ laplacian(g) @ basis, eigvals_only=True
+            )
+            report = verify_quality(g, h)
+            assert report.range_dim == basis.shape[1]
+            assert report.min_quotient == pytest.approx(pencil[0], rel=1e-12)
+            assert report.max_quotient == pytest.approx(pencil[-1], rel=1e-12)
 
 
 class TestSpectralGapRatio:

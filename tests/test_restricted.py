@@ -7,10 +7,9 @@ from oracles import ri_select_oracle
 from rforge.errors import SelectionInvariantError
 from rforge.linalg import Frame
 from rforge.restricted import (
-    RiState,
+    _factored_resolvent,
     operator_norms,
     ri_barrier,
-    ri_candidate_test,
     ri_select,
     selection_size,
 )
@@ -55,44 +54,26 @@ class TestSelectionSize:
         assert selection_size(8.0, 1.0, 0.5) == 2  # floor(0.25 * 8)
 
 
-class TestRiCandidateTest:
-    def hand_state(self):
-        # n = 2, T = I, standard basis frame, eps = 0.8: k = 1, b_0 = 0.2
-        return RiState(
-            step=0,
-            A=np.zeros((2, 2)),
-            b=0.2,
-            potential=-10.0,
-            selected=[],
-            m=2,
-            eps=0.8,
-            t_hs_sq=2.0,
-            t_op_sq=1.0,
-        )
-
+class TestFirstStep:
     def test_hand_derived_first_step(self):
-        # derived by direct substitution: b_1 = 0.075, mu = 50/3,
-        # lhs = (40/3)^2, rhs = -(50/3) * (1 - 40/3)
-        state = self.hand_state()
-        mu = 50.0 / 3.0
-        lhs, rhs = ri_candidate_test(state, np.eye(2), np.array([1.0, 0.0]), mu)
-        assert lhs == pytest.approx(1600.0 / 9.0, rel=1e-12)
-        assert rhs == pytest.approx(1850.0 / 9.0, rel=1e-12)
-        assert lhs < rhs  # admissible
+        # n = 2, T = I, standard basis frame, eps = 0.8: k = 1, b_0 = 0.2.
+        # By direct substitution: b_1 = 0.075, mu = 50/3, and for column 0
+        # lhs = (40/3)^2 = 1600/9, rhs = -(50/3) * (1 - 40/3) = 1850/9, so the
+        # margin is -250/9; the tied column 1 loses to the lower index.
+        history = []
+        sigma, _ = ri_select(basis_frame(2), np.eye(2), 0.8, history=history)
+        expected_sigma, expected = ri_select_oracle(np.eye(2), np.eye(2), 0.8)
+        assert sigma == expected_sigma == [0]
+        for record in (history[0], expected[0]):
+            assert record["chosen"] == 0
+            assert record["barrier"] == pytest.approx(0.075, rel=1e-12)
+            assert record["mu"] == pytest.approx(50.0 / 3.0, rel=1e-12)
+            assert record["margin"] == pytest.approx(-250.0 / 9.0, rel=1e-12)
 
     def test_barrier_on_spectrum_raises(self):
-        state = self.hand_state()
-        b_next = ri_barrier(1, state.t_hs_sq, state.t_op_sq, state.m, state.eps)
-        state.A = np.diag([b_next, 0.0])
+        barrier = ri_barrier(1, 2.0, 1.0, 2, 0.8)
         with pytest.raises(SelectionInvariantError, match="spectrum"):
-            ri_candidate_test(state, np.eye(2), np.array([1.0, 0.0]), 1.0)
-
-    def test_lhs_nonnegative(self, rng):
-        state = self.hand_state()
-        for _ in range(20):
-            x = rng.standard_normal(2)
-            lhs, _ = ri_candidate_test(state, np.eye(2), x, 1.0)
-            assert lhs >= 0.0
+            _factored_resolvent(np.array([barrier]), barrier, 1)
 
 
 class TestRiSelect:
