@@ -72,7 +72,7 @@ from .nonlinear import (
     quality_lower_bound,
     standard_probes,
 )
-from .restricted import ri_barrier, ri_select, selection_size
+from .restricted import RiSelection, ri_barrier, ri_select, selection_size
 
 __version__ = "0.1.0"
 
@@ -92,6 +92,7 @@ __all__ = [
     "QualityReport",
     "ReductionMap",
     "RforgeError",
+    "RiSelection",
     "SelectionInvariantError",
     "SparseWeights",
     "WeightedGraph",

@@ -7,7 +7,8 @@ bounds.  Field order is fixed, so reports are byte-identical across runs
 on the same platform (apart from the wall-clock entry).  Exit status is 0
 on success, 1 when a certificate or invariant fails, and 2 for bad input.
 
---seed overrides the probe-generation seed.
+``embed-lp`` and ``cycle-demo`` take --seed, the seed of their sampled
+vectors and probes; no other command draws random numbers.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,56 +42,24 @@ from .nonlinear import (
     quality_lower_bound,
     standard_probes,
 )
-from .restricted import operator_norms, ri_select, selection_size
-
-COMMANDS = (
-    "sparsify-graph",
-    "sparsify-frame",
-    "ri-select",
-    "embed-l1",
-    "embed-lp",
-    "john-approx",
-    "verify",
-    "cycle-demo",
-)
+from .restricted import ri_select
 
 EXIT_OK = 0
 EXIT_CERTIFICATION = 1
 EXIT_INPUT = 2
 
 
-@dataclass
-class RunConfig:
-    command: str
-    eps: float | None = None
-    input: str | None = None
-    input2: str | None = None
-    output: str | None = None
-    report: str | None = None
-    seed: int = DEFAULT_PROBE_SEED
-    n: int | None = None
-    p: float | None = None
-    q: float | None = None
-
-
-def _require(config: RunConfig, *names: str) -> None:
-    for name in names:
-        if getattr(config, name) is None:
-            raise ValueError(f"command {config.command!r} requires --{name.replace('_', '-')}")
-
-
 def _theta(eps: float) -> float:
     return (1.0 + eps) / (1.0 - eps)
 
 
-def _run_sparsify_graph(config: RunConfig) -> dict:
-    _require(config, "eps", "input")
-    eps = check_eps(config.eps)
-    g = formats.read_graph(config.input)
+def _run_sparsify_graph(args: argparse.Namespace) -> dict:
+    eps = check_eps(args.eps)
+    g = formats.read_graph(args.input)
     h = sparsify_graph(g, eps)
     report_quality = verify_quality(g, h)
-    if config.output:
-        formats.write_graph(config.output, h)
+    if args.output:
+        formats.write_graph(args.output, h)
     try:
         gap_ratio = spectral_gap_ratio(h)
     except ValueError:
@@ -117,10 +85,9 @@ def _run_sparsify_graph(config: RunConfig) -> dict:
     }
 
 
-def _run_sparsify_frame(config: RunConfig) -> dict:
-    _require(config, "eps", "input")
-    eps = check_eps(config.eps)
-    vectors = formats.read_matrix(config.input)
+def _run_sparsify_frame(args: argparse.Namespace) -> dict:
+    eps = check_eps(args.eps)
+    vectors = formats.read_matrix(args.input)
     frame = Frame(vectors)
     weights = sparsify_frame(frame, eps)
     # the quadratic-form ratio on the span of the input frame, as certified
@@ -137,8 +104,8 @@ def _run_sparsify_frame(config: RunConfig) -> dict:
         "margin": cert.margin,
         "headroom": cert.headroom,
     }
-    if config.output:
-        formats.write_weights(config.output, weights.weights, certificate)
+    if args.output:
+        formats.write_weights(args.output, weights.weights, certificate)
     return {
         "sizes": {"vectors": vectors.shape[0], "dimension": vectors.shape[1]},
         "eps": eps,
@@ -150,20 +117,19 @@ def _run_sparsify_frame(config: RunConfig) -> dict:
     }
 
 
-def _run_ri_select(config: RunConfig) -> dict:
-    _require(config, "eps", "input")
-    eps = check_eps(config.eps)
-    operator = formats.read_matrix(config.input)
+def _run_ri_select(args: argparse.Namespace) -> dict:
+    eps = check_eps(args.eps)
+    operator = formats.read_matrix(args.input)
     if operator.shape[0] != operator.shape[1]:
         raise ValueError(f"operator must be square, got shape {operator.shape}")
     n = operator.shape[0]
     frame = Frame(np.eye(n), isotropy_certified=True)
-    sigma, gram = ri_select(frame, operator, eps)
-    hs_sq, op_sq = operator_norms(operator)
-    lam_min = float(np.linalg.eigvalsh(gram)[0]) if sigma else 0.0
-    if config.output:
+    result = ri_select(frame, operator, eps)
+    sigma, cert = result.selected, result.certificate
+    lam_min = cert.measured_min if cert else 0.0
+    if args.output:
         formats.write_weights(
-            config.output,
+            args.output,
             {idx: 1.0 for idx in sigma},
             {"selected": sigma, "gram_min_eigenvalue": lam_min},
         )
@@ -171,24 +137,23 @@ def _run_ri_select(config: RunConfig) -> dict:
         "sizes": {"dimension": n},
         "eps": eps,
         "derived": {
-            "stable_rank": hs_sq / op_sq,
-            "selection_size": selection_size(hs_sq, op_sq, eps),
+            "stable_rank": result.stable_rank,
+            "selection_size": len(sigma),
         },
         "results": {
             "selected": sigma,
             "gram_min_eigenvalue": lam_min,
-            "certified_floor": (1 - eps) ** 2 * hs_sq / n,
+            "certified_floor": cert.low if cert else None,
         },
     }
 
 
-def _run_embed_l1(config: RunConfig) -> dict:
-    _require(config, "eps", "input")
-    eps = check_eps(config.eps)
-    points = formats.read_matrix(config.input)
+def _run_embed_l1(args: argparse.Namespace) -> dict:
+    eps = check_eps(args.eps)
+    points = formats.read_matrix(args.input)
     embedded = embed_l1(points, eps)
-    if config.output:
-        formats.write_matrix(config.output, embedded.points)
+    if args.output:
+        formats.write_matrix(args.output, embedded.points)
     n = points.shape[0]
     direct = np.sum(np.abs(points[:, None, :] - points[None, :, :]), axis=2)
     image = np.sum(np.abs(embedded.points[:, None, :] - embedded.points[None, :, :]), axis=2)
@@ -208,34 +173,29 @@ def _run_embed_l1(config: RunConfig) -> dict:
     }
 
 
-def _run_embed_lp(config: RunConfig) -> dict:
-    _require(config, "eps", "input", "p")
-    eps = check_eps(config.eps)
-    p = int(config.p)
-    basis = formats.read_matrix(config.input)
+def _run_embed_lp(args: argparse.Namespace) -> dict:
+    eps = check_eps(args.eps)
+    p = args.p
+    basis = formats.read_matrix(args.input)
     selected, weights = embed_lp_even(basis, p, eps)
-    if config.output:
+    if args.output:
         formats.write_weights(
-            config.output,
+            args.output,
             dict(zip(selected, weights)),
             {"p": p, "eps": eps, "selected": selected},
         )
     n = basis.shape[0]
     half = p // 2
     eps0 = barrier_eps_for_ratio(1.0 + eps * p / 4.0)
-    rng = np.random.default_rng(config.seed)
-    worst = 1.0
-    for _ in range(200):
-        x = rng.standard_normal(n) @ basis
-        norm = float(np.sum(np.abs(x) ** p) ** (1 / p))
-        if norm == 0.0:
-            continue
-        embedded = apply_lp_embedding(x, selected, weights, p)
-        worst = max(worst, float(np.sum(np.abs(embedded) ** p) ** (1 / p)) / norm)
+    samples = np.random.default_rng(args.seed).standard_normal((200, n)) @ basis
+    norms = np.sum(np.abs(samples) ** p, axis=1) ** (1 / p)
+    embedded = np.sum(np.abs(apply_lp_embedding(samples, selected, weights, p)) ** p, axis=1) ** (1 / p)
+    nonzero = norms > 0.0
+    worst = float(np.max(embedded[nonzero] / norms[nonzero], initial=1.0))
     return {
         "sizes": {"subspace_dim": n, "coordinates": basis.shape[1]},
         "eps": eps,
-        "seed": config.seed,
+        "seed": args.seed,
         "derived": {
             "p": p,
             "eps0": eps0,
@@ -250,16 +210,15 @@ def _run_embed_lp(config: RunConfig) -> dict:
     }
 
 
-def _run_john_approx(config: RunConfig) -> dict:
-    _require(config, "eps", "input")
-    eps = check_eps(config.eps)
-    raw = formats.read_matrix(config.input)
+def _run_john_approx(args: argparse.Namespace) -> dict:
+    eps = check_eps(args.eps)
+    raw = formats.read_matrix(args.input)
     if raw.shape[1] < 2:
         raise ValueError("John input needs point coordinates plus a trailing weight column")
     jd = JohnDecomposition(raw.shape[1] - 1, raw[:, :-1], raw[:, -1])
     out = approximate_john(jd, eps)
-    if config.output:
-        formats.write_matrix(config.output, np.column_stack([out.points, out.weights]))
+    if args.output:
+        formats.write_matrix(args.output, np.column_stack([out.points, out.weights]))
     eps0 = barrier_eps_for_ratio(1.0 + eps / 4.0)
     return {
         "sizes": {"points": jd.size, "dimension": jd.dim},
@@ -273,10 +232,9 @@ def _run_john_approx(config: RunConfig) -> dict:
     }
 
 
-def _run_verify(config: RunConfig) -> dict:
-    _require(config, "input", "input2")
-    g = formats.read_graph(config.input)
-    h = formats.read_graph(config.input2)
+def _run_verify(args: argparse.Namespace) -> dict:
+    g = formats.read_graph(args.input)
+    h = formats.read_graph(args.input2)
     report_quality = verify_quality(g, h)
     return {
         "sizes": {"vertices": g.n, "reference_edges": g.edge_count, "candidate_edges": h.edge_count},
@@ -290,12 +248,11 @@ def _run_verify(config: RunConfig) -> dict:
     }
 
 
-def _run_cycle_demo(config: RunConfig) -> dict:
-    _require(config, "eps", "n", "p", "q")
-    n, p, q, eps = int(config.n), float(config.p), float(config.q), float(config.eps)
+def _run_cycle_demo(args: argparse.Namespace) -> dict:
+    n, p, q, eps = args.n, args.p, args.q, args.eps
     g, h, witnesses = cycle_counterexample(n, p, eps)
     probes = ProbeSet.filtered(
-        witnesses.probes + standard_probes(n, seed=config.seed), g, p
+        witnesses.probes + standard_probes(n, seed=args.seed), g, p
     )
     low_p, high_p = energy_ratio_range(g, h, p, probes)
     p_quality = high_p / low_p if low_p > 0 else float("inf")
@@ -303,7 +260,7 @@ def _run_cycle_demo(config: RunConfig) -> dict:
     return {
         "sizes": {"vertices": n, "edges": g.edge_count},
         "eps": eps,
-        "seed": config.seed,
+        "seed": args.seed,
         "derived": {"p": p, "q": q, "heavy_weight": (n - 1) ** (p - 1) / eps},
         "results": {
             "p_quality_lower_bound": p_quality,
@@ -328,14 +285,14 @@ _RUNNERS = {
 }
 
 
-def run(config: RunConfig) -> tuple[int, dict]:
-    """Dispatch one command; returns (exit_status, report)."""
+def run(args: argparse.Namespace) -> tuple[int, dict]:
+    """Dispatch one command parsed by ``build_parser``; returns (exit_status, report)."""
     started = time.perf_counter()
-    report = {"command": config.command, "input": config.input}
-    if config.input2:
-        report["input2"] = config.input2
+    report = {"command": args.command, "input": getattr(args, "input", None)}
+    if getattr(args, "input2", None):
+        report["input2"] = args.input2
     try:
-        body = _RUNNERS[config.command](config)
+        body = _RUNNERS[args.command](args)
     except (formats.ParseError, FileNotFoundError, ValueError, KeyError) as exc:
         report["status"] = "input-error"
         report["error"] = str(exc)
@@ -361,60 +318,47 @@ def _write_report(report: dict, path: str | None) -> None:
         print(text)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
+    """The ``rforge`` parser; each command declares only the flags its runner reads."""
     parser = argparse.ArgumentParser(
         prog="rforge",
         description="Deterministic spectral sparsification toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, *, inputs=1, eps=True, p_only=False):
+    def add(name, help_text, inputs=("input file",), *, eps=True, output=True):
         cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("input", help="input file")
-        if inputs == 2:
-            cmd.add_argument("input2", help="second input file")
+        for dest, text in zip(("input", "input2"), inputs):
+            cmd.add_argument(dest, help=text)
         if eps:
             cmd.add_argument("--eps", type=float, required=True, help="accuracy in (0, 1)")
-        if p_only:
-            cmd.add_argument("--p", type=int, required=True, help="even exponent >= 4")
-        cmd.add_argument("-o", "--output", help="output file")
+        if output:
+            cmd.add_argument("-o", "--output", help="output file")
         cmd.add_argument("--report", help="JSON report path (default: stdout)")
-        cmd.add_argument("--seed", type=int, default=DEFAULT_PROBE_SEED, help="probe seed")
         return cmd
 
     add("sparsify-graph", "sparsify a weighted graph")
     add("sparsify-frame", "sparsify a vector frame (rows of a dense matrix)")
     add("ri-select", "select well-conditioned columns of a square operator")
     add("embed-l1", "reduce the dimension of an L1 point set")
-    add("embed-lp", "coordinate selection for an even-p subspace", p_only=True)
+    lp = add("embed-lp", "coordinate selection for an even-p subspace")
+    lp.add_argument("--p", type=int, required=True, help="even exponent >= 4")
     add("john-approx", "thin a John decomposition (points plus weight column)")
-    add("verify", "certify one graph against another", inputs=2, eps=False)
-    cycle = sub.add_parser("cycle-demo", help="weighted-cycle exponent separation demo")
+    add("verify", "certify one graph against another", ("reference graph", "candidate graph"),
+        eps=False, output=False)
+    cycle = add("cycle-demo", "weighted-cycle exponent separation demo", (), output=False)
     cycle.add_argument("--n", type=int, required=True, help="cycle length")
     cycle.add_argument("--p", type=float, required=True, help="certified exponent")
     cycle.add_argument("--q", type=float, required=True, help="probe exponent")
-    cycle.add_argument("--eps", type=float, required=True, help="accuracy in (0, 1)")
-    cycle.add_argument("--report", help="JSON report path (default: stdout)")
-    cycle.add_argument("--seed", type=int, default=DEFAULT_PROBE_SEED, help="probe seed")
+    for cmd in (lp, cycle):
+        cmd.add_argument("--seed", type=int, default=DEFAULT_PROBE_SEED, help="sampling seed")
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    config = RunConfig(
-        command=args.command,
-        eps=getattr(args, "eps", None),
-        input=getattr(args, "input", None),
-        input2=getattr(args, "input2", None),
-        output=getattr(args, "output", None),
-        report=getattr(args, "report", None),
-        seed=getattr(args, "seed", DEFAULT_PROBE_SEED),
-        n=getattr(args, "n", None),
-        p=getattr(args, "p", None),
-        q=getattr(args, "q", None),
-    )
-    status, report = run(config)
-    _write_report(report, config.report)
+    args = build_parser().parse_args(argv)
+    status, report = run(args)
+    _write_report(report, args.report)
     return status
 
 

@@ -300,7 +300,7 @@ def embed_lp_even(basis: np.ndarray, p: int, eps: float) -> tuple[list[int], lis
 
 
 def apply_lp_embedding(x: np.ndarray, selected: list[int], weights: list[float], p: int) -> np.ndarray:
-    """Realize the even-p coordinate embedding on one vector."""
+    """Realize the even-p coordinate embedding on a vector, or on each row of a batch."""
     x = np.asarray(x, dtype=float)
     w = np.asarray(weights, dtype=float)
-    return w ** (1.0 / p) * x[list(selected)]
+    return w ** (1.0 / p) * x[..., list(selected)]

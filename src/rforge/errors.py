@@ -22,8 +22,8 @@ class EigenConvergenceError(RforgeError):
         super().__init__(msg)
 
 
-class ZeroFrameError(RforgeError):
-    """Every vector of a frame lies below the rank tolerance."""
+class ZeroFrameError(RforgeError, ValueError):
+    """A frame has no positive-energy direction; bad input, so also a ValueError."""
 
 
 class BarrierInvariantError(RforgeError):

@@ -83,10 +83,6 @@ class QualityReport:
     candidate_support: int
     range_dim: int
 
-    @property
-    def quality(self) -> float:
-        return self.max_quotient / self.min_quotient
-
 
 def laplacian(g: WeightedGraph) -> np.ndarray:
     """Degree matrix minus adjacency; rows sum to zero."""

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CertificationError, EigenConvergenceError, ZeroFrameError
+from .errors import CertificationError, EigenConvergenceError, RforgeError, ZeroFrameError
 
 # Max-entry tolerance under which a frame counts as a decomposition of the identity.
 ISOTROPY_TOL = 1e-8
@@ -175,11 +175,10 @@ class EigenDecomposition:
 class ReductionMap:
     """Invertible change of coordinates between a frame's span and R^r.
 
-    ``matrix`` has shape (n, r).  ``to_reduced`` carries a direction w in the
-    original space to the coordinates in which the reduced frame lives, so
-    that quadratic forms match: sum_i <x_i, w>^2 == sum_i <y_i, to_reduced(w)>^2
-    for w in the span.  ``lift`` inverts it on the span, mapping reduced
-    vectors back to the original space (lift(y_i) == x_i).
+    ``matrix`` (shape (n, r)) lifts reduced vectors back to the original
+    space, x_i == matrix @ y_i, so its transpose carries a direction w in
+    the span to the reduced coordinates with matching quadratic forms:
+    sum_i <x_i, w>^2 == sum_i <y_i, matrix.T @ w>^2.
     """
 
     matrix: np.ndarray
@@ -187,12 +186,6 @@ class ReductionMap:
     @property
     def rank(self) -> int:
         return self.matrix.shape[1]
-
-    def to_reduced(self, w: np.ndarray) -> np.ndarray:
-        return self.matrix.T @ np.asarray(w, dtype=float)
-
-    def lift(self, y: np.ndarray) -> np.ndarray:
-        return self.matrix @ np.asarray(y, dtype=float)
 
 
 def eigh(m: np.ndarray) -> EigenDecomposition:
@@ -250,10 +243,7 @@ def isotropic_reduce(frame: Frame) -> tuple[Frame, ReductionMap]:
     lam = decomp.values
     if lam[0] <= 0.0:
         raise ZeroFrameError("frame has no positive-energy direction; all vectors are zero")
-    keep = lam > frame.ambient_dim * _RANK_RTOL * lam[0]
-    r = int(np.count_nonzero(keep))
-    if r == 0:
-        raise ZeroFrameError("all frame eigenvalues fall below the rank tolerance")
+    r = int(np.count_nonzero(lam > frame.ambient_dim * _RANK_RTOL * lam[0]))
     lam_r = lam[:r]
     v_r = decomp.vectors[:, :r]
     scale = np.sqrt(lam_r)
@@ -266,7 +256,7 @@ def isotropic_reduce(frame: Frame) -> tuple[Frame, ReductionMap]:
     gram = symmetrize(reduced.T @ reduced)
     gd = eigh(gram)
     if gd.values[-1] <= 0.0:
-        raise ZeroFrameError("reduced frame lost rank during whitening")
+        raise RforgeError("reduced frame lost rank during whitening")
     inv_sqrt = (gd.vectors / np.sqrt(gd.values)) @ gd.vectors.T
     sqrt_gram = (gd.vectors * np.sqrt(gd.values)) @ gd.vectors.T
     reduced = reduced @ inv_sqrt

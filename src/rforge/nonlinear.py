@@ -51,11 +51,6 @@ class ProbeSet:
             raise ValueError("every candidate probe has zero energy on the reference graph")
         return cls(kept)
 
-    @classmethod
-    def from_matrix(cls, matrix: np.ndarray, g: WeightedGraph, p: float) -> "ProbeSet":
-        """Each row of a dense matrix is one vertex-value configuration."""
-        return cls.filtered(np.atleast_2d(np.asarray(matrix, dtype=float)), g, p)
-
     def __len__(self) -> int:
         return len(self.probes)
 

@@ -21,12 +21,14 @@ from __future__ import annotations
 
 import math
 import warnings
+from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .bss import check_eps
 from .errors import SelectionInvariantError
-from .linalg import Frame, certify_spectrum, eigh, isotropic_reduce, symmetrize
+from .linalg import Certificate, Frame, certify_spectrum, eigh, isotropic_reduce, symmetrize
 
 _MU_TOL = 1e-9
 _MARGIN_SLACK = 1e-12
@@ -38,6 +40,22 @@ _RANGE_BASIS_TOL = 1e-10
 # Margins this close to the best one (relative to the best candidate's lhs and
 # rhs) tie; the lowest tied index wins.
 _TIE_RTOL = 1e-12
+
+
+class RiSelection(NamedTuple):
+    """What ``ri_select`` returns, at the caller's scale.
+
+    ``selected`` lists the chosen indices in choice order and ``gram`` is
+    the Gram matrix (<T x_i, T x_j>) over them.  ``certificate`` bounds
+    that Gram matrix's spectrum below by the floor (1-eps)^2 ||T||_HS^2 / m
+    and records its measured extremes; it is None for an empty selection.
+    ``stable_rank`` is ||T||_HS^2 / ||T||^2 of the operator the loop ran on.
+    """
+
+    selected: list[int]
+    gram: np.ndarray
+    certificate: Certificate | None
+    stable_rank: float
 
 
 def selection_size(t_hs_sq: float, t_op_sq: float, eps: float) -> int:
@@ -76,22 +94,24 @@ def ri_select(
     eps: float,
     *,
     history: list | None = None,
-) -> tuple[list[int], np.ndarray]:
+) -> RiSelection:
     """Select k = floor(eps^2 ||T||_HS^2/||T||^2) well-conditioned columns.
 
-    Returns the selected indices in choice order and the Gram matrix
-    (<T x_i, T x_j>) over them; its smallest eigenvalue is certified to be
-    at least (1-eps)^2 ||T||_HS^2 / m.  Frames that are not isotropy
-    certified are whitened first and T is conjugated onto the reduced
-    coordinates (reported through a warning).  When the stable rank of T is
-    too small for the requested accuracy (k == 0) an empty selection is
-    returned with a warning.
+    Returns an ``RiSelection``: the selected indices in choice order, the
+    Gram matrix (<T x_i, T x_j>) over them, the certificate that its
+    smallest eigenvalue is at least (1-eps)^2 ||T||_HS^2 / m, and the
+    stable rank of T.  Frames that are not isotropy certified are whitened
+    first and T is conjugated onto the reduced coordinates (reported
+    through a warning).  When the stable rank of T is too small for the
+    requested accuracy (k == 0) an empty selection is returned with a
+    warning.
 
     T is first scaled by the power of two that puts max|T| in [0.5, 1), so
     the selection does not depend on the scale of T: T * 2^j selects the
-    same columns bit for bit and returns the Gram matrix times 4^j.  A
-    ValueError is raised when that Gram matrix overflows or underflows at
-    the caller's scale.
+    same columns bit for bit, returns the Gram matrix and every certificate
+    bound times 4^j, and the same stable rank.  A ValueError is raised when
+    that Gram matrix or its certificate overflows or underflows at the
+    caller's scale.
 
     The running sum A = P P^T of the i selected images P is kept factored.
     Each step eigendecomposes the i x i Gram matrix P^T P = W Lambda W^T,
@@ -139,14 +159,15 @@ def ri_select(
     t = np.ldexp(t, -exponent)  # exact: max|t| now in [0.5, 1)
     m = work.size
     hs_sq, op_sq = operator_norms(t)
+    stable_rank = hs_sq / op_sq
     k = selection_size(hs_sq, op_sq, eps)
     if k == 0:
         warnings.warn(
-            f"stable rank {hs_sq / op_sq:.3g} is below 1/eps^2 = {1 / eps**2:.3g}; "
+            f"stable rank {stable_rank:.3g} is below 1/eps^2 = {1 / eps**2:.3g}; "
             "returning an empty selection",
             stacklevel=2,
         )
-        return [], np.zeros((0, 0))
+        return RiSelection([], np.zeros((0, 0)), None, stable_rank)
 
     images = t @ work.vectors.T  # column j is T x_j
     pulled_fixed = t.T @ images  # column j is T^* T x_j
@@ -236,26 +257,28 @@ def ri_select(
         raise SelectionInvariantError(f"selected indices repeat: {selected}")
     # The last step decomposed exactly this Gram matrix.
     floor = (1.0 - eps) ** 2 * hs_sq / m
-    certify_spectrum(lam, floor, np.inf, tol=_GRAM_FLOOR_TOL, what="selected Gram matrix")
-    return selected, _at_scale(gram, floor, 2 * exponent)
+    cert = certify_spectrum(lam, floor, np.inf, tol=_GRAM_FLOOR_TOL, what="selected Gram matrix")
+    return RiSelection(selected, *_at_scale(gram, cert, 2 * exponent), stable_rank)
 
 
-def _at_scale(gram: np.ndarray, floor: float, exponent: int) -> np.ndarray:
-    # The Gram matrix times 2^exponent; refuses a result float64 cannot hold.
+def _at_scale(gram: np.ndarray, cert: Certificate, exponent: int) -> tuple[np.ndarray, Certificate]:
+    # The Gram matrix and its certificate times 2^exponent, which is exact
+    # while every value stays normal; refuses a result float64 cannot hold.
     with np.errstate(over="ignore", under="ignore"):
         out = np.ldexp(gram, exponent)
-        floor_out = np.ldexp(floor, exponent)
-    if not np.all(np.isfinite(out)):
+        ends = np.ldexp([cert.low, cert.measured_min, cert.measured_max], exponent)
+    if not (np.all(np.isfinite(out)) and np.all(np.isfinite(ends))):
         raise ValueError(
             f"Gram matrix of the selected columns overflows float64 at the operator's scale "
-            f"(entries up to 2^{exponent} times {float(np.max(np.abs(gram))):.3g})"
+            f"(top eigenvalue {cert.measured_max:.3g} times 2^{exponent})"
         )
-    if floor_out < np.finfo(float).tiny:
+    low, lo, hi = (float(x) for x in ends)
+    if min(low, lo) < np.finfo(float).tiny:
         raise ValueError(
             f"Gram matrix of the selected columns underflows float64 at the operator's scale "
-            f"(certified floor {floor:.3g} times 2^{exponent})"
+            f"(certified floor {cert.low:.3g} times 2^{exponent})"
         )
-    return out
+    return out, replace(cert, low=low, measured_min=lo, measured_max=hi)
 
 
 def _factored_resolvent(lam: np.ndarray, barrier: float, step: int) -> tuple[np.ndarray, float]:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from rforge.bss import barrier_gaps, candidate_scores, initial_barrier_state, select_and_step, support_bound
-from rforge.cli import RunConfig, run
+from rforge.cli import build_parser, run
 from rforge.embed import (
     JohnDecomposition,
     apply_lp_embedding,
@@ -148,7 +148,7 @@ def test_criterion_4_restricted_invertibility():
                 history = []
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
-                    sigma, gram = ri_select(frame, t, eps, history=history)
+                    sigma, gram, *_ = ri_select(frame, t, eps, history=history)
                 assert len(sigma) == k, f"n={n} eps={eps}: |sigma|={len(sigma)} != k={k}"
                 if k == 0:
                     continue
@@ -246,14 +246,15 @@ def test_criterion_7_john_decompositions():
 
 
 def test_criterion_8_cycle_counterexample():
-    status, report = run(RunConfig(command="cycle-demo", eps=0.5, n=5, p=2.0, q=4.0))
+    demo = ["cycle-demo", "--p", "2", "--q", "4", "--eps", "0.5", "--n"]
+    status, report = run(build_parser().parse_args([*demo, "5"]))
     assert status == 0
     assert report["results"]["probes"] >= 500
     assert report["results"]["p_quality_lower_bound"] <= 1.5 + 1e-9
     assert report["results"]["q_quality_lower_bound"] >= 8.0
     floors = {5: 8.0, 9: 32.0, 17: 128.0}
     for n, floor in floors.items():
-        _, rep = run(RunConfig(command="cycle-demo", eps=0.5, n=n, p=2.0, q=4.0))
+        _, rep = run(build_parser().parse_args([*demo, str(n)]))
         assert rep["results"]["q_quality_lower_bound"] >= floor
     print("PASS criterion 8: cycle demo p-quality <= 1.5 on 500 seeded probes and "
           "q-quality floors 8/32/128 at n = 5/9/17")

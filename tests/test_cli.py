@@ -5,13 +5,17 @@ import pytest
 import scipy.linalg
 
 from rforge import formats
-from rforge.cli import EXIT_CERTIFICATION, EXIT_INPUT, EXIT_OK, RunConfig, main, run
+from rforge.cli import EXIT_CERTIFICATION, EXIT_INPUT, EXIT_OK, build_parser, main, run
 from rforge.graphs import WeightedGraph
 
 
 def write_single_edge(path):
     formats.write_graph(path, WeightedGraph(2, [(0, 1, 1.0)]))
     return str(path)
+
+
+def cli(*argv):
+    return run(build_parser().parse_args([str(a) for a in argv]))
 
 
 def strip_timing(report):
@@ -71,9 +75,7 @@ class TestRun:
     def test_sparsify_graph_single_edge(self, tmp_path):
         src = write_single_edge(tmp_path / "g.edges")
         out = str(tmp_path / "h.edges")
-        status, report = run(
-            RunConfig(command="sparsify-graph", eps=0.5, input=src, output=out)
-        )
+        status, report = cli("sparsify-graph", src, "--eps", 0.5, "-o", out)
         assert status == EXIT_OK
         assert report["results"]["output_support_ordered"] == 2
         assert report["results"]["quality_min"] == pytest.approx(1.0, abs=1e-9)
@@ -83,7 +85,7 @@ class TestRun:
 
     def test_verify_identity(self, tmp_path):
         src = write_single_edge(tmp_path / "g.edges")
-        status, report = run(RunConfig(command="verify", input=src, input2=src))
+        status, report = cli("verify", src, src)
         assert status == EXIT_OK
         assert report["results"]["quality_min"] == pytest.approx(1.0, abs=1e-10)
         assert report["results"]["quality_max"] == pytest.approx(1.0, abs=1e-10)
@@ -95,7 +97,7 @@ class TestRun:
         # h with an edge absent from g
         formats.write_graph(g_path, WeightedGraph(3, [(0, 1, 1.0)]))
         formats.write_graph(h_path, WeightedGraph(3, [(1, 2, 1.0)]))
-        status, report = run(RunConfig(command="verify", input=g_path, input2=h_path))
+        status, report = cli("verify", g_path, h_path)
         assert status == EXIT_CERTIFICATION
         assert report["status"] == "certification-failure"
 
@@ -113,35 +115,37 @@ class TestRun:
     def test_parse_error_exit_code(self, tmp_path):
         path = tmp_path / "broken.edges"
         path.write_text("not a header\n")
-        status, report = run(
-            RunConfig(command="sparsify-graph", eps=0.5, input=str(path))
-        )
+        status, report = cli("sparsify-graph", path, "--eps", 0.5)
         assert status == EXIT_INPUT
         assert report["status"] == "input-error"
         assert "broken.edges:1" in report["error"]
 
     def test_missing_file_exit_code(self, tmp_path):
-        status, report = run(
-            RunConfig(command="sparsify-graph", eps=0.5, input=str(tmp_path / "nope"))
-        )
+        status, report = cli("sparsify-graph", tmp_path / "nope", "--eps", 0.5)
         assert status == EXIT_INPUT
 
     def test_infinite_weight_exit_code(self, tmp_path):
         path = tmp_path / "inf.edges"
         path.write_text("n 3\n0\t1\t1.0\n1\t2\tinf\n")
-        status, report = run(RunConfig(command="sparsify-graph", eps=0.5, input=str(path)))
+        status, report = cli("sparsify-graph", path, "--eps", 0.5)
         assert status == EXIT_INPUT
         assert "non-finite" in report["error"]
 
+    def test_zero_frame_exit_code(self, tmp_path):
+        src = tmp_path / "zero.mat"
+        formats.write_matrix(src, np.zeros((3, 2)))
+        status, report = cli("sparsify-frame", src, "--eps", 0.5)
+        assert status == EXIT_INPUT
+        assert report["status"] == "input-error"
+        assert "no positive-energy direction" in report["error"]
+
     def test_bad_eps_exit_code(self, tmp_path):
         src = write_single_edge(tmp_path / "g.edges")
-        status, _ = run(RunConfig(command="sparsify-graph", eps=1.5, input=src))
+        status, _ = cli("sparsify-graph", src, "--eps", 1.5)
         assert status == EXIT_INPUT
 
     def test_cycle_demo_reaches_floor(self):
-        status, report = run(
-            RunConfig(command="cycle-demo", eps=0.5, n=5, p=2.0, q=4.0)
-        )
+        status, report = cli("cycle-demo", "--n", 5, "--p", 2, "--q", 4, "--eps", 0.5)
         assert status == EXIT_OK
         assert report["results"]["q_quality_lower_bound"] >= 8.0
         assert report["results"]["p_quality_lower_bound"] <= 1.5 + 1e-9
@@ -152,9 +156,7 @@ class TestRun:
         src = tmp_path / "frame.mat"
         formats.write_matrix(src, vectors)
         out = tmp_path / "weights.tsv"
-        status, report = run(
-            RunConfig(command="sparsify-frame", eps=0.6, input=str(src), output=str(out))
-        )
+        status, report = cli("sparsify-frame", src, "--eps", 0.6, "-o", out)
         assert status == EXIT_OK
         weights = formats.read_weights(out)
         assert 0 < len(weights) <= report["derived"]["support_bound"]
@@ -167,9 +169,7 @@ class TestRun:
         vectors[:, 3] = vectors[:, 0] - vectors[:, 1]  # rank 3
         src = tmp_path / "frame.mat"
         formats.write_matrix(src, vectors)
-        status, report = run(
-            RunConfig(command="sparsify-frame", eps=0.5, input=str(src))
-        )
+        status, report = cli("sparsify-frame", src, "--eps", 0.5)
         assert status == EXIT_OK
         res = report["results"]
         assert res["quadratic_ratio_min"] >= (1 - 0.5) ** 2 - 1e-8
@@ -182,9 +182,7 @@ class TestRun:
         src = tmp_path / "frame.mat"
         formats.write_matrix(src, vectors)
         out = tmp_path / "weights.tsv"
-        status, report = run(
-            RunConfig(command="sparsify-frame", eps=eps, input=str(src), output=str(out))
-        )
+        status, report = cli("sparsify-frame", src, "--eps", eps, "-o", out)
         assert status == EXIT_OK
         res = report["results"]
         assert json.loads((tmp_path / "weights.tsv.json").read_text()) == res
@@ -209,19 +207,41 @@ class TestRun:
         assert res["headroom"] > 1.0  # the margin is ~0 by construction; the headroom is not
 
     def test_ri_select_round_trip(self, tmp_path, rng):
-        n = 8
-        t = np.eye(n) + 0.05 * rng.standard_normal((n, n))
+        n, eps = 8, 0.8
+        for t in (np.eye(n) + 0.05 * rng.standard_normal((n, n)), 1e-3 * rng.standard_normal((n, n))):
+            src = tmp_path / "op.mat"
+            formats.write_matrix(src, t)
+            status, report = cli("ri-select", src, "--eps", eps, "-o", tmp_path / "sel.tsv")
+            assert status == EXIT_OK
+            assert list(report) == [
+                "command", "input", "sizes", "eps", "derived", "results", "status", "wall_clock_s"
+            ]
+            assert list(report["derived"]) == ["stable_rank", "selection_size"]
+            assert list(report["results"]) == ["selected", "gram_min_eigenvalue", "certified_floor"]
+            # independent references: numpy norms and the eigenvalues of the selected columns' Gram
+            hs, op = np.linalg.norm(t, "fro") ** 2, np.linalg.norm(t, 2) ** 2
+            selected, res = report["results"]["selected"], report["results"]
+            assert len(selected) == report["derived"]["selection_size"] == int(np.floor(eps**2 * hs / op))
+            assert report["derived"]["stable_rank"] == pytest.approx(hs / op, rel=1e-12)
+            cols = t[:, selected]
+            assert res["gram_min_eigenvalue"] == pytest.approx(np.linalg.eigvalsh(cols.T @ cols)[0], rel=1e-12)
+            assert res["certified_floor"] == pytest.approx((1 - eps) ** 2 * hs / n, rel=1e-12)
+            assert res["gram_min_eigenvalue"] >= res["certified_floor"]
+            assert formats.read_weights(tmp_path / "sel.tsv") == {idx: 1.0 for idx in selected}
+
+    def test_ri_select_empty_selection(self, tmp_path):
         src = tmp_path / "op.mat"
-        formats.write_matrix(src, t)
-        status, report = run(RunConfig(command="ri-select", eps=0.8, input=str(src)))
+        formats.write_matrix(src, np.diag([1.0, 1e-3]))  # stable rank ~1, so k = 0
+        with pytest.warns(UserWarning, match="stable rank"):
+            status, report = cli("ri-select", src, "--eps", 0.8)
         assert status == EXIT_OK
-        assert len(report["results"]["selected"]) == report["derived"]["selection_size"]
-        assert report["results"]["gram_min_eigenvalue"] >= report["results"]["certified_floor"] - 1e-8
+        assert report["derived"]["selection_size"] == 0
+        assert report["results"] == {"selected": [], "gram_min_eigenvalue": 0.0, "certified_floor": None}
 
     def test_ri_select_overflowing_gram_exit_code(self, tmp_path, rng):
         src = tmp_path / "op.mat"
         formats.write_matrix(src, 1e160 * rng.standard_normal((8, 8)))
-        status, report = run(RunConfig(command="ri-select", eps=0.8, input=str(src)))
+        status, report = cli("ri-select", src, "--eps", 0.8)
         assert status == EXIT_INPUT
         assert "overflows" in report["error"]
 
@@ -230,9 +250,7 @@ class TestRun:
         src = tmp_path / "pts.mat"
         formats.write_matrix(src, pts)
         out = tmp_path / "embedded.mat"
-        status, report = run(
-            RunConfig(command="embed-l1", eps=0.9, input=str(src), output=str(out))
-        )
+        status, report = cli("embed-l1", src, "--eps", 0.9, "-o", out)
         assert status == EXIT_OK
         res = report["results"]
         assert res["distortion_min"] >= 1.0 - 1e-8
@@ -245,20 +263,26 @@ class TestRun:
         basis = rng.standard_normal((2, 20))
         src = tmp_path / "basis.mat"
         formats.write_matrix(src, basis)
-        status, report = run(
-            RunConfig(command="embed-lp", eps=0.5, p=4, input=str(src))
-        )
+        status, report = cli("embed-lp", src, "--p", 4, "--eps", 0.5, "-o", tmp_path / "lp.tsv")
         assert status == EXIT_OK
         assert report["results"]["sampled_distortion_max"] <= 1.5 + 1e-8
+        # the same 200 seeded draws, one vector at a time, from the written weights
+        weights = formats.read_weights(tmp_path / "lp.tsv")
+        draws = np.random.default_rng(report["seed"])
+        worst = 1.0
+        for _ in range(200):
+            x = draws.standard_normal(2) @ basis
+            norm = np.sum(x**4) ** 0.25
+            if norm > 0.0:
+                worst = max(worst, sum(w * x[i] ** 4 for i, w in weights.items()) ** 0.25 / norm)
+        assert report["results"]["sampled_distortion_max"] == pytest.approx(worst, rel=1e-12)
 
     def test_john_approx_report(self, tmp_path):
         points = np.vstack([np.eye(3), -np.eye(3)])
         weights = np.full(6, 0.5)
         src = tmp_path / "john.mat"
         formats.write_matrix(src, np.column_stack([points, weights]))
-        status, report = run(
-            RunConfig(command="john-approx", eps=0.8, input=str(src))
-        )
+        status, report = cli("john-approx", src, "--eps", 0.8)
         assert status == EXIT_OK
         assert report["results"]["identity_residual"] <= 1e-8
         assert report["results"]["center_of_mass_max"] == 0.0
@@ -267,9 +291,8 @@ class TestRun:
         vectors = rng.standard_normal((10, 3))
         src = tmp_path / "frame.mat"
         formats.write_matrix(src, vectors)
-        config = RunConfig(command="sparsify-frame", eps=0.7, input=str(src))
-        _, first = run(config)
-        _, second = run(config)
+        _, first = cli("sparsify-frame", src, "--eps", 0.7)
+        _, second = cli("sparsify-frame", src, "--eps", 0.7)
         assert strip_timing(first) == strip_timing(second)
         assert list(first.keys()) == list(second.keys())
 
@@ -300,6 +323,19 @@ class TestMain:
         assert status == 0
         out = json.loads(capsys.readouterr().out)
         assert out["results"]["q_quality_lower_bound"] >= 8.0
+
+    def test_flags_no_runner_reads_are_rejected(self, tmp_path, capsys):
+        src = write_single_edge(tmp_path / "g.edges")
+        for argv in (["sparsify-graph", src, "--eps", "0.5", "--seed", "1"], ["verify", src, src, "-o", "h"]):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(argv)
+            assert exc.value.code == EXIT_INPUT
+            assert "unrecognized arguments" in capsys.readouterr().err
+        for argv in (
+            ["embed-lp", src, "--p", "4", "--eps", "0.5"],
+            ["cycle-demo", "--n", "5", "--p", "2", "--q", "4", "--eps", "0.5"],
+        ):
+            assert build_parser().parse_args([*argv, "--seed", "3"]).seed == 3
 
     def test_seed_flag_changes_probes(self, capsys):
         main(["cycle-demo", "--n", "5", "--p", "2", "--q", "4", "--eps", "0.5", "--seed", "7"])

@@ -152,6 +152,9 @@ class TestEmbedLpEven:
         embedded = apply_lp_embedding(x, selected, weights, 4)
         ratio = lp_norm(embedded, 4) / lp_norm(x, 4)
         assert 1.0 - 1e-9 <= ratio <= (1 + 0.5) ** 0.25 + 1e-9
+        # a batch embeds row by row
+        batch = apply_lp_embedding(np.stack([x, -x, 0 * x]), selected, weights, 4)
+        assert np.array_equal(batch, np.stack([embedded, -embedded, 0 * embedded]))
 
     def test_dimension_bound(self, rng):
         basis = rng.standard_normal((2, 20))

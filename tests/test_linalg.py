@@ -73,7 +73,7 @@ class TestIsotropicReduce:
             # draw w in the span of the input vectors
             w = vectors.T @ rng.standard_normal(m)
             original = np.sum((vectors @ w) ** 2)
-            transported = np.sum((reduced.vectors @ mapping.to_reduced(w)) ** 2)
+            transported = np.sum((reduced.vectors @ (mapping.matrix.T @ w)) ** 2)
             assert transported == pytest.approx(original, rel=1e-8)
 
     def test_lift_inverts_reduction(self, rng):

@@ -95,7 +95,7 @@ class TestQualityLowerBound:
         g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
         path = tmp_path / "probes.mat"
         formats.write_matrix(path, np.array([[0.0, 1.0, 2.0], [5.0, 5.0, 5.0]]))
-        probes = ProbeSet.from_matrix(formats.read_matrix(path), g, 2.0)
+        probes = ProbeSet.filtered(formats.read_matrix(path), g, 2.0)
         assert len(probes) == 1  # the constant row is filtered out
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import ri_select_oracle
+from rforge import RiSelection
 from rforge.errors import SelectionInvariantError
 from rforge.linalg import Frame
 from rforge.restricted import (
@@ -17,6 +18,20 @@ from rforge.restricted import (
 
 def basis_frame(n):
     return Frame(np.eye(n), isotropy_certified=True)
+
+
+def check_result(result, t, eps):
+    # certificate and stable rank against numpy, for T on a basis frame of R^n
+    n = t.shape[1]
+    lam = np.linalg.eigvalsh(result.gram)
+    cert = result.certificate
+    assert cert.measured_min == pytest.approx(lam[0], rel=1e-12)
+    assert cert.measured_max == pytest.approx(lam[-1], rel=1e-12)
+    assert cert.low == pytest.approx((1 - eps) ** 2 * np.linalg.norm(t, "fro") ** 2 / n, rel=1e-12)
+    assert cert.high == np.inf and cert.range_dim == len(result.selected)
+    assert cert.measured_min >= cert.low - 1e-8
+    expected_rank = np.linalg.norm(t, "fro") ** 2 / np.linalg.norm(t, 2) ** 2
+    assert result.stable_rank == pytest.approx(expected_rank, rel=1e-12)
 
 
 def well_spread_operator(rng, n):
@@ -61,7 +76,7 @@ class TestFirstStep:
         # lhs = (40/3)^2 = 1600/9, rhs = -(50/3) * (1 - 40/3) = 1850/9, so the
         # margin is -250/9; the tied column 1 loses to the lower index.
         history = []
-        sigma, _ = ri_select(basis_frame(2), np.eye(2), 0.8, history=history)
+        sigma, *_ = ri_select(basis_frame(2), np.eye(2), 0.8, history=history)
         expected_sigma, expected = ri_select_oracle(np.eye(2), np.eye(2), 0.8)
         assert sigma == expected_sigma == [0]
         for record in (history[0], expected[0]):
@@ -83,7 +98,7 @@ class TestRiSelect:
         # on a rotated basis, where rounding alone would decide
         q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
         for frame in (basis_frame(8), Frame(q, isotropy_certified=True)):
-            sigma, gram = ri_select(frame, np.eye(8), 0.5)
+            sigma, gram, *_ = ri_select(frame, np.eye(8), 0.5)
             assert sigma == [0, 1]
             assert np.allclose(gram, np.eye(2), atol=1e-12)
             assert np.linalg.eigvalsh(gram)[0] >= (1 - 0.5) ** 2 * 8 / 8 - 1e-8
@@ -97,17 +112,18 @@ class TestRiSelect:
                 k = selection_size(hs, op, eps)
                 if k == 0:
                     with pytest.warns(UserWarning, match="stable rank"):
-                        sigma, gram = ri_select(basis_frame(n), t, eps)
+                        sigma, gram, *_ = ri_select(basis_frame(n), t, eps)
                     assert sigma == []
                     continue
-                sigma, gram = ri_select(basis_frame(n), t, eps)
-                assert len(sigma) == k
-                assert np.linalg.eigvalsh(gram)[0] >= (1 - eps) ** 2 * hs / n - 1e-8
+                result = ri_select(basis_frame(n), t, eps)
+                assert len(result.selected) == k
+                assert np.linalg.eigvalsh(result.gram)[0] >= (1 - eps) ** 2 * hs / n - 1e-8
+                check_result(result, t, eps)
 
     def test_history_margins_strictly_feasible(self, rng):
         t = well_spread_operator(rng, 6)
         history = []
-        sigma, _ = ri_select(basis_frame(6), t, 0.6, history=history)
+        sigma, *_ = ri_select(basis_frame(6), t, 0.6, history=history)
         assert len(history) == len(sigma)
         for record in history:
             assert record["margin"] < 0.0
@@ -128,7 +144,7 @@ class TestRiSelect:
     def test_final_norm_bound_random_coefficients(self, rng):
         t = well_spread_operator(rng, 8)
         eps = 0.6
-        sigma, _ = ri_select(basis_frame(8), t, eps)
+        sigma, *_ = ri_select(basis_frame(8), t, eps)
         hs = float(np.sum(t * t))
         bound = (1 - eps) ** 2 * hs / 8
         cols = t[:, sigma]
@@ -140,7 +156,7 @@ class TestRiSelect:
         vectors = rng.standard_normal((10, 4)) * 2.0
         t = well_spread_operator(rng, 4)
         with pytest.warns(UserWarning, match="whitened"):
-            sigma, gram = ri_select(Frame(vectors), t, 0.8)
+            sigma, gram, *_ = ri_select(Frame(vectors), t, 0.8)
         assert len(sigma) == len(set(sigma))
         assert gram.shape == (len(sigma), len(sigma))
 
@@ -157,8 +173,11 @@ class TestRiSelect:
     def test_k_zero_warns(self):
         # scalar operator: stable rank 1, so eps < 1 always gives k = 0
         with pytest.warns(UserWarning, match="stable rank"):
-            sigma, gram = ri_select(basis_frame(1), np.eye(1), 0.5)
-        assert sigma == [] and gram.shape == (0, 0)
+            result = ri_select(basis_frame(1), np.eye(1), 0.5)
+        assert isinstance(result, RiSelection)
+        assert RiSelection._fields == ("selected", "gram", "certificate", "stable_rank")
+        assert result.selected == [] and result.gram.shape == (0, 0)
+        assert result.certificate is None and result.stable_rank == 1.0
 
     def test_near_identity_gives_large_selection(self, rng):
         n = 16
@@ -168,9 +187,12 @@ class TestRiSelect:
         eps = 0.8
         k = selection_size(hs, op, eps)
         assert k >= 6  # sanity: the instance is actually exercising the loop
-        sigma, gram = ri_select(basis_frame(n), t, eps)
-        assert len(sigma) == k
-        assert np.linalg.eigvalsh(gram)[0] >= (1 - eps) ** 2 * hs / n - 1e-8
+        result = ri_select(basis_frame(n), t, eps)
+        assert len(result.selected) == k
+        assert np.linalg.eigvalsh(result.gram)[0] >= (1 - eps) ** 2 * hs / n - 1e-8
+        check_result(result, t, eps)
+        for t in (rng.standard_normal((n, n)), rng.standard_normal((6, n)), np.diag(np.geomspace(1.0, 1e-3, n))):
+            check_result(ri_select(basis_frame(n), t, 0.9), t, 0.9)
 
 
 class TestEigenvalueCounts:
@@ -180,7 +202,7 @@ class TestEigenvalueCounts:
         n = 8
         t = np.eye(n) + 0.05 * rng.standard_normal((n, n))
         frame = basis_frame(n)
-        sigma, _ = ri_select(frame, t, 0.8)
+        sigma, *_ = ri_select(frame, t, 0.8)
         hs = float(np.sum(t * t))
         op = float(np.linalg.norm(t, 2) ** 2)
         a = np.zeros((n, n))
@@ -211,17 +233,22 @@ class TestScaleInvariance:
         frame = Frame(rng.standard_normal((3 * n, n))) if whitened else basis_frame(n)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            sigma, gram = ri_select(frame, t, 0.8)
-            assert len(sigma) >= 2
+            base = ri_select(frame, t, 0.8)
+            assert len(base.selected) >= 2
             for j in (-400, -100, 100, 400):
-                sigma_j, gram_j = ri_select(frame, np.ldexp(t, j), 0.8)
-                assert sigma_j == sigma
-                assert np.array_equal(gram_j, np.ldexp(gram, 2 * j))
+                scaled = ri_select(frame, np.ldexp(t, j), 0.8)
+                assert scaled.selected == base.selected
+                assert np.array_equal(scaled.gram, np.ldexp(base.gram, 2 * j))
+                for field in ("low", "high", "measured_min", "measured_max"):
+                    got, want = getattr(scaled.certificate, field), getattr(base.certificate, field)
+                    assert got == np.ldexp(want, 2 * j), field
+                assert scaled.certificate.range_dim == base.certificate.range_dim
+                assert scaled.stable_rank == base.stable_rank
 
     def test_tiny_operator_selects_the_same_columns(self, rng):
         t = rng.standard_normal((16, 16))
-        sigma, gram = ri_select(basis_frame(16), t, 0.8)
-        sigma_tiny, gram_tiny = ri_select(basis_frame(16), 1e-30 * t, 0.8)
+        sigma, gram, *_ = ri_select(basis_frame(16), t, 0.8)
+        sigma_tiny, gram_tiny, *_ = ri_select(basis_frame(16), 1e-30 * t, 0.8)
         assert sigma_tiny == sigma
         np.testing.assert_allclose(gram_tiny, 1e-60 * gram, rtol=1e-12, atol=0.0)
 
@@ -231,6 +258,11 @@ class TestScaleInvariance:
             ri_select(basis_frame(8), 1e160 * t, 0.8)
         with pytest.raises(ValueError, match="underflows"):
             ri_select(basis_frame(8), 1e-170 * t, 0.8)
+        # every Gram entry fits, but its top eigenvalue (1.3125 s^2 against
+        # entries up to 1.15625 s^2) does not
+        skewed = np.sqrt(np.finfo(float).max / 1.2) * (np.eye(8) + 0.5 / 8)
+        with pytest.raises(ValueError, match="overflows"):
+            ri_select(basis_frame(8), skewed, 0.8)
 
 
 class TestDenseOracle:
@@ -245,7 +277,7 @@ class TestDenseOracle:
             history = []
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                sigma, gram = ri_select(frame, t, eps, history=history)
+                sigma, gram, *_ = ri_select(frame, t, eps, history=history)
             expected_sigma, expected = ri_select_oracle(frame.vectors, t, eps)
             assert len(sigma) >= 2
             assert sigma == expected_sigma
