@@ -58,16 +58,15 @@ from .linalg import (
     EigenDecomposition,
     Frame,
     Incidence,
-    ReductionMap,
     certify_spectrum,
     eigh,
     isotropic_reduce,
     symmetrize,
 )
 from .nonlinear import (
-    ProbeSet,
     cycle_counterexample,
     monotonicity_check,
+    nonzero_energy_probes,
     p_energy,
     quality_lower_bound,
     standard_probes,
@@ -88,9 +87,7 @@ __all__ = [
     "Frame",
     "Incidence",
     "JohnDecomposition",
-    "ProbeSet",
     "QualityReport",
-    "ReductionMap",
     "RforgeError",
     "RiSelection",
     "SelectionInvariantError",
@@ -112,6 +109,7 @@ __all__ = [
     "isotropic_reduce",
     "laplacian",
     "monotonicity_check",
+    "nonzero_energy_probes",
     "p_energy",
     "quality_lower_bound",
     "ri_barrier",

@@ -101,32 +101,21 @@ class BarrierState:
 
 @dataclass
 class SparseWeights:
-    """Nonnegative reweighting of a frame, indexed by input position."""
+    """Positive weights on the frame rows ``support`` (ascending), aligned with ``weights``."""
 
-    weights: dict[int, float]
+    support: np.ndarray
+    weights: np.ndarray
     source_size: int
     certificate: Certificate  # the sandwich as sparsify_frame measured it
 
     def __post_init__(self):
-        for idx, w in self.weights.items():
-            if not 0 <= idx < self.source_size:
-                raise ValueError(f"weight index {idx} outside [0, {self.source_size})")
-            if not w > 0:
-                raise ValueError(f"weight for index {idx} must be positive, got {w}")
-
-    @property
-    def support(self) -> list[int]:
-        return sorted(self.weights)
-
-    @property
-    def support_size(self) -> int:
-        return len(self.weights)
-
-    def dense(self) -> np.ndarray:
-        out = np.zeros(self.source_size)
-        for idx, w in self.weights.items():
-            out[idx] = w
-        return out
+        self.support = np.asarray(self.support, dtype=np.intp)
+        self.weights = np.asarray(self.weights, dtype=float)
+        outside = self.support[(self.support < 0) | (self.support >= self.source_size)]
+        if outside.size:
+            raise ValueError(f"weight index {outside[0]} outside [0, {self.source_size})")
+        if self.weights.shape != self.support.shape or not np.all(self.weights > 0):
+            raise ValueError("weights must be positive and aligned with the support")
 
 
 def support_bound(n: int, eps: float) -> int:
@@ -418,9 +407,9 @@ def sparsify_frame(
     steps = support_bound(work.ambient_dim, eps)
     nonzero = np.flatnonzero(np.any(work.vectors != 0.0, axis=1))
     if nonzero.size <= steps:
-        uniform = {int(i): (1.0 - eps) ** 2 for i in nonzero}
+        uniform = np.full(nonzero.size, (1.0 - eps) ** 2)
         try:
-            return _certified(work, uniform, frame.size, eps)
+            return _certified(work, nonzero, uniform, frame.size, eps)
         except CertificationError:
             pass  # Gram only near I: the loop's final rescaling absorbs the gap
     state, totals = _run_barrier(work, eps, steps, history)
@@ -431,15 +420,14 @@ def sparsify_frame(
             f"final weighted sum is not positive definite on the span (lambda_min={lam_min:.3e})"
         )
     gamma = (1.0 - eps) ** 2 / lam_min
-    weights = {idx: gamma * t for idx, t in sorted(totals.items())}
-    return _certified(work, weights, frame.size, eps)
+    support = np.array(sorted(totals))
+    weights = gamma * np.array([totals[i] for i in support])
+    return _certified(work, support, weights, frame.size, eps)
 
 
-def _certified(work: Frame, weights: dict[int, float], size: int, eps: float) -> SparseWeights:
-    idx = sorted(weights)
-    rows = work.vectors[idx]
-    s = np.array([weights[i] for i in idx])
+def _certified(work: Frame, support: np.ndarray, s: np.ndarray, size: int, eps: float) -> SparseWeights:
+    rows = work.vectors[support]
     lam = eigh(symmetrize((rows * s[:, None]).T @ rows)).values
     low, high = (1.0 - eps) ** 2, (1.0 + eps) ** 2
     cert = certify_spectrum(lam, low, high, tol=_SANDWICH_TOL, what="weighted sum")
-    return SparseWeights(weights, size, cert)
+    return SparseWeights(support, s, size, cert)

@@ -36,9 +36,9 @@ from .graphs import sparsify_graph, spectral_gap_ratio, verify_quality
 from .linalg import Frame
 from .nonlinear import (
     DEFAULT_PROBE_SEED,
-    ProbeSet,
     cycle_counterexample,
     energy_ratio_range,
+    nonzero_energy_probes,
     quality_lower_bound,
     standard_probes,
 )
@@ -94,7 +94,7 @@ def _run_sparsify_frame(args: argparse.Namespace) -> dict:
     cert = weights.certificate
     certificate = {
         "eps": eps,
-        "support": weights.support_size,
+        "support": len(weights.support),
         "support_bound": support_bound(vectors.shape[1], eps),
         "quadratic_ratio_min": cert.measured_min,
         "quadratic_ratio_max": cert.measured_max,
@@ -105,7 +105,8 @@ def _run_sparsify_frame(args: argparse.Namespace) -> dict:
         "headroom": cert.headroom,
     }
     if args.output:
-        formats.write_weights(args.output, weights.weights, certificate)
+        by_index = dict(zip(weights.support.tolist(), weights.weights.tolist()))
+        formats.write_weights(args.output, by_index, certificate)
     return {
         "sizes": {"vectors": vectors.shape[0], "dimension": vectors.shape[1]},
         "eps": eps,
@@ -155,8 +156,7 @@ def _run_embed_l1(args: argparse.Namespace) -> dict:
     if args.output:
         formats.write_matrix(args.output, embedded.points)
     n = points.shape[0]
-    direct = np.sum(np.abs(points[:, None, :] - points[None, :, :]), axis=2)
-    image = np.sum(np.abs(embedded.points[:, None, :] - embedded.points[None, :, :]), axis=2)
+    direct, image = _pairwise_l1(points), _pairwise_l1(embedded.points)
     mask = direct > 0
     ratios = image[mask] / direct[mask]
     eps0 = barrier_eps_for_ratio(1.0 + eps)
@@ -173,6 +173,14 @@ def _run_embed_l1(args: argparse.Namespace) -> dict:
     }
 
 
+def _pairwise_l1(points: np.ndarray) -> np.ndarray:
+    """n x n matrix of l1 distances between rows, one coordinate at a time (O(n^2) memory)."""
+    out = np.zeros((points.shape[0], points.shape[0]))
+    for col in points.T:
+        out += np.abs(col[:, None] - col[None, :])
+    return out
+
+
 def _run_embed_lp(args: argparse.Namespace) -> dict:
     eps = check_eps(args.eps)
     p = args.p
@@ -181,8 +189,8 @@ def _run_embed_lp(args: argparse.Namespace) -> dict:
     if args.output:
         formats.write_weights(
             args.output,
-            dict(zip(selected, weights)),
-            {"p": p, "eps": eps, "selected": selected},
+            dict(zip(selected.tolist(), weights.tolist())),
+            {"p": p, "eps": eps, "selected": selected.tolist()},
         )
     n = basis.shape[0]
     half = p // 2
@@ -241,8 +249,8 @@ def _run_verify(args: argparse.Namespace) -> dict:
         "results": {
             "quality_min": report_quality.min_quotient,
             "quality_max": report_quality.max_quotient,
-            "reference_support_ordered": report_quality.reference_support,
-            "candidate_support_ordered": report_quality.candidate_support,
+            "reference_support_ordered": g.ordered_support_size,
+            "candidate_support_ordered": h.ordered_support_size,
             "range_dim": report_quality.range_dim,
         },
     }
@@ -251,9 +259,7 @@ def _run_verify(args: argparse.Namespace) -> dict:
 def _run_cycle_demo(args: argparse.Namespace) -> dict:
     n, p, q, eps = args.n, args.p, args.q, args.eps
     g, h, witnesses = cycle_counterexample(n, p, eps)
-    probes = ProbeSet.filtered(
-        witnesses.probes + standard_probes(n, seed=args.seed), g, p
-    )
+    probes = nonzero_energy_probes(np.vstack([witnesses, standard_probes(n, seed=args.seed)]), g, p)
     low_p, high_p = energy_ratio_range(g, h, p, probes)
     p_quality = high_p / low_p if low_p > 0 else float("inf")
     q_bound = quality_lower_bound(g, h, q, witnesses)

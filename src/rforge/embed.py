@@ -105,12 +105,10 @@ def approximate_john(jd: JohnDecomposition, eps: float) -> JohnDecomposition:
     scaled = jd.points * np.sqrt(jd.weights)[:, None]
     frame = Frame(scaled, isotropy_certified=True)
     sparse = sparsify_frame(frame, eps0)
-    lift = 1.0 / (1.0 - eps0) ** 2
-
     support = sparse.support
-    if len(support) > support_bound(jd.dim, eps0):
+    if support.size > support_bound(jd.dim, eps0):
         raise CertificationError("support exceeded its bound; barrier iteration misbehaved")
-    s = np.array([sparse.weights[i] * lift for i in support])
+    s = sparse.weights * (1.0 / (1.0 - eps0) ** 2)
     pts = jd.points[support]
     wts = jd.weights[support]
 
@@ -162,12 +160,6 @@ class CutDecomposition:
             out[row, sorted(subset)] = 1.0
         return out
 
-    def distances(self) -> np.ndarray:
-        b = self.indicator_matrix()
-        w = np.array([weight for _, weight in self.cuts])
-        profiles = b.T  # row i marks the cuts containing point i
-        return np.sum(w * np.abs(profiles[:, None, :] - profiles[None, :, :]), axis=2)
-
 
 def cut_decompose(points: np.ndarray) -> CutDecomposition:
     """Exact cut-cone representation of the L1 metric of a finite point set.
@@ -195,16 +187,18 @@ def cut_decompose(points: np.ndarray) -> CutDecomposition:
 
 @dataclass
 class EmbeddedPoints:
-    """n points in R^k meant to be compared in the p-norm."""
+    """n points in R^k, one per row, meant to be compared in the l1 norm."""
 
-    k: int
     points: np.ndarray
-    p: float
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float)
-        if self.points.ndim != 2 or self.points.shape[1] != self.k:
-            raise ValueError(f"points must be (n, {self.k}), got {self.points.shape}")
+        if self.points.ndim != 2:
+            raise ValueError(f"points must be a 2-D array, got shape {self.points.shape}")
+
+    @property
+    def k(self) -> int:
+        return self.points.shape[1]
 
 
 def embed_l1(points: np.ndarray, eps: float) -> EmbeddedPoints:
@@ -226,20 +220,18 @@ def embed_l1(points: np.ndarray, eps: float) -> EmbeddedPoints:
     decomposition = cut_decompose(pts)
     if decomposition.size == 0:
         # all points coincide; the zero embedding is exact
-        return EmbeddedPoints(1, np.zeros((n, 1)), 1.0)
+        return EmbeddedPoints(np.zeros((n, 1)))
     eps0 = barrier_eps_for_ratio(1.0 + eps)
     indicators = decomposition.indicator_matrix()
     cut_weights = np.array([w for _, w in decomposition.cuts])
     frame = Frame(indicators * np.sqrt(cut_weights)[:, None])
     sparse = sparsify_frame(frame, eps0)
-    lift = 1.0 / (1.0 - eps0) ** 2
-    support = sparse.support
-    scaled = np.array([sparse.weights[i] * lift for i in support]) * cut_weights[support]
-    coords = indicators[support].T * scaled  # point i's row: s_E w_E 1_E(i)
-    return EmbeddedPoints(len(support), coords, 1.0)
+    scaled = sparse.weights * (1.0 / (1.0 - eps0) ** 2) * cut_weights[sparse.support]
+    coords = indicators[sparse.support].T * scaled  # point i's row: s_E w_E 1_E(i)
+    return EmbeddedPoints(coords)
 
 
-def embed_lp_even(basis: np.ndarray, p: int, eps: float) -> tuple[list[int], list[float]]:
+def embed_lp_even(basis: np.ndarray, p: int, eps: float) -> tuple[np.ndarray, np.ndarray]:
     """Coordinate selection preserving p-norms on a subspace, p even >= 4.
 
     ``basis`` holds n linearly independent vectors (rows) spanning a
@@ -291,15 +283,12 @@ def embed_lp_even(basis: np.ndarray, p: int, eps: float) -> tuple[list[int], lis
     eps0 = barrier_eps_for_ratio(1.0 + eps * p / 4.0)
     sparse = sparsify_frame(frame, eps0)
     lift = 1.0 / (1.0 - eps0) ** 2
-    selected = sparse.support
-    weights = [sparse.weights[i] * lift for i in selected]
-
     lifted = [sparse.certificate.measured_min * lift, sparse.certificate.measured_max * lift]
     certify_spectrum(lifted, 1.0, 1.0 + eps * p / 4.0, tol=1e-8, what="lifted-space")
-    return selected, weights
+    return sparse.support, sparse.weights * lift
 
 
-def apply_lp_embedding(x: np.ndarray, selected: list[int], weights: list[float], p: int) -> np.ndarray:
+def apply_lp_embedding(x: np.ndarray, selected, weights, p: int) -> np.ndarray:
     """Realize the even-p coordinate embedding on a vector, or on each row of a batch."""
     x = np.asarray(x, dtype=float)
     w = np.asarray(weights, dtype=float)

@@ -22,9 +22,7 @@ import numpy as np
 
 from .bss import check_eps, sparsify_frame
 from .errors import CertificationError
-from .linalg import Frame, Incidence, eigh, symmetrize
-
-_KERNEL_TOL = 1e-8  # relative size at which a Laplacian eigenvalue or kernel residual is zero
+from .linalg import _RANK_RTOL, Frame, Incidence, eigh, symmetrize
 
 
 @dataclass
@@ -79,8 +77,6 @@ class QualityReport:
 
     min_quotient: float
     max_quotient: float
-    reference_support: int
-    candidate_support: int
     range_dim: int
 
 
@@ -115,18 +111,26 @@ def sparsify_graph(g: WeightedGraph, eps: float, *, history: list | None = None)
     The output H keeps a subset of g's edges (at most ceil(n/eps^2) of
     them), reweighted so the generalized Rayleigh quotients of (L_H, L_G)
     on the range of L_G lie in [1, ((1+eps)/(1-eps))^2].  Vertices with no
-    surviving edge are kept; the Laplacian kernel is preserved.
+    surviving edge are kept; the Laplacian kernel is preserved.  The range
+    of L_G has dimension n minus the number of connected components; when
+    whitening the edge frame resolves fewer directions (edge weights
+    spanning about 1e16), CertificationError is raised.
     """
     check_eps(eps)
     if g.edge_count == 0:
         return WeightedGraph(g.n, [])
-    frame = edge_frame(g)
-    weights = sparsify_frame(frame, eps, history=history)
+    sparse = sparsify_frame(edge_frame(g), eps, history=history)
+    r = g.n - len(set(_components(g)))
+    if sparse.certificate.range_dim != r:
+        raise CertificationError(
+            f"whitening resolved {sparse.certificate.range_dim} of the Laplacian's {r} range "
+            "directions; the edge weights span too wide a range to certify"
+        )
     # Lift the frame certificate's lower constant to exactly 1.
-    lift = 1.0 / (1.0 - eps) ** 2
+    weights = sparse.weights * (1.0 / (1.0 - eps) ** 2)
     edges = [
-        (g.edges[idx][0], g.edges[idx][1], weights.weights[idx] * lift * g.edges[idx][2])
-        for idx in weights.support
+        (g.edges[idx][0], g.edges[idx][1], w * g.edges[idx][2])
+        for idx, w in zip(sparse.support, weights)
     ]
     return WeightedGraph(g.n, edges)
 
@@ -153,12 +157,14 @@ def verify_quality(g: WeightedGraph, h: WeightedGraph) -> QualityReport:
 
     Checks the support precondition and, exactly, that h connects every
     pair of vertices g connects (raising CertificationError with a witness
-    edge or vertex pair on violation), then the kernel residual.  With
-    L_G = V diag(lambda) V^T on its range, the generalized Rayleigh
-    quotients of (L_H, L_G) there are the eigenvalues of W^T L_H W for
-    W = V diag(lambda)^(-1/2); both decompositions use the validated
-    ``eigh``.  Eigenvalues of L_G below 1e-8 times max(1, its largest)
-    count as its kernel.
+    edge or vertex pair on violation).  The component indicators of g then
+    span the kernel of both Laplacians, so the range of L_G has dimension
+    r = n - (number of components).  With L_G = V diag(lambda) V^T on its
+    top r eigenpairs, the generalized Rayleigh quotients of (L_H, L_G) there
+    are the eigenvalues of W^T L_H W for W = V diag(lambda)^(-1/2); both
+    decompositions use the validated ``eigh``.  If lambda_r is not above
+    n * eps_mach * lambda_1, the rank floor of ``isotropic_reduce``, the
+    range cannot be resolved in float64 and CertificationError is raised.
     """
     if g.n != h.n:
         raise ValueError(f"vertex counts differ: {g.n} vs {h.n}")
@@ -169,38 +175,27 @@ def verify_quality(g: WeightedGraph, h: WeightedGraph) -> QualityReport:
             f"candidate edge {witness} is not in the reference graph's support"
         )
     # h's edges are g's, so its components refine g's; they must coincide.
-    for v, (root_g, root_h) in enumerate(zip(_components(g), _components(h))):
+    roots = _components(g)
+    for v, (root_g, root_h) in enumerate(zip(roots, _components(h))):
         if root_h != root_g:
             raise CertificationError(
                 f"candidate disconnects vertices {root_g} and {v}, which the reference "
                 "graph connects; its quadratic form vanishes on a vector the reference's does not"
             )
-    lap_g = laplacian(g)
-    lap_h = laplacian(h)
-    decomp = eigh(lap_g)
-    scale = max(float(decomp.values[0]), 1.0)
-    in_range = decomp.values > _KERNEL_TOL * scale
-    kernel_vectors = decomp.vectors[:, ~in_range]
-    if kernel_vectors.shape[1]:
-        residuals = np.linalg.norm(lap_h @ kernel_vectors, axis=0)
-        worst = int(np.argmax(residuals))
-        if residuals[worst] > _KERNEL_TOL * max(1.0, float(np.abs(lap_h).max())):
-            raise CertificationError(
-                "kernel vector of the reference Laplacian is not annihilated by the "
-                f"candidate (residual {residuals[worst]:.3e}); witness vector index {worst}"
-            )
-    r = int(np.count_nonzero(in_range))
+    r = g.n - len(set(roots))
     if r == 0:
-        return QualityReport(1.0, 1.0, g.ordered_support_size, h.ordered_support_size, 0)
-    whiten = decomp.vectors[:, in_range] / np.sqrt(decomp.values[in_range])
-    quotients = eigh(symmetrize(whiten.T @ lap_h @ whiten)).values
-    return QualityReport(
-        min_quotient=float(quotients[-1]),
-        max_quotient=float(quotients[0]),
-        reference_support=g.ordered_support_size,
-        candidate_support=h.ordered_support_size,
-        range_dim=r,
-    )
+        return QualityReport(1.0, 1.0, 0)
+    decomp = eigh(laplacian(g))
+    lam = decomp.values
+    floor = g.n * _RANK_RTOL * lam[0]
+    if not lam[r - 1] > floor:
+        raise CertificationError(
+            f"reference Laplacian eigenvalue {r} of {g.n} ({lam[r - 1]:.3e}) is not above the "
+            f"float64 rank floor {floor:.3e}; its range cannot be resolved"
+        )
+    whiten = decomp.vectors[:, :r] / np.sqrt(lam[:r])
+    quotients = eigh(symmetrize(whiten.T @ laplacian(h) @ whiten)).values
+    return QualityReport(float(quotients[-1]), float(quotients[0]), r)
 
 
 def spectral_gap_ratio(h: WeightedGraph) -> float:

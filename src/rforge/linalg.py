@@ -171,23 +171,6 @@ class EigenDecomposition:
         return (self.vectors * self.values) @ self.vectors.T
 
 
-@dataclass
-class ReductionMap:
-    """Invertible change of coordinates between a frame's span and R^r.
-
-    ``matrix`` (shape (n, r)) lifts reduced vectors back to the original
-    space, x_i == matrix @ y_i, so its transpose carries a direction w in
-    the span to the reduced coordinates with matching quadratic forms:
-    sum_i <x_i, w>^2 == sum_i <y_i, matrix.T @ w>^2.
-    """
-
-    matrix: np.ndarray
-
-    @property
-    def rank(self) -> int:
-        return self.matrix.shape[1]
-
-
 def eigh(m: np.ndarray) -> EigenDecomposition:
     """Eigendecomposition of a symmetric matrix, eigenvalues descending.
 
@@ -219,17 +202,19 @@ def eigh(m: np.ndarray) -> EigenDecomposition:
     return decomp
 
 
-def isotropic_reduce(frame: Frame) -> tuple[Frame, ReductionMap]:
+def isotropic_reduce(frame: Frame) -> tuple[Frame, np.ndarray]:
     """Whiten a frame to an exact decomposition of the identity on its span.
 
     Computes A = sum_i x_i (x) x_i, eigendecomposes it, discards eigenvalues
     below n times the machine epsilon times the largest one, and rescales
     the frame into the r-dimensional range coordinates.  A final symmetric
     correction makes the reduced Gram matrix equal the identity to machine
-    precision, so the returned frame is isotropy-certified.  The
-    accompanying ReductionMap converts directions between the two
-    coordinate systems; an ``incidence`` factor is carried along, its basis
-    composed with the whitening map.
+    precision, so the returned frame is isotropy-certified.  The returned
+    lift (shape (n, r)) maps reduced vectors back, x_i == lift @ y_i, so
+    its transpose carries a direction w in the span to reduced coordinates
+    with matching quadratic forms: sum_i <x_i, w>^2 == sum_i <y_i, lift.T @ w>^2.
+    An ``incidence`` factor is carried along, its basis composed with the
+    whitening map.
 
     The frame is first scaled by the power of two that puts its largest
     entry in [0.5, 1), and the lift and the incidence basis absorb that
@@ -267,8 +252,7 @@ def isotropic_reduce(frame: Frame) -> tuple[Frame, ReductionMap]:
         composed = incidence.basis @ np.ldexp(whiten @ inv_sqrt, -exponent)
         incidence = replace(incidence, basis=composed)
     out = Frame(reduced, isotropy_certified=True, incidence=incidence)
-    return out, ReductionMap(matrix=lift)
-
+    return out, lift
 
 
 @dataclass(frozen=True)

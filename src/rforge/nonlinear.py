@@ -15,8 +15,6 @@ exponent q > p grows like eps * (n-1)^(q-p); it separates the exponents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import CertificationError
@@ -26,39 +24,22 @@ DEFAULT_PROBE_SEED = 0x5EED
 DEFAULT_PROBE_COUNT = 500
 
 
-@dataclass
-class ProbeSet:
-    """Vertex-value configurations with nonzero reference energy.
+def nonzero_energy_probes(candidates, g: WeightedGraph, p: float) -> np.ndarray:
+    """Rows of ``candidates`` with positive p-energy on g, as a (k, n) array.
 
-    Build through :meth:`filtered`, which drops configurations whose energy
-    vanishes on the graph under test (they would make the quality ratio
-    undefined).
+    Configurations whose energy vanishes on the graph under test would make
+    the quality ratio undefined, so they are dropped.
     """
-
-    probes: list[np.ndarray]
-
-    def __post_init__(self):
-        if not self.probes:
-            raise ValueError("probe set is empty")
-        self.probes = [np.asarray(x, dtype=float) for x in self.probes]
-
-    @classmethod
-    def filtered(cls, candidates, g: WeightedGraph, p: float) -> "ProbeSet":
-        candidates = list(candidates)
-        energies = _energies(g, candidates, p) if candidates else []
-        kept = [x for x, energy in zip(candidates, energies) if energy > 0.0]
-        if not kept:
-            raise ValueError("every candidate probe has zero energy on the reference graph")
-        return cls(kept)
-
-    def __len__(self) -> int:
-        return len(self.probes)
+    x = np.asarray(candidates, dtype=float)
+    kept = x[_energies(g, x, p) > 0.0]
+    if not kept.shape[0]:
+        raise ValueError("every candidate probe has zero energy on the reference graph")
+    return kept
 
 
-def standard_probes(n: int, *, count: int = DEFAULT_PROBE_COUNT, seed: int = DEFAULT_PROBE_SEED):
-    """Reproducible standard-normal probe configurations."""
-    rng = np.random.default_rng(seed)
-    return [rng.standard_normal(n) for _ in range(count)]
+def standard_probes(n: int, *, seed: int = DEFAULT_PROBE_SEED) -> np.ndarray:
+    """Reproducible standard-normal probe configurations, one per row."""
+    return np.random.default_rng(seed).standard_normal((DEFAULT_PROBE_COUNT, n))
 
 
 def p_energy(g: WeightedGraph, x: np.ndarray, p: float) -> float:
@@ -82,9 +63,9 @@ def _energies(g: WeightedGraph, probes, p: float) -> np.ndarray:
 
 
 def energy_ratio_range(
-    g: WeightedGraph, h: WeightedGraph, p: float, probes: ProbeSet
+    g: WeightedGraph, h: WeightedGraph, p: float, probes: np.ndarray
 ) -> tuple[float, float]:
-    """Extreme values of R(x) = E_h(x)/E_g(x) over the probe set.
+    """Extreme values of R(x) = E_h(x)/E_g(x) over the probes (rows).
 
     The smallest ratio is the optimal global scaling exhibiting the quality
     bound; the spread max/min is the quality lower bound itself.
@@ -92,11 +73,11 @@ def energy_ratio_range(
     extra = h.edge_pairs() - g.edge_pairs()
     if extra:
         raise ValueError(f"candidate edge {min(extra)} missing from the reference support")
-    ratios = _energies(h, probes.probes, p) / _energies(g, probes.probes, p)
+    ratios = _energies(h, probes, p) / _energies(g, probes, p)
     return float(ratios.min()), float(ratios.max())
 
 
-def quality_lower_bound(g: WeightedGraph, h: WeightedGraph, p: float, probes: ProbeSet) -> float:
+def quality_lower_bound(g: WeightedGraph, h: WeightedGraph, p: float, probes: np.ndarray) -> float:
     """Certified lower bound on h's quality as a p-sparsifier of g.
 
     Evaluates the energy ratio R(x) = E_h(x)/E_g(x) over the probes and
@@ -110,14 +91,15 @@ def quality_lower_bound(g: WeightedGraph, h: WeightedGraph, p: float, probes: Pr
     return high / low
 
 
-def cycle_counterexample(n: int, p: float, eps: float) -> tuple[WeightedGraph, WeightedGraph, ProbeSet]:
+def cycle_counterexample(n: int, p: float, eps: float) -> tuple[WeightedGraph, WeightedGraph, np.ndarray]:
     """Weighted n-cycle pair separating p-quality from q-quality, q > p.
 
     One cycle edge has weight 1; the remaining path edges carry weight
     (n-1)^(p-1)/eps.  Dropping the light edge yields a p-sparsifier of
     quality at most 1+eps, yet evaluating at the returned witnesses (the
     ramp x_i = i and the single-vertex indicator) shows quality at least
-    eps * (n-1)^(q-p) at any exponent q > p.
+    eps * (n-1)^(q-p) at any exponent q > p.  The witnesses are the rows
+    of a (2, n) array; both have positive energy on g.
     """
     if n < 3:
         raise ValueError(f"cycle needs at least 3 vertices, got {n}")
@@ -127,10 +109,9 @@ def cycle_counterexample(n: int, p: float, eps: float) -> tuple[WeightedGraph, W
     path = [(i, i + 1, heavy) for i in range(n - 1)]
     g = WeightedGraph(n, path + [(0, n - 1, 1.0)])
     h = WeightedGraph(n, path)
-    ramp = np.arange(n, dtype=float)
-    indicator = np.zeros(n)
-    indicator[1] = 1.0
-    witnesses = ProbeSet.filtered([ramp, indicator], g, p)
+    witnesses = np.zeros((2, n))
+    witnesses[0] = np.arange(n)
+    witnesses[1, 1] = 1.0
     return g, h, witnesses
 
 
@@ -139,7 +120,7 @@ def monotonicity_check(
     h: WeightedGraph,
     p: float,
     q: float,
-    probes: ProbeSet,
+    probes: np.ndarray,
     quality: float,
 ) -> dict:
     """Check that a certified p-sparsifier also behaves at exponents q <= p.

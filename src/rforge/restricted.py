@@ -137,13 +137,13 @@ def ri_select(
 
     work = frame
     if not frame.isotropy_certified:
-        work, mapping = isotropic_reduce(frame)
-        t = t @ mapping.matrix
+        work, lift = isotropic_reduce(frame)
+        t = t @ lift
         if not np.all(np.isfinite(t)):
             raise ValueError("operator overflows float64 when conjugated onto the whitened span")
         warnings.warn(
             f"frame was not a decomposition of the identity; whitened onto its span "
-            f"(rank {mapping.rank}) and conjugated the operator accordingly",
+            f"(rank {lift.shape[1]}) and conjugated the operator accordingly",
             stacklevel=2,
         )
     if t.shape[1] != work.ambient_dim:

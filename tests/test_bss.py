@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg
 
 from rforge.bss import (
+    SparseWeights,
     barrier_gaps,
     candidate_scores,
     initial_barrier_state,
@@ -18,6 +19,13 @@ from rforge.graphs import WeightedGraph, edge_frame
 from rforge.linalg import Frame, eigh, isotropic_reduce, symmetrize
 
 from oracles import barrier_step_oracle
+
+
+def dense(weights):
+    """Per-row weights of a SparseWeights, zero off its support."""
+    out = np.zeros(weights.source_size)
+    out[weights.support] = weights.weights
+    return out
 
 
 def scalar_frame():
@@ -122,14 +130,24 @@ class TestSelectAndStep:
             select_and_step(state, scalar_frame(), np.array([1.0]), np.array([0.5]))
 
 
+class TestSparseWeights:
+    def test_rejects_out_of_range_index_and_nonpositive_weight(self):
+        cert = sparsify_frame(scalar_frame(), 0.5).certificate
+        assert SparseWeights([0, 2], [1.0, 0.5], 3, cert).support.dtype == np.intp
+        with pytest.raises(ValueError, match="index 3 outside"):
+            SparseWeights([0, 3], [1.0, 0.5], 3, cert)
+        with pytest.raises(ValueError, match="positive"):
+            SparseWeights([0, 2], [1.0, 0.0], 3, cert)
+
+
 class TestSparsifyFrame:
     def test_diagonal_case(self):
         frame = Frame(np.eye(2), isotropy_certified=True)
         weights = sparsify_frame(frame, 0.5)
-        assert weights.support_size <= support_bound(2, 0.5)
-        assert set(weights.support) <= {0, 1}
+        assert len(weights.support) <= support_bound(2, 0.5)
+        assert set(weights.support.tolist()) <= {0, 1}
         total = symmetrize(
-            (frame.vectors * weights.dense()[:, None]).T @ frame.vectors
+            (frame.vectors * dense(weights)[:, None]).T @ frame.vectors
         )
         lam = np.linalg.eigvalsh(total)
         assert lam[0] >= 0.25 - 1e-8 and lam[-1] <= 2.25 + 1e-8
@@ -140,7 +158,7 @@ class TestSparsifyFrame:
         history = []
         weights = sparsify_frame(random_isotropic_frame(rng, 3, 12), eps, history=history)
         assert history == []
-        assert all(w == (1 - eps) ** 2 for w in weights.weights.values())
+        assert np.all(weights.weights == (1 - eps) ** 2)
         # m = 13: the loop runs, and its final unscaled spectrum fits the ratio
         sparsify_frame(random_isotropic_frame(rng, 3, 13), eps, history=history)
         last = history[-1]
@@ -152,10 +170,9 @@ class TestSparsifyFrame:
         vectors = rng.standard_normal((60, 6))
         frame = Frame(vectors)
         weights = sparsify_frame(frame, eps)
-        assert weights.support_size <= support_bound(6, eps)
+        assert len(weights.support) <= support_bound(6, eps)
         # independent verifier: eigendecompose the weighted sum directly
-        dense = weights.dense()
-        weighted = symmetrize((vectors * dense[:, None]).T @ vectors)
+        weighted = symmetrize((vectors * dense(weights)[:, None]).T @ vectors)
         plain = symmetrize(vectors.T @ vectors)
         lam_w = np.linalg.eigvalsh(weighted)
         lam_p = np.linalg.eigvalsh(plain)
@@ -168,12 +185,12 @@ class TestSparsifyFrame:
     def test_support_bound_exact_count(self, rng):
         frame = random_isotropic_frame(rng, 2, 40)
         weights = sparsify_frame(frame, 0.9)
-        assert weights.support_size <= math.ceil(2 / 0.81)
+        assert len(weights.support) <= math.ceil(2 / 0.81)
 
     def test_weights_accumulate_on_repeats(self):
         weights = sparsify_frame(scalar_frame(), 0.5)
         # all four iterations pick the single vector; weights fold together
-        assert weights.support == [0]
+        assert weights.support.tolist() == [0]
         assert weights.weights[0] == pytest.approx(0.25, rel=1e-12)
 
     def test_eps_validation(self):
@@ -187,8 +204,7 @@ class TestSparsifyFrame:
         vectors[:, 2] = vectors[:, 0] + vectors[:, 1]  # rank 2
         eps = 0.7
         weights = sparsify_frame(Frame(vectors), eps)
-        dense = weights.dense()
-        weighted = symmetrize((vectors * dense[:, None]).T @ vectors)
+        weighted = symmetrize((vectors * dense(weights)[:, None]).T @ vectors)
         plain = symmetrize(vectors.T @ vectors)
         lam, vecs = np.linalg.eigh(plain)
         keep = lam > 1e-12 * lam[-1]
@@ -207,7 +223,7 @@ class TestShortCircuit:
         history = []
         weights = sparsify_frame(random_isotropic_frame(rng, 3, bound), eps, history=history)
         assert history == []
-        assert weights.support == list(range(bound))
+        assert weights.support.tolist() == list(range(bound))
         sparsify_frame(random_isotropic_frame(rng, 3, bound + 1), eps, history=history)
         assert len(history) == bound
 
@@ -215,13 +231,15 @@ class TestShortCircuit:
         vectors = rng.standard_normal((6, 3))
         vectors[[1, 4]] = 0.0
         weights = sparsify_frame(Frame(vectors), 0.5)
-        assert weights.support == [0, 2, 3, 5]
+        assert weights.support.tolist() == [0, 2, 3, 5]
 
     def test_rescaling_gives_identical_weights(self, rng):
         vectors = rng.standard_normal((10, 3))
         weights = sparsify_frame(Frame(vectors), 0.5)
-        assert weights.support_size == 10
-        assert sparsify_frame(Frame(1e3 * vectors), 0.5).weights == weights.weights
+        assert len(weights.support) == 10
+        scaled = sparsify_frame(Frame(1e3 * vectors), 0.5)
+        assert np.array_equal(scaled.support, weights.support)
+        assert np.array_equal(scaled.weights, weights.weights)
 
     def test_uncertifiable_uniform_weights_run_the_loop(self, rng):
         # certified isotropic to 9.9e-9 max-entry, but lambda_min(Gram) is
@@ -232,7 +250,7 @@ class TestShortCircuit:
         history = []
         weights = sparsify_frame(near, 0.5, history=history)
         assert len(history) == support_bound(6, 0.5)
-        weighted = symmetrize((near.vectors * weights.dense()[:, None]).T @ near.vectors)
+        weighted = symmetrize((near.vectors * dense(weights)[:, None]).T @ near.vectors)
         lam = np.linalg.eigvalsh(weighted)
         assert lam[0] >= 0.25 - 1e-8 and lam[-1] <= 2.25 + 1e-8
 
@@ -241,10 +259,12 @@ class TestScaleInvariance:
     @pytest.mark.parametrize("rows, dim", [(60, 6), (600, 24)])
     def test_power_of_two_rescaling_gives_identical_weights(self, rng, rows, dim):
         vectors = rng.standard_normal((rows, dim)) * np.exp(rng.uniform(-2.0, 2.0, dim))
-        weights = sparsify_frame(Frame(vectors), 0.5).weights
-        assert len(weights) < rows  # the barrier loop ran
+        weights = sparsify_frame(Frame(vectors), 0.5)
+        assert len(weights.support) < rows  # the barrier loop ran
         for j in (-500, -100, 100, 500):
-            assert sparsify_frame(Frame(np.ldexp(vectors, j)), 0.5).weights == weights
+            scaled = sparsify_frame(Frame(np.ldexp(vectors, j)), 0.5)
+            assert np.array_equal(scaled.support, weights.support)
+            assert np.array_equal(scaled.weights, weights.weights)
 
     @pytest.mark.parametrize("factor", [1e160, 1e-170])
     def test_extreme_scales_certify(self, rng, factor):
@@ -254,7 +274,7 @@ class TestScaleInvariance:
         cert = weights.certificate
         assert cert.range_dim == 6
         assert cert.measured_min >= 0.25 - 1e-8 and cert.measured_max <= 2.25 + 1e-8
-        assert set(weights.weights) == set(sparsify_frame(Frame(vectors), 0.5).weights)
+        assert np.array_equal(weights.support, sparsify_frame(Frame(vectors), 0.5).support)
 
 
 class TestCertificate:

@@ -6,7 +6,10 @@ import scipy.linalg
 
 from rforge import formats
 from rforge.cli import EXIT_CERTIFICATION, EXIT_INPUT, EXIT_OK, build_parser, main, run
+from rforge.embed import JohnDecomposition
 from rforge.graphs import WeightedGraph
+
+from oracles import pairwise_l1_distances
 
 
 def write_single_edge(path):
@@ -259,6 +262,18 @@ class TestRun:
         embedded = formats.read_matrix(out)
         assert embedded.shape == (8, res["target_dimension"])
 
+    def test_embed_l1_distortions_match_oracle(self, tmp_path, rng):
+        pts = rng.standard_normal((12, 3))
+        src, out = tmp_path / "pts.mat", tmp_path / "embedded.mat"
+        formats.write_matrix(src, pts)
+        status, report = cli("embed-l1", src, "--eps", 0.5, "-o", out)
+        assert status == EXIT_OK
+        direct = pairwise_l1_distances(pts)
+        mask = direct > 0
+        ratios = pairwise_l1_distances(formats.read_matrix(out))[mask] / direct[mask]
+        assert report["results"]["distortion_min"] == pytest.approx(ratios.min(), rel=1e-12)
+        assert report["results"]["distortion_max"] == pytest.approx(ratios.max(), rel=1e-12)
+
     def test_embed_lp_report(self, tmp_path, rng):
         basis = rng.standard_normal((2, 20))
         src = tmp_path / "basis.mat"
@@ -286,6 +301,44 @@ class TestRun:
         assert status == EXIT_OK
         assert report["results"]["identity_residual"] <= 1e-8
         assert report["results"]["center_of_mass_max"] == 0.0
+
+    def test_john_approx_writes_decomposition(self, tmp_path):
+        src, out = tmp_path / "john.mat", tmp_path / "thinned.mat"
+        formats.write_matrix(src, np.column_stack([np.vstack([np.eye(3), -np.eye(3)]), np.full(6, 0.5)]))
+        status, report = cli("john-approx", src, "--eps", 0.8, "-o", out)
+        assert status == EXIT_OK
+        written = formats.read_matrix(out)
+        assert written.shape[0] == report["results"]["output_points"]
+        JohnDecomposition(3, written[:, :-1], written[:, -1]).validate()
+
+    def test_john_approx_needs_weight_column(self, tmp_path):
+        src = tmp_path / "john.mat"
+        formats.write_matrix(src, np.ones((4, 1)))
+        status, report = cli("john-approx", src, "--eps", 0.8)
+        assert status == EXIT_INPUT
+        assert "weight column" in report["error"]
+
+    def test_ri_select_non_square_exit_code(self, tmp_path, rng):
+        src = tmp_path / "op.mat"
+        formats.write_matrix(src, rng.standard_normal((4, 6)))
+        status, report = cli("ri-select", src, "--eps", 0.8)
+        assert status == EXIT_INPUT
+        assert "must be square" in report["error"]
+
+    def test_verify_edgeless_reference(self, tmp_path):
+        src = tmp_path / "empty.edges"
+        formats.write_graph(src, WeightedGraph(4, []))
+        status, report = cli("verify", src, src)
+        assert status == EXIT_OK
+        res = report["results"]
+        assert (res["range_dim"], res["quality_min"], res["quality_max"]) == (0, 1.0, 1.0)
+
+    def test_sparsify_graph_disconnected_has_no_gap_ratio(self, tmp_path):
+        src, path = tmp_path / "triangles.edges", tmp_path / "g.json"
+        edges = [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0), (3, 4, 1.0), (3, 5, 1.0), (4, 5, 1.0)]
+        formats.write_graph(src, WeightedGraph(6, edges))
+        assert main(["sparsify-graph", str(src), "--eps", "0.5", "--report", str(path)]) == EXIT_OK
+        assert '"spectral_gap_ratio": null' in path.read_text()
 
     def test_reports_deterministic(self, tmp_path, rng):
         vectors = rng.standard_normal((10, 3))

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from rforge import formats
 from rforge.bss import sparsify_frame, support_bound
+from rforge.cli import build_parser, run
 from rforge.errors import CertificationError
 from rforge.graphs import (
     WeightedGraph,
@@ -153,9 +155,8 @@ class TestFactoredScoring:
             for key, value in want.items():
                 # abs: spectrum_min is a rounding-level zero until A has full rank
                 assert got[key] == pytest.approx(value, rel=1e-9, abs=1e-12), key
-        assert weights.support == dense_weights.support
-        for idx, w in dense_weights.weights.items():
-            assert weights.weights[idx] == pytest.approx(w, rel=1e-9)
+        assert np.array_equal(weights.support, dense_weights.support)
+        assert weights.weights == pytest.approx(dense_weights.weights, rel=1e-9)
 
 
 class TestSparsifyGraph:
@@ -208,6 +209,14 @@ class TestSparsifyGraph:
         h = sparsify_graph(WeightedGraph(4, []), 0.5)
         assert h.edge_count == 0
 
+    @pytest.mark.parametrize("n", [8, 16, 24])
+    def test_whitening_that_drops_range_directions_raises(self, n):
+        # a 1e16 K4 puts the light directions below whitening's rank cut
+        with pytest.raises(CertificationError, match=f"resolved 3 of the Laplacian's {n - 1} range"):
+            sparsify_graph(heavy_cluster_graph(n, 4, 1e16), 0.5)
+        g = heavy_cluster_graph(n, 4, 1e15)
+        assert verify_quality(g, sparsify_graph(g, 0.5)).range_dim == n - 1
+
     def test_power_of_four_weight_scaling(self, rng):
         g = log_weighted(rng, 16, list(itertools.combinations(range(16), 2)))
         h = sparsify_graph(g, 0.5)
@@ -255,11 +264,32 @@ class TestVerifyQuality:
         with pytest.raises(CertificationError, match="disconnects vertices 0 and 4"):
             verify_quality(g, h)
 
-    def test_support_counts_reported(self):
-        g = complete_graph(4)
-        report = verify_quality(g, g)
-        assert report.reference_support == 12
-        assert report.candidate_support == 12
+    def test_support_counts_reported(self, tmp_path):
+        path = tmp_path / "k4.edges"
+        formats.write_graph(path, complete_graph(4))
+        status, report = run(build_parser().parse_args(["verify", str(path), str(path)]))
+        assert status == 0
+        assert report["results"]["reference_support_ordered"] == 12
+        assert report["results"]["candidate_support_ordered"] == 12
+
+    @pytest.mark.parametrize("n", [16, 24])
+    def test_wide_weights_certify_the_whole_range(self, n):
+        # eigenvalues span ~1e12: a relative kernel cut at 1e-8 would keep
+        # only the heavy cluster's 3 directions
+        g = heavy_cluster_graph(n, 4, 1e12)
+        report = verify_quality(g, sparsify_graph(g, 0.5))
+        assert report.range_dim == n - 1
+        assert report.min_quotient >= 1.0 - 1e-3
+        assert report.max_quotient <= 9.0 + 1e-3
+
+    @pytest.mark.parametrize(
+        "g",
+        [heavy_cluster_graph(8, 4, 1e16), WeightedGraph(3, [(0, 1, 1e16), (0, 2, 1.0), (1, 2, 1.0)])],
+        ids=["K8 with a 1e16 K4", "triangle (1e16, 1, 1)"],
+    )
+    def test_unresolvable_range_raises(self, g):
+        with pytest.raises(CertificationError, match="rank floor"):
+            verify_quality(g, g)
 
     def reference_cases(self, rng):
         # (G, H, component indicators of G); the indicators span L_G's kernel

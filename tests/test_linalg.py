@@ -37,17 +37,17 @@ class TestEigh:
 class TestIsotropicReduce:
     def test_already_isotropic(self):
         frame = Frame(np.eye(2))
-        reduced, mapping = isotropic_reduce(frame)
+        reduced, lift = isotropic_reduce(frame)
         assert reduced.ambient_dim == 2
         assert reduced.isotropy_certified
-        assert mapping.rank == 2
+        assert lift.shape == (2, 2)
 
     def test_rank_one_scaling(self):
         frame = Frame(np.array([[2.0, 0.0]]))
-        reduced, mapping = isotropic_reduce(frame)
+        reduced, lift = isotropic_reduce(frame)
         assert reduced.ambient_dim == 1
         assert abs(abs(reduced.vectors[0, 0]) - 1.0) <= 1e-12
-        assert mapping.rank == 1
+        assert lift.shape == (2, 1)
 
     def test_two_vector_whitening(self):
         frame = Frame(np.array([[1.0, 1.0], [1.0, -1.0]]))
@@ -68,28 +68,28 @@ class TestIsotropicReduce:
                 # force a rank deficit to exercise the range restriction
                 vectors[:, -1] = vectors[:, 0]
             frame = Frame(vectors)
-            reduced, mapping = isotropic_reduce(frame)
-            assert np.max(np.abs(reduced.gram() - np.eye(mapping.rank))) <= 1e-8
+            reduced, lift = isotropic_reduce(frame)
+            assert np.max(np.abs(reduced.gram() - np.eye(lift.shape[1]))) <= 1e-8
             # draw w in the span of the input vectors
             w = vectors.T @ rng.standard_normal(m)
             original = np.sum((vectors @ w) ** 2)
-            transported = np.sum((reduced.vectors @ (mapping.matrix.T @ w)) ** 2)
+            transported = np.sum((reduced.vectors @ (lift.T @ w)) ** 2)
             assert transported == pytest.approx(original, rel=1e-8)
 
     def test_lift_inverts_reduction(self, rng):
         vectors = rng.standard_normal((6, 4))
         frame = Frame(vectors)
-        reduced, mapping = isotropic_reduce(frame)
-        lifted = reduced.vectors @ mapping.matrix.T
+        reduced, lift = isotropic_reduce(frame)
+        lifted = reduced.vectors @ lift.T
         assert np.max(np.abs(lifted - vectors)) <= 1e-9
 
     def test_power_of_two_scale_whitens_identically(self, rng):
         vectors = rng.standard_normal((20, 5)) * np.exp(rng.uniform(-2.0, 2.0, 5))
-        reduced, mapping = isotropic_reduce(Frame(vectors))
+        reduced, lift = isotropic_reduce(Frame(vectors))
         for j in (-600, -1, 1, 600):
-            scaled, scaled_map = isotropic_reduce(Frame(np.ldexp(vectors, j)))
+            scaled, scaled_lift = isotropic_reduce(Frame(np.ldexp(vectors, j)))
             assert np.array_equal(scaled.vectors, reduced.vectors)
-            assert np.array_equal(scaled_map.matrix, np.ldexp(mapping.matrix, j))
+            assert np.array_equal(scaled_lift, np.ldexp(lift, j))
 
     def test_carries_incidence_factor(self):
         # path 0-1-2 plus the chord 0-2; row e is sqrt(w) (B[i] - B[j])

@@ -4,10 +4,10 @@ import pytest
 from rforge.errors import CertificationError
 from rforge.graphs import WeightedGraph, sparsify_graph, verify_quality
 from rforge.nonlinear import (
-    ProbeSet,
     cycle_counterexample,
     energy_ratio_range,
     monotonicity_check,
+    nonzero_energy_probes,
     p_energy,
     quality_lower_bound,
     standard_probes,
@@ -46,26 +46,37 @@ class TestPEnergy:
     def test_ratio_range_matches_per_probe_loop(self, rng):
         g = WeightedGraph(6, [(0, 1, 1.5), (0, 5, 0.5), (2, 4, 2.0), (3, 4, 1.0), (1, 2, 0.7)])
         h = WeightedGraph(6, [(0, 1, 3.0), (2, 4, 1.0), (3, 4, 2.5)])
-        probes = ProbeSet.filtered(standard_probes(6, count=40), g, 3.0)
+        probes = nonzero_energy_probes(standard_probes(6)[:40], g, 3.0)
         ratios = [
             power_energy_double_sum(6, h.edges, x, 3.0) / power_energy_double_sum(6, g.edges, x, 3.0)
-            for x in probes.probes
+            for x in probes
         ]
         low, high = energy_ratio_range(g, h, 3.0, probes)
         assert low == pytest.approx(min(ratios), rel=1e-12)
         assert high == pytest.approx(max(ratios), rel=1e-12)
 
 
+class TestProbes:
+    def test_standard_probes_are_sequential_draws(self):
+        draws = np.random.default_rng(7)
+        want = [draws.standard_normal(5) for _ in range(500)]
+        assert np.array_equal(standard_probes(5, seed=7), np.array(want))
+
+    def test_cycle_witnesses(self):
+        _, _, witnesses = cycle_counterexample(5, 2.0, 0.5)
+        assert witnesses.tolist() == [[0.0, 1.0, 2.0, 3.0, 4.0], [0.0, 1.0, 0.0, 0.0, 0.0]]
+
+
 class TestQualityLowerBound:
     def test_identity_pair(self):
         g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
-        probes = ProbeSet.filtered(standard_probes(3, count=50), g, 2.0)
+        probes = nonzero_energy_probes(standard_probes(3)[:50], g, 2.0)
         assert quality_lower_bound(g, g, 2.0, probes) == pytest.approx(1.0)
 
     def test_scaling_invariance(self):
         g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
         h = WeightedGraph(3, [(0, 1, 3.0), (1, 2, 3.0)])
-        probes = ProbeSet.filtered(standard_probes(3, count=50), g, 2.0)
+        probes = nonzero_energy_probes(standard_probes(3)[:50], g, 2.0)
         assert quality_lower_bound(g, h, 2.0, probes) == pytest.approx(1.0)
 
     def test_cycle_witnesses_reach_paper_bound(self):
@@ -77,17 +88,17 @@ class TestQualityLowerBound:
     def test_support_violation(self):
         g = WeightedGraph(3, [(0, 1, 1.0)])
         h = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
-        probes = ProbeSet([np.array([0.0, 1.0, 2.0])])
+        probes = np.array([[0.0, 1.0, 2.0]])
         with pytest.raises(ValueError, match="support"):
             quality_lower_bound(g, h, 2.0, probes)
 
     def test_probe_filtering(self):
         g = WeightedGraph(3, [(0, 1, 1.0)])
         # constant probes have zero energy and must be dropped
-        probes = ProbeSet.filtered([np.zeros(3), np.array([1.0, 0.0, 0.0])], g, 2.0)
+        probes = nonzero_energy_probes([np.zeros(3), np.array([1.0, 0.0, 0.0])], g, 2.0)
         assert len(probes) == 1
         with pytest.raises(ValueError, match="zero energy"):
-            ProbeSet.filtered([np.zeros(3)], g, 2.0)
+            nonzero_energy_probes([np.zeros(3)], g, 2.0)
 
     def test_probes_from_matrix_rows(self, tmp_path):
         from rforge import formats
@@ -95,7 +106,7 @@ class TestQualityLowerBound:
         g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
         path = tmp_path / "probes.mat"
         formats.write_matrix(path, np.array([[0.0, 1.0, 2.0], [5.0, 5.0, 5.0]]))
-        probes = ProbeSet.filtered(formats.read_matrix(path), g, 2.0)
+        probes = nonzero_energy_probes(formats.read_matrix(path), g, 2.0)
         assert len(probes) == 1  # the constant row is filtered out
 
 
@@ -112,9 +123,7 @@ class TestCycleCounterexample:
     def test_p_quality_stays_within_one_plus_eps(self):
         n, p, eps = 5, 2.0, 0.5
         g, h, witnesses = cycle_counterexample(n, p, eps)
-        probes = ProbeSet.filtered(
-            witnesses.probes + standard_probes(n), g, p
-        )
+        probes = nonzero_energy_probes(np.vstack([witnesses, standard_probes(n)]), g, p)
         assert len(probes) >= 500
         assert quality_lower_bound(g, h, p, probes) <= 1 + eps + 1e-9
 
@@ -146,13 +155,13 @@ class TestMonotonicityCheck:
     def test_half_exponent_with_many_probes(self):
         n, p, eps = 5, 2.0, 0.5
         g, h, witnesses = cycle_counterexample(n, p, eps)
-        probes = ProbeSet.filtered(witnesses.probes + standard_probes(n), g, p)
+        probes = nonzero_energy_probes(np.vstack([witnesses, standard_probes(n)]), g, p)
         report = monotonicity_check(g, h, p, p / 2, probes, quality=1 + eps)
         assert report["q_quality_lower_bound"] <= 1 + eps + 1e-8
 
     def test_identity_any_exponent(self):
         g = WeightedGraph(4, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 1.0)])
-        probes = ProbeSet.filtered(standard_probes(4, count=100), g, 3.0)
+        probes = nonzero_energy_probes(standard_probes(4)[:100], g, 3.0)
         report = monotonicity_check(g, g, 3.0, 1.5, probes, quality=1.0)
         assert report["q_quality_lower_bound"] == pytest.approx(1.0)
 
@@ -180,6 +189,6 @@ class TestSpectralConsistency:
         g = WeightedGraph(8, edges or [(0, 1, 1.0)])
         h = sparsify_graph(g, 0.6)
         report = verify_quality(g, h)
-        probes = ProbeSet.filtered(standard_probes(8, count=200), g, 2.0)
+        probes = nonzero_energy_probes(standard_probes(8)[:200], g, 2.0)
         bound = quality_lower_bound(g, h, 2.0, probes)
         assert bound <= report.max_quotient / report.min_quotient + 1e-8
