@@ -105,8 +105,7 @@ def _run_sparsify_frame(args: argparse.Namespace) -> dict:
         "headroom": cert.headroom,
     }
     if args.output:
-        by_index = dict(zip(weights.support.tolist(), weights.weights.tolist()))
-        formats.write_weights(args.output, by_index, certificate)
+        formats.write_weights(args.output, weights.support, weights.weights, certificate)
     return {
         "sizes": {"vectors": vectors.shape[0], "dimension": vectors.shape[1]},
         "eps": eps,
@@ -129,11 +128,8 @@ def _run_ri_select(args: argparse.Namespace) -> dict:
     sigma, cert = result.selected, result.certificate
     lam_min = cert.measured_min if cert else 0.0
     if args.output:
-        formats.write_weights(
-            args.output,
-            {idx: 1.0 for idx in sigma},
-            {"selected": sigma, "gram_min_eigenvalue": lam_min},
-        )
+        sidecar = {"selected": sigma, "gram_min_eigenvalue": lam_min}
+        formats.write_weights(args.output, sorted(sigma), np.ones(len(sigma)), sidecar)
     return {
         "sizes": {"dimension": n},
         "eps": eps,
@@ -187,11 +183,7 @@ def _run_embed_lp(args: argparse.Namespace) -> dict:
     basis = formats.read_matrix(args.input)
     selected, weights = embed_lp_even(basis, p, eps)
     if args.output:
-        formats.write_weights(
-            args.output,
-            dict(zip(selected.tolist(), weights.tolist())),
-            {"p": p, "eps": eps, "selected": selected.tolist()},
-        )
+        formats.write_weights(args.output, selected, weights, {"p": p, "eps": eps, "selected": selected.tolist()})
     n = basis.shape[0]
     half = p // 2
     eps0 = barrier_eps_for_ratio(1.0 + eps * p / 4.0)

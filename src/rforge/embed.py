@@ -128,61 +128,67 @@ def approximate_john(jd: JohnDecomposition, eps: float) -> JohnDecomposition:
     return out
 
 
+def _byte_rows(a: np.ndarray) -> np.ndarray:
+    """Each row of a 2-D array as one opaque value; these compare as byte strings."""
+    return a.view(np.dtype((np.void, a.shape[1] * a.itemsize))).ravel()
+
+
 @dataclass
 class CutDecomposition:
     """L1 metric on n points written as a weighted sum of cut pseudometrics.
 
-    Each cut is a proper nonempty subset E with weight w_E > 0; the distance
-    between points i and j is the total weight of cuts separating them.
+    Row k of the boolean ``indicators`` (cuts x n), a proper nonempty subset, has weight
+    ``weights[k]`` > 0 and no two rows are equal; d(i, j) sums the cuts separating i and j.
     """
 
-    n: int
-    cuts: list[tuple[frozenset[int], float]]
+    indicators: np.ndarray
+    weights: np.ndarray
 
     def __post_init__(self):
-        seen = set()
-        for subset, weight in self.cuts:
-            if not subset or len(subset) >= self.n:
-                raise ValueError("cuts must be proper nonempty subsets")
-            if subset in seen:
-                raise ValueError(f"duplicate cut {sorted(subset)}")
-            if not weight > 0:
-                raise ValueError("cut weights must be positive")
-            seen.add(subset)
+        self.indicators = np.asarray(self.indicators, dtype=bool)
+        self.weights = np.asarray(self.weights, dtype=float)
+        if self.indicators.ndim != 2 or self.weights.shape != (self.size,):
+            raise ValueError("indicators must be (cuts, n) with one weight per cut")
+        if (self.indicators.all(axis=1) | ~self.indicators.any(axis=1)).any():
+            raise ValueError("cuts must be proper nonempty subsets")
+        if not ((self.weights > 0) & (self.weights < np.inf)).all():
+            raise ValueError("cut weights must be positive and finite")
+        if np.unique(_byte_rows(np.packbits(self.indicators, axis=1))).size < self.size:
+            raise ValueError("cuts must be distinct")
+
+    @property
+    def n(self) -> int:
+        return self.indicators.shape[1]
 
     @property
     def size(self) -> int:
-        return len(self.cuts)
-
-    def indicator_matrix(self) -> np.ndarray:
-        out = np.zeros((len(self.cuts), self.n))
-        for row, (subset, _) in enumerate(self.cuts):
-            out[row, sorted(subset)] = 1.0
-        return out
+        return self.indicators.shape[0]
 
 
 def cut_decompose(points: np.ndarray) -> CutDecomposition:
     """Exact cut-cone representation of the L1 metric of a finite point set.
 
     Thresholding each coordinate between consecutive distinct values yields
-    cuts whose weighted sum telescopes back to every pairwise L1 distance;
-    cuts with identical vertex subsets are merged.
+    cuts whose weighted sum telescopes back to every pairwise L1 distance.
+    Equal cuts merge, adding their gaps in threshold order (coordinates
+    first); cuts are ordered by sorted member list, a proper prefix first.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 2:
         raise ValueError(f"need at least two points in a 2-D array, got shape {pts.shape}")
-    if not np.all(np.isfinite(pts)):
+    if not np.isfinite(pts).all():
         raise ValueError("points must be finite")
     n = pts.shape[0]
-    merged: dict[frozenset[int], float] = {}
-    for col in range(pts.shape[1]):
-        values = pts[:, col]
-        levels = np.unique(values)
-        for low, high in zip(levels[:-1], levels[1:]):
-            subset = frozenset(np.flatnonzero(values > low).tolist())
-            merged[subset] = merged.get(subset, 0.0) + float(high - low)
-    cuts = [(subset, weight) for subset, weight in sorted(merged.items(), key=lambda c: sorted(c[0]))]
-    return CutDecomposition(n, cuts)
+    srt = np.sort(pts, axis=0)
+    gaps = np.diff(srt, axis=0).T  # gaps[c, k] = srt[k+1, c] - srt[k, c], > 0 at a threshold
+    cols, ks = np.nonzero(gaps > 0)
+    rows = pts.T[cols] > srt[ks, cols][:, None]
+    # Key byte i: 1 for a member, 2 for a non-member before the last member,
+    # 0 after it.  Equal keys are equal cuts, and byte order is sorted-list order.
+    last = n - 1 - np.argmax(rows[:, ::-1], axis=1)
+    keys = (np.arange(n) <= last[:, None]).view(np.uint8) * np.uint8(2) - rows.view(np.uint8)
+    _, first, inverse = np.unique(_byte_rows(keys), return_index=True, return_inverse=True)
+    return CutDecomposition(rows[first], np.bincount(inverse, weights=gaps[cols, ks]))  # sums in order
 
 
 @dataclass
@@ -213,21 +219,15 @@ def embed_l1(points: np.ndarray, eps: float) -> EmbeddedPoints:
     must be finite.
     """
     check_eps(eps)
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] < 2:
-        raise ValueError(f"need at least two points, got shape {pts.shape}")
-    n = pts.shape[0]
-    decomposition = cut_decompose(pts)
-    if decomposition.size == 0:
+    cuts = cut_decompose(points)
+    if cuts.size == 0:
         # all points coincide; the zero embedding is exact
-        return EmbeddedPoints(np.zeros((n, 1)))
+        return EmbeddedPoints(np.zeros((cuts.n, 1)))
     eps0 = barrier_eps_for_ratio(1.0 + eps)
-    indicators = decomposition.indicator_matrix()
-    cut_weights = np.array([w for _, w in decomposition.cuts])
-    frame = Frame(indicators * np.sqrt(cut_weights)[:, None])
+    frame = Frame(cuts.indicators * np.sqrt(cuts.weights)[:, None])
     sparse = sparsify_frame(frame, eps0)
-    scaled = sparse.weights * (1.0 / (1.0 - eps0) ** 2) * cut_weights[sparse.support]
-    coords = indicators[sparse.support].T * scaled  # point i's row: s_E w_E 1_E(i)
+    scaled = sparse.weights * (1.0 / (1.0 - eps0) ** 2) * cuts.weights[sparse.support]
+    coords = cuts.indicators[sparse.support].T * scaled  # point i's row: s_E w_E 1_E(i)
     return EmbeddedPoints(coords)
 
 

@@ -140,8 +140,11 @@ def read_matrix(path) -> np.ndarray:
     return out
 
 
-def write_weights(path, weights: dict[int, float], certificate: dict) -> None:
-    lines = [f"{idx}\t{_fmt(w)}" for idx, w in sorted(weights.items())]
+def write_weights(path, indices, weights, certificate: dict) -> None:
+    """Write index/weight pairs in ascending index order, plus the certificate sidecar."""
+    idx, w = np.asarray(indices, dtype=int), np.asarray(weights, dtype=float)
+    order = np.argsort(idx)
+    lines = [f"{i}\t{_fmt(x)}" for i, x in zip(idx[order].tolist(), w[order].tolist())]
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
     sidecar = Path(str(path) + ".json")
     sidecar.write_text(json.dumps(certificate, indent=2) + "\n", encoding="utf-8")

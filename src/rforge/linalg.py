@@ -171,6 +171,12 @@ class EigenDecomposition:
         return (self.vectors * self.values) @ self.vectors.T
 
 
+def _eigh_failure(m: np.ndarray, detail: str) -> EigenConvergenceError:
+    """The error for a failed eigendecomposition, naming m's order and off-diagonal residual."""
+    off = float(np.max(np.abs(m - np.diag(np.diag(m))))) if m.shape[0] > 1 else 0.0
+    return EigenConvergenceError(m.shape[0], off, detail)
+
+
 def eigh(m: np.ndarray) -> EigenDecomposition:
     """Eigendecomposition of a symmetric matrix, eigenvalues descending.
 
@@ -184,21 +190,20 @@ def eigh(m: np.ndarray) -> EigenDecomposition:
     """
     m = require_symmetric(m)
     n = m.shape[0]
-    off = float(np.max(np.abs(m - np.diag(np.diag(m))))) if n > 1 else 0.0
     try:
         values, vectors = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
-        raise EigenConvergenceError(n, off, str(exc)) from exc
+        raise _eigh_failure(m, str(exc)) from exc
     values = values[::-1].copy()
     vectors = vectors[:, ::-1].copy()
     decomp = EigenDecomposition(values, vectors)
     scale = 1.0 + float(np.max(np.abs(m)))
     recon_err = float(np.max(np.abs(decomp.reconstruct() - m)))
     if recon_err > _RECONSTRUCT_TOL * scale:
-        raise EigenConvergenceError(n, off, f"reconstruction residual {recon_err:.3e}")
+        raise _eigh_failure(m, f"reconstruction residual {recon_err:.3e}")
     ortho_err = float(np.max(np.abs(vectors.T @ vectors - np.eye(n))))
     if ortho_err > _ORTHONORMAL_TOL:
-        raise EigenConvergenceError(n, off, f"orthonormality residual {ortho_err:.3e}")
+        raise _eigh_failure(m, f"orthonormality residual {ortho_err:.3e}")
     return decomp
 
 

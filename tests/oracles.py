@@ -131,6 +131,24 @@ def pairwise_l1_distances(points: np.ndarray) -> np.ndarray:
     return out
 
 
+def cut_decompose_oracle(points: np.ndarray) -> list[tuple[frozenset[int], float]]:
+    """Cut decomposition built one threshold at a time with sets and a dict.
+
+    Every coordinate is cut between consecutive distinct values; equal
+    subsets are merged by adding their gaps in visiting order, and the cuts
+    are sorted by their sorted member lists.
+    """
+    pts = np.asarray(points, dtype=float)
+    merged: dict[frozenset[int], float] = {}
+    for col in range(pts.shape[1]):
+        values = pts[:, col]
+        levels = np.unique(values)
+        for low, high in zip(levels[:-1], levels[1:]):
+            subset = frozenset(np.flatnonzero(values > low).tolist())
+            merged[subset] = merged.get(subset, 0.0) + float(high - low)
+    return [(subset, weight) for subset, weight in sorted(merged.items(), key=lambda c: sorted(c[0]))]
+
+
 def power_energy_double_sum(n: int, edges, x, p: float) -> float:
     """Sum of w * |x_i - x_j|^p over ordered pairs, via the full matrix."""
     g = np.zeros((n, n))

@@ -43,7 +43,7 @@ class TestFormats:
 
     def test_weights_round_trip(self, tmp_path):
         path = tmp_path / "w.tsv"
-        formats.write_weights(path, {3: 0.25, 1: 1.5}, {"note": "cert"})
+        formats.write_weights(path, [3, 1], [0.25, 1.5], {"note": "cert"})
         assert formats.read_weights(path) == {1: 1.5, 3: 0.25}
         sidecar = json.loads((tmp_path / "w.tsv.json").read_text())
         assert sidecar == {"note": "cert"}

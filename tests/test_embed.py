@@ -17,7 +17,7 @@ from rforge.embed import (
     embed_lp_even,
 )
 
-from oracles import lp_norm, pairwise_l1_distances, random_john_decomposition
+from oracles import cut_decompose_oracle, lp_norm, pairwise_l1_distances, random_john_decomposition
 
 
 class TestBarrierEpsForRatio:
@@ -66,14 +66,13 @@ class TestApproximateJohn:
 
 def cut_distances(cd):
     """The cut metric: l1 distances between the points' weighted cut profiles."""
-    weights = np.array([w for _, w in cd.cuts])
-    return pairwise_l1_distances(cd.indicator_matrix().T * weights)
+    return pairwise_l1_distances(cd.indicators.T * cd.weights)
 
 
 class TestCutDecompose:
     def test_line_metric(self):
         cd = cut_decompose(np.array([[0.0], [1.0], [3.0]]))
-        weights = {tuple(sorted(s)): w for s, w in cd.cuts}
+        weights = {tuple(np.flatnonzero(row).tolist()): w for row, w in zip(cd.indicators, cd.weights)}
         assert weights == {(1, 2): 1.0, (2,): 2.0}
         assert cut_distances(cd)[0, 2] == pytest.approx(3.0)
 
@@ -94,9 +93,57 @@ class TestCutDecompose:
 
     def test_validation(self):
         with pytest.raises(ValueError, match="proper"):
-            CutDecomposition(2, [(frozenset({0, 1}), 1.0)])
+            CutDecomposition([[True, True]], [1.0])
         with pytest.raises(ValueError, match="positive"):
-            CutDecomposition(2, [(frozenset({0}), 0.0)])
+            CutDecomposition([[True, False]], [0.0])
+
+    def test_validation_rejects_bad_rows_and_weights(self):
+        with pytest.raises(ValueError, match="proper"):
+            CutDecomposition([[True, False, False], [False, False, False]], [1.0, 2.0])
+        with pytest.raises(ValueError, match="distinct"):
+            CutDecomposition([[True, False, True], [False, True, False], [True, False, True]], [1.0, 2.0, 3.0])
+        for bad in (-1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="positive"):
+                CutDecomposition([[True, False, False]], [bad])
+        with pytest.raises(ValueError, match="one weight per cut"):
+            CutDecomposition([[True, False, False]], [1.0, 2.0])
+
+    def test_zero_cuts_accepted(self):
+        cd = CutDecomposition(np.zeros((0, 4), dtype=bool), np.zeros(0))
+        assert (cd.size, cd.n) == (0, 4)
+        assert cut_decompose(np.full((3, 2), -0.0)).size == 0
+
+    @staticmethod
+    def oracle_arrays(pts):
+        cuts = cut_decompose_oracle(pts)
+        rows = np.zeros((len(cuts), pts.shape[0]), dtype=bool)
+        for k, (subset, _) in enumerate(cuts):
+            rows[k, sorted(subset)] = True
+        return rows, np.array([w for _, w in cuts], dtype=float)
+
+    def test_matches_per_threshold_oracle(self):
+        rng = np.random.default_rng(7)
+        for case in range(240):
+            n, d = int(rng.integers(2, 31)), int(rng.integers(1, 9))
+            kind = case % 6
+            if kind == 0:  # integer grid, heavy ties
+                pts = rng.integers(-2, 3, size=(n, d)).astype(float)
+            elif kind == 1:  # columns duplicated, negated or rescaled: one cut from several coordinates
+                base = rng.integers(-3, 4, size=(n, d)).astype(float)
+                pts = base[:, rng.integers(0, d, size=d)] * rng.choice([-1.0, 1.0, 0.1, -2.7], size=d)
+            elif kind == 2:  # signed zeros
+                pts = rng.choice([-0.0, 0.0, 1.0, -1.5], size=(n, d))
+            elif kind == 3:  # a constant column
+                pts = rng.standard_normal((n, d))
+                pts[:, rng.integers(0, d)] = rng.standard_normal()
+            elif kind == 4:  # all points identical
+                pts = np.tile(rng.standard_normal(d), (n, 1))
+            else:  # distinct values over a wide range of scales
+                pts = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-6, 7)
+            cd = cut_decompose(pts)
+            rows, weights = self.oracle_arrays(pts)
+            assert np.array_equal(cd.indicators, rows), (case, pts)
+            assert cd.weights.tobytes() == weights.tobytes(), (case, pts)
 
 
 class TestEmbedL1:

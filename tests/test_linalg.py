@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from rforge.errors import CertificationError, ZeroFrameError
+from rforge import linalg
+from rforge.errors import CertificationError, EigenConvergenceError, ZeroFrameError
 from rforge.linalg import Certificate, Frame, Incidence, certify_spectrum, eigh, isotropic_reduce, symmetrize
 
 
@@ -28,6 +29,33 @@ class TestEigh:
             assert np.max(np.abs(d.reconstruct() - m)) <= 1e-10 * scale
             assert np.max(np.abs(d.vectors.T @ d.vectors - np.eye(n))) <= 1e-10
             assert np.all(np.diff(d.values) <= 1e-12)
+
+    @pytest.mark.parametrize(
+        "fault, detail",
+        [
+            ("raise", "did not converge"),
+            ("perturb", "reconstruction residual"),
+            ("rescale", "orthonormality residual"),
+        ],
+    )
+    def test_failures_name_order_and_off_diagonal_residual(self, monkeypatch, fault, detail):
+        m = symmetrize(np.random.default_rng(3).standard_normal((5, 5)))
+        solve = np.linalg.eigh
+
+        def faulty(a):
+            values, vectors = solve(a)
+            if fault == "raise":
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            if fault == "perturb":
+                return values, vectors + 1e-6
+            # vectors scaled by 2 and values by 1/4 reconstruct m but are not orthonormal
+            return values / 4.0, vectors * 2.0
+
+        monkeypatch.setattr(linalg.np.linalg, "eigh", faulty)
+        with pytest.raises(EigenConvergenceError, match=detail) as info:
+            eigh(m)
+        assert info.value.order == 5
+        assert info.value.off_diagonal_residual == float(np.max(np.abs(m - np.diag(np.diag(m)))))
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
