@@ -65,9 +65,7 @@ from .linalg import (
 )
 from .nonlinear import (
     cycle_counterexample,
-    monotonicity_check,
     nonzero_energy_probes,
-    p_energy,
     quality_lower_bound,
     standard_probes,
 )
@@ -108,9 +106,7 @@ __all__ = [
     "initial_barrier_state",
     "isotropic_reduce",
     "laplacian",
-    "monotonicity_check",
     "nonzero_energy_probes",
-    "p_energy",
     "quality_lower_bound",
     "ri_barrier",
     "ri_select",

@@ -21,14 +21,15 @@ at the advanced barriers u' and l'.  All invariants are re-checked eagerly
 at every step (any violation raises BarrierInvariantError rather than
 returning a bad certificate).
 
-An edge frame (one that carries an ``Incidence`` factor) is scored without
-forming Y: its vector for edge e = (i, j) is sqrt(w_e) (B[i] - B[j]), so
+An edge frame stores no rows, only its ``Incidence`` factor, and is scored
+without forming Y: its vector for edge e = (i, j) is sqrt(w_e) (B[i] - B[j]), so
 with V = B U every score is the effective-resistance form
 w_e (M[i,i] + M[j,j] - 2 M[i,j]) of one n x n matrix M = V diag(c) V^T, c
 the upper or lower combination of the reciprocal-gap columns.  Two such
 matrices score all m edges in O(n^3 + m) per step instead of O(m n^2).
 Edges whose endpoint rows are much longer than their difference, where
-that gather would cancel, are scored from their dense rows.
+that gather would cancel, are scored from their rows; rows are built only
+for those edges, each step's chosen vector and the certificate's support.
 
 A frame with at most ceil(r/eps^2) nonzero vectors, r its whitened
 dimension, already fits the support bound: weighting every nonzero vector
@@ -59,7 +60,7 @@ _FEASIBILITY_SLACK = 1e-9
 _TIE_RTOL = 1e-12
 _SANDWICH_TOL = 1e-8
 # Largest rounding error, relative to the upper score, that an edge may carry
-# from the incidence gather before it is scored from its dense row instead.
+# from the incidence gather before it is scored from its row instead.
 _GATHER_RTOL = 1e-10
 _MACHINE_EPS = np.finfo(float).eps
 
@@ -192,7 +193,7 @@ def candidate_scores(
     gather that costs O(n^3 + m) per step instead of O(m n^2).  Edges
     whose gather could lose more than 1e-10 of their upper score to
     cancellation (endpoint rows much longer than their difference) are
-    scored from their dense rows instead.  The spectrum must lie strictly
+    scored from their rows instead.  The spectrum must lie strictly
     inside the advanced barriers (BarrierInvariantError otherwise).
 
     Requires an isotropy-certified frame; with it, the score sums must
@@ -241,13 +242,13 @@ def _edge_scores(frame, state, du, dl, upper_gap, lower_gap):
     upper_scores, lower_scores = gather(c_up), gather(c_lo)
     # Rounding in the gather is at most about r * eps_mach * w_e times the
     # endpoint rows' |c|-weighted squared lengths; rows where that could
-    # reach _GATHER_RTOL of the upper score are scored from their dense rows.
+    # reach _GATHER_RTOL of the upper score are scored from their rows.
     reach = (v * v) @ (c_up + np.abs(c_lo))
     error = (v.shape[1] * _MACHINE_EPS) * w * (reach[heads] + reach[tails])
     loose = np.flatnonzero(~(error <= _GATHER_RTOL * upper_scores))
     if loose.size:
         upper_scores[loose], lower_scores[loose] = _row_scores(
-            frame.vectors[loose], state, du, dl, upper_gap, lower_gap
+            frame.rows(loose), state, du, dl, upper_gap, lower_gap
         )
     return upper_scores, lower_scores
 
@@ -295,7 +296,7 @@ def select_and_step(
             f"(index {chosen}); the averaging guarantee broke down"
         )
     t = 1.0 / float(upper_scores[chosen])
-    xj = frame.vectors[chosen]
+    xj = frame.rows(chosen)
     new_a = state.A + t * np.outer(xj, xj)
     upper_next, lower_next = _next_barriers(state)
     decomp = eigh(new_a)
@@ -405,7 +406,7 @@ def sparsify_frame(
     if not frame.isotropy_certified:
         work, _ = isotropic_reduce(frame)
     steps = support_bound(work.ambient_dim, eps)
-    nonzero = np.flatnonzero(np.any(work.vectors != 0.0, axis=1))
+    nonzero = work.nonzero()
     if nonzero.size <= steps:
         uniform = np.full(nonzero.size, (1.0 - eps) ** 2)
         try:
@@ -426,7 +427,7 @@ def sparsify_frame(
 
 
 def _certified(work: Frame, support: np.ndarray, s: np.ndarray, size: int, eps: float) -> SparseWeights:
-    rows = work.vectors[support]
+    rows = work.rows(support)
     lam = eigh(symmetrize((rows * s[:, None]).T @ rows)).values
     low, high = (1.0 - eps) ** 2, (1.0 + eps) ** 2
     cert = certify_spectrum(lam, low, high, tol=_SANDWICH_TOL, what="weighted sum")

@@ -188,7 +188,12 @@ def cut_decompose(points: np.ndarray) -> CutDecomposition:
     last = n - 1 - np.argmax(rows[:, ::-1], axis=1)
     keys = (np.arange(n) <= last[:, None]).view(np.uint8) * np.uint8(2) - rows.view(np.uint8)
     _, first, inverse = np.unique(_byte_rows(keys), return_index=True, return_inverse=True)
-    return CutDecomposition(rows[first], np.bincount(inverse, weights=gaps[cols, ks]))  # sums in order
+    weights = np.bincount(inverse, weights=gaps[cols, ks])  # sums in order
+    if not np.isfinite(weights).all():
+        raise ValueError("cut weights must be positive and finite")
+    out = CutDecomposition.__new__(CutDecomposition)  # valid by construction: skip the caller checks
+    out.indicators, out.weights = rows[first], weights
+    return out
 
 
 @dataclass

@@ -56,7 +56,7 @@ def _content_lines(path):
 
 def write_graph(path, g: WeightedGraph) -> None:
     lines = [f"n {g.n}"]
-    lines += [f"{i}\t{j}\t{_fmt(w)}" for i, j, w in g.edges]
+    lines += [f"{i}\t{j}\t{_fmt(w)}" for i, j, w in zip(g.heads.tolist(), g.tails.tolist(), g.weights.tolist())]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -1,9 +1,9 @@
 """Weighted graphs, Laplacians, graph sparsification, and its certificate.
 
-A graph on n vertices is reduced to the frame of scaled edge-difference
-vectors sqrt(w) * (e_i - e_j); sparsifying that frame and pulling the
-weights back yields a reweighted subgraph H whose Laplacian quadratic form
-sandwiches the input's:
+A graph on n vertices is three arrays (edge heads, tails and weights).  Its
+edge frame of vectors sqrt(w) * (e_i - e_j) stores no rows, only that
+incidence factor; sparsifying it and pulling the weights back yields a
+reweighted subgraph H whose Laplacian quadratic form sandwiches the input's:
 
     <L_G y, y>  <=  <L_H y, y>  <=  ((1+eps)/(1-eps))^2 * <L_G y, y>
 
@@ -15,60 +15,78 @@ L_H whitened by L_G on the common range.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bss import check_eps, sparsify_frame
 from .errors import CertificationError
-from .linalg import _RANK_RTOL, Frame, Incidence, eigh, symmetrize
+from .linalg import _RANK_RTOL, Frame, Incidence, _adjacency, eigh, symmetrize
 
 
-@dataclass
 class WeightedGraph:
     """Vertices 0..n-1 with positive, finite undirected edge weights.
 
-    Edges are (i, j, w) with i < j and at most one entry per vertex pair.
+    Edge e joins ``heads[e]`` < ``tails[e]`` with weight ``weights[e]``, at most one per pair.
+    Build one from (i, j, w) tuples, ``WeightedGraph(n, edges)``, or with ``from_arrays``;
+    the three arrays are validated, read-only copies.
     """
 
-    n: int
-    edges: list[tuple[int, int, float]]
+    def __init__(self, n: int, edges=()):
+        cols = np.array(list(edges) or np.zeros((0, 3)), dtype=float)
+        if cols.ndim != 2 or cols.shape[1] != 3:
+            raise ValueError("edges must be (i, j, w) triples")
+        self._store(n, cols[:, 0], cols[:, 1], cols[:, 2])
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"vertex count must be positive, got {self.n}")
-        seen = set()
-        canon = []
-        for i, j, w in self.edges:
-            i, j = int(i), int(j)
-            if not 0 <= i < j < self.n:
-                raise ValueError(f"edge ({i}, {j}) must satisfy 0 <= i < j < {self.n}")
-            if (i, j) in seen:
+    @classmethod
+    def from_arrays(cls, n: int, heads, tails, weights) -> WeightedGraph:
+        g = cls.__new__(cls)
+        g._store(n, heads, tails, weights)
+        return g
+
+    def _store(self, n, heads, tails, weights) -> None:
+        if n < 1:
+            raise ValueError(f"vertex count must be positive, got {n}")
+        heads, tails = (np.asarray(a).astype(np.intp) for a in (heads, tails))
+        weights = np.array(weights, dtype=float)
+        if heads.ndim != 1 or heads.shape != tails.shape or heads.shape != weights.shape:
+            raise ValueError("heads, tails and weights must be 1-D arrays of equal length")
+        # The first bad edge in order is reported, with the first check it fails.
+        bad_pair = ~((heads >= 0) & (heads < tails) & (tails < n))
+        order = np.lexsort((tails, heads))  # stable: a repeat sorts after the pair's first edge
+        repeat = np.zeros(heads.size, dtype=bool)
+        repeat[order[1:]] = (heads[order[1:]] == heads[order[:-1]]) & (tails[order[1:]] == tails[order[:-1]])
+        bad = bad_pair | repeat | ~((weights > 0.0) & (weights < np.inf))
+        if bad.any():
+            e = int(np.argmax(bad))
+            i, j = int(heads[e]), int(tails[e])
+            if bad_pair[e]:
+                raise ValueError(f"edge ({i}, {j}) must satisfy 0 <= i < j < {n}")
+            if repeat[e]:
                 raise ValueError(f"duplicate edge ({i}, {j})")
-            if not 0 < w < math.inf:
-                raise ValueError(f"edge ({i}, {j}) has nonpositive or non-finite weight {w}")
-            seen.add((i, j))
-            canon.append((i, j, float(w)))
-        self.edges = canon
+            raise ValueError(f"edge ({i}, {j}) has nonpositive or non-finite weight {weights[e]}")
+        for a in (heads, tails, weights):
+            a.flags.writeable = False
+        self.n, self.heads, self.tails, self.weights = n, heads, tails, weights
+
+    @property
+    def edges(self) -> list[tuple[int, int, float]]:
+        """The edges as (i, j, w) tuples of Python numbers, built on each access."""
+        return list(zip(self.heads.tolist(), self.tails.tolist(), self.weights.tolist()))
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return self.weights.size
 
     @property
     def ordered_support_size(self) -> int:
-        return 2 * len(self.edges)
+        return 2 * self.weights.size
 
     def edge_pairs(self) -> set[tuple[int, int]]:
-        return {(i, j) for i, j, _ in self.edges}
+        return set(zip(self.heads.tolist(), self.tails.tolist()))
 
     def adjacency(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n))
-        for i, j, w in self.edges:
-            a[i, j] = w
-            a[j, i] = w
-        return a
+        return _adjacency(self.n, self.heads, self.tails, self.weights)
 
 
 @dataclass
@@ -87,22 +105,16 @@ def laplacian(g: WeightedGraph) -> np.ndarray:
 
 
 def edge_frame(g: WeightedGraph) -> Frame:
-    """One vector sqrt(w) * (e_i - e_j) per edge, in edge-list order.
+    """The frame of vectors sqrt(w) * (e_i - e_j), one per edge in edge order.
 
-    The sum of outer products of these vectors equals the Laplacian.  The
-    frame carries its incidence factor (endpoints, weights, basis I_n), so
-    the barrier loop can score edges from n x n matrices.  Graphs with no
-    edges have no frame; callers must check ``edge_count``.
+    The sum of their outer products equals the Laplacian.  The frame
+    stores no rows, only its incidence factor (g's arrays and the basis
+    I_n), so whitening and the barrier loop work with n x n matrices.
+    Graphs with no edges have no frame; callers must check ``edge_count``.
     """
     if g.edge_count == 0:
         raise ValueError("graph has no edges, so its edge frame is empty")
-    heads, tails, weights = (np.array(col) for col in zip(*g.edges))
-    rows = np.arange(g.edge_count)
-    root = np.sqrt(weights)
-    vectors = np.zeros((g.edge_count, g.n))
-    vectors[rows, heads] = root
-    vectors[rows, tails] = -root
-    return Frame(vectors, incidence=Incidence(heads, tails, weights, np.eye(g.n)))
+    return Frame(incidence=Incidence(g.heads, g.tails, g.weights, np.eye(g.n)))
 
 
 def sparsify_graph(g: WeightedGraph, eps: float, *, history: list | None = None) -> WeightedGraph:
@@ -118,38 +130,41 @@ def sparsify_graph(g: WeightedGraph, eps: float, *, history: list | None = None)
     """
     check_eps(eps)
     if g.edge_count == 0:
-        return WeightedGraph(g.n, [])
+        return WeightedGraph(g.n)
     sparse = sparsify_frame(edge_frame(g), eps, history=history)
-    r = g.n - len(set(_components(g)))
+    r = g.n - int(np.count_nonzero(_components(g) == np.arange(g.n)))
     if sparse.certificate.range_dim != r:
         raise CertificationError(
             f"whitening resolved {sparse.certificate.range_dim} of the Laplacian's {r} range "
             "directions; the edge weights span too wide a range to certify"
         )
     # Lift the frame certificate's lower constant to exactly 1.
-    weights = sparse.weights * (1.0 / (1.0 - eps) ** 2)
-    edges = [
-        (g.edges[idx][0], g.edges[idx][1], w * g.edges[idx][2])
-        for idx, w in zip(sparse.support, weights)
-    ]
-    return WeightedGraph(g.n, edges)
+    weights = sparse.weights * (1.0 / (1.0 - eps) ** 2) * g.weights[sparse.support]
+    return WeightedGraph.from_arrays(g.n, g.heads[sparse.support], g.tails[sparse.support], weights)
 
 
-def _components(g: WeightedGraph) -> list[int]:
-    """Lowest vertex of each vertex's connected component (union-find)."""
-    parent = list(range(g.n))
+def _components(g: WeightedGraph) -> np.ndarray:
+    """Lowest vertex of each vertex's connected component, in O(log n) rounds over the edge arrays.
 
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
+    A round hooks each root onto the lowest adjacent root, then jumps every vertex to its root.
+    """
+    label = np.arange(g.n)
+    while True:
+        head_roots, tail_roots = label[g.heads], label[g.tails]
+        if np.array_equal(head_roots, tail_roots):
+            return label
+        np.minimum.at(label, head_roots, tail_roots)
+        np.minimum.at(label, tail_roots, head_roots)
+        while not np.array_equal(label, label[label]):
+            label = label[label]
 
-    for i, j, _ in g.edges:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-    return [find(v) for v in range(g.n)]
+
+def _missing_pair(g: WeightedGraph, h: WeightedGraph) -> tuple[int, int] | None:
+    """The lowest pair (i, j) that is an edge of h but not of g, or None."""
+    n = max(g.n, h.n)
+    key_g, key_h = g.heads * n + g.tails, h.heads * n + h.tails
+    extra = key_h[~np.isin(key_h, key_g)]
+    return divmod(int(extra.min()), n) if extra.size else None
 
 
 def verify_quality(g: WeightedGraph, h: WeightedGraph) -> QualityReport:
@@ -168,21 +183,21 @@ def verify_quality(g: WeightedGraph, h: WeightedGraph) -> QualityReport:
     """
     if g.n != h.n:
         raise ValueError(f"vertex counts differ: {g.n} vs {h.n}")
-    extra = h.edge_pairs() - g.edge_pairs()
-    if extra:
-        witness = min(extra)
+    witness = _missing_pair(g, h)
+    if witness is not None:
         raise CertificationError(
             f"candidate edge {witness} is not in the reference graph's support"
         )
     # h's edges are g's, so its components refine g's; they must coincide.
     roots = _components(g)
-    for v, (root_g, root_h) in enumerate(zip(roots, _components(h))):
-        if root_h != root_g:
-            raise CertificationError(
-                f"candidate disconnects vertices {root_g} and {v}, which the reference "
-                "graph connects; its quadratic form vanishes on a vector the reference's does not"
-            )
-    r = g.n - len(set(roots))
+    split = np.flatnonzero(_components(h) != roots)
+    if split.size:
+        v = int(split[0])
+        raise CertificationError(
+            f"candidate disconnects vertices {roots[v]} and {v}, which the reference "
+            "graph connects; its quadratic form vanishes on a vector the reference's does not"
+        )
+    r = g.n - int(np.count_nonzero(roots == np.arange(g.n)))
     if r == 0:
         return QualityReport(1.0, 1.0, 0)
     decomp = eigh(laplacian(g))

@@ -8,9 +8,10 @@ measured spectrum with a claimed interval and returns the ``Certificate``
 every builder carries.  Resolvents are never formed or solved against;
 callers apply them in the eigenbasis that eigh returns.
 
-A frame of edge vectors may carry its ``Incidence`` factor (endpoints,
-weights and a per-vertex basis); whitening keeps the factor, so callers
-can work with per-vertex quantities instead of one row per edge.
+An edge frame stores no rows, only its ``Incidence`` factor (endpoints,
+weights and a per-vertex basis).  Whitening composes the basis with the
+whitening map, so callers work with per-vertex quantities and build a
+row only where they read it.
 
 Matrices are plain float64 ``numpy`` arrays and are required to be stored
 exactly symmetric (``M[i, j] == M[j, i]`` bitwise).  All functions are pure;
@@ -31,7 +32,6 @@ _RANK_RTOL = np.finfo(float).eps  # whitening's rank cut, relative, per dimensio
 
 _RECONSTRUCT_TOL = 1e-10
 _ORTHONORMAL_TOL = 1e-10
-_INCIDENCE_RTOL = 1e-12  # factor vs. rows, relative to the endpoint basis rows
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
@@ -71,10 +71,8 @@ class Incidence:
     basis: np.ndarray
 
     def __post_init__(self):
-        self.basis = np.asarray(self.basis, dtype=float)
-        self.weights = np.asarray(self.weights, dtype=float)
-        self.heads = np.asarray(self.heads, dtype=np.intp)
-        self.tails = np.asarray(self.tails, dtype=np.intp)
+        self.basis, self.weights = (np.asarray(a, dtype=float) for a in (self.basis, self.weights))
+        self.heads, self.tails = (np.asarray(a, dtype=np.intp) for a in (self.heads, self.tails))
         if self.basis.ndim != 2 or not np.all(np.isfinite(self.basis)):
             raise ValueError("incidence basis must be a finite 2-D array")
         m = self.weights.shape
@@ -89,72 +87,93 @@ class Incidence:
 
 @dataclass
 class Frame:
-    """An ordered list of m vectors in R^n, stored as the rows of ``vectors``.
+    """An ordered list of m vectors in R^n.
+
+    A dense frame stores them as the rows of ``vectors``.  An edge frame
+    stores none: its ``incidence`` factor defines every row, and ``rows``
+    builds only the rows a caller reads.  A frame has exactly one of the two.
 
     ``isotropy_certified`` records that the sum of outer products of the rows
     equals the identity to within ``ISOTROPY_TOL`` in max-entry norm; the flag
-    is re-verified at construction time.  ``incidence``, when set, is the
-    edge factor of the rows; it is checked against them at construction
-    time, row by row, to 1e-12 relative to the endpoint basis rows.
+    is re-verified at construction time.
     """
 
-    vectors: np.ndarray
+    vectors: np.ndarray | None = None
     isotropy_certified: bool = False
     incidence: Incidence | None = None
 
     def __post_init__(self):
-        v = np.asarray(self.vectors, dtype=float)
-        if v.ndim != 2:
-            raise ValueError(f"frame vectors must be a 2-D array, got shape {v.shape}")
-        if v.shape[0] < 1 or v.shape[1] < 1:
-            raise ValueError(f"frame needs at least one vector and one dimension, got {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("frame vectors must be finite")
-        self.vectors = v
+        if self.incidence is None:
+            v = np.asarray(self.vectors, dtype=float)
+            if v.ndim != 2:
+                raise ValueError(f"frame vectors must be a 2-D array, got shape {v.shape}")
+            if not np.all(np.isfinite(v)):
+                raise ValueError("frame vectors must be finite")
+            self.vectors = v
+        elif self.vectors is not None:
+            raise ValueError("a frame stores its vectors or an incidence factor, not both")
+        if self.size < 1 or self.ambient_dim < 1:
+            shape = (self.size, self.ambient_dim)
+            raise ValueError(f"frame needs at least one vector and one dimension, got {shape}")
         if self.isotropy_certified:
-            residual = float(np.max(np.abs(self.gram() - np.eye(v.shape[1]))))
+            residual = float(np.max(np.abs(self.gram() - np.eye(self.ambient_dim))))
             if residual > ISOTROPY_TOL:
                 raise ValueError(
                     f"frame claimed isotropic but identity residual is {residual:.3e} "
                     f"(tolerance {ISOTROPY_TOL:.1e})"
                 )
-        if self.incidence is not None:
-            _check_incidence(v, self.incidence)
 
     @property
     def size(self) -> int:
-        return self.vectors.shape[0]
+        return self.incidence.weights.size if self.vectors is None else self.vectors.shape[0]
 
     @property
     def ambient_dim(self) -> int:
-        return self.vectors.shape[1]
+        return self.incidence.basis.shape[1] if self.vectors is None else self.vectors.shape[1]
+
+    def rows(self, idx=slice(None)) -> np.ndarray:
+        """Frame vectors ``idx`` (all by default); an edge frame builds only these."""
+        if self.incidence is None:
+            return self.vectors[idx]
+        inc = self.incidence
+        return (inc.basis[inc.heads[idx]] - inc.basis[inc.tails[idx]]) * np.sqrt(inc.weights[idx])[..., None]
+
+    def nonzero(self) -> np.ndarray:
+        """Ascending indices of the nonzero vectors; an edge's is zero when its endpoint rows are equal."""
+        if self.incidence is None:
+            return np.flatnonzero(np.any(self.vectors != 0.0, axis=1))
+        _, label = np.unique(self.incidence.basis + 0.0, axis=0, return_inverse=True)  # -0.0 is 0.0
+        return np.flatnonzero(label.ravel()[self.incidence.heads] != label.ravel()[self.incidence.tails])
 
     def gram(self) -> np.ndarray:
         """Sum of outer products of the frame vectors, exactly symmetric."""
-        return symmetrize(self.vectors.T @ self.vectors)
+        if self.incidence is None:
+            return symmetrize(self.vectors.T @ self.vectors)
+        return _edge_gram(self.incidence, self.incidence.basis, self.incidence.weights)
 
 
-def _check_incidence(vectors: np.ndarray, inc: Incidence) -> None:
-    if inc.weights.shape[0] != vectors.shape[0] or inc.basis.shape[1] != vectors.shape[1]:
-        raise ValueError(
-            f"incidence factor of {inc.weights.shape[0]} edges in dimension {inc.basis.shape[1]} "
-            f"does not fit a frame of shape {vectors.shape}"
-        )
-    root = np.sqrt(inc.weights)
-    row_max = np.max(np.abs(inc.basis), axis=1)
-    scale = root * (row_max[inc.heads] + row_max[inc.tails])
-    diff = inc.basis[inc.heads]
-    diff -= inc.basis[inc.tails]
-    diff *= root[:, None]
-    diff -= vectors
-    residual = np.max(np.abs(diff, out=diff), axis=1)
-    bad = np.flatnonzero(residual > _INCIDENCE_RTOL * scale)
-    if bad.size:
-        e = int(bad[0])
-        raise ValueError(
-            f"incidence factor disagrees with frame row {e} (edge {inc.heads[e]}-{inc.tails[e]}): "
-            f"residual {residual[e]:.3e} against scale {scale[e]:.3e}"
-        )
+def _adjacency(n: int, heads: np.ndarray, tails: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Symmetric n x n matrix with the weight of every edge (i, j) added at [i, j] and [j, i]."""
+    adj = np.zeros((n, n))
+    np.add.at(adj, (heads, tails), weights)
+    np.add.at(adj, (tails, heads), weights)
+    return adj
+
+
+def _edge_gram(inc: Incidence, basis: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Sum over edges e of w_e d_e d_e^T, d_e = basis[heads[e]] - basis[tails[e]], in O(n^2 r).
+
+    This is basis^T L basis for the weighted Laplacian L on the basis rows.
+    Row i of L basis is formed as sum_j A_ij (basis[i] - basis[j]) with A
+    the weighted adjacency: differencing before weighting keeps each edge's
+    error relative to its own term, where multiplying by L loses about
+    eps_mach * lambda_1 / lambda_r (1e-6 for a 1e12-weight cluster).
+    """
+    adj = _adjacency(basis.shape[0], inc.heads, inc.tails, weights)
+    pulled = np.empty_like(basis)
+    for i, row in enumerate(basis):
+        pulled[i] = adj[i] @ (row - basis)
+    return symmetrize(basis.T @ pulled)
 
 
 @dataclass
@@ -218,18 +237,25 @@ def isotropic_reduce(frame: Frame) -> tuple[Frame, np.ndarray]:
     lift (shape (n, r)) maps reduced vectors back, x_i == lift @ y_i, so
     its transpose carries a direction w in the span to reduced coordinates
     with matching quadratic forms: sum_i <x_i, w>^2 == sum_i <y_i, lift.T @ w>^2.
-    An ``incidence`` factor is carried along, its basis composed with the
-    whitening map.
 
     The frame is first scaled by the power of two that puts its largest
     entry in [0.5, 1), and the lift and the incidence basis absorb that
     power: the Gram matrix neither overflows nor underflows, and a frame
-    times 2^j whitens to the same vectors bit for bit.
+    times 2^j whitens to the same vectors bit for bit.  An edge frame is
+    whitened without rows in O(n^3): A is B^T L B for its factor, whose
+    basis becomes B W_c, W_c = V_r Lambda_r^(-1/2) with the correction.  Its
+    power of two bounds sqrt(w_max) * max|B|: weights times 4^j whiten alike.
     """
-    _, exponent = np.frexp(np.max(np.abs(frame.vectors)))
-    exponent = int(exponent)
-    scaled = np.ldexp(frame.vectors, -exponent)  # exact: max entry now in [0.5, 1)
-    decomp = eigh(symmetrize(scaled.T @ scaled))
+    inc = frame.incidence
+    if inc is None:
+        _, exponent = np.frexp(np.max(np.abs(frame.vectors)))
+        scaled = np.ldexp(frame.vectors, -exponent)  # exact: max entry now in [0.5, 1)
+        gram = symmetrize(scaled.T @ scaled)
+    else:
+        _, exponent = np.frexp(np.sqrt(np.max(inc.weights)) * np.max(np.abs(inc.basis)))
+        scaled_weights = np.ldexp(inc.weights, -2 * exponent)
+        gram = _edge_gram(inc, inc.basis, scaled_weights)
+    decomp = eigh(gram)
     lam = decomp.values
     if lam[0] <= 0.0:
         raise ZeroFrameError("frame has no positive-energy direction; all vectors are zero")
@@ -239,25 +265,24 @@ def isotropic_reduce(frame: Frame) -> tuple[Frame, np.ndarray]:
     scale = np.sqrt(lam_r)
 
     whiten = v_r / scale
-    reduced = scaled @ whiten
-    del scaled  # free the m x n copy before the reduced frame is built and checked
     # One Newton-style correction of the reduced Gram matrix; without it the
     # certificate can drift when the discarded/kept eigenvalue gap is narrow.
-    gram = symmetrize(reduced.T @ reduced)
+    if inc is None:
+        reduced = scaled @ whiten
+        del scaled  # free the m x n copy before the reduced frame is built and checked
+        gram = symmetrize(reduced.T @ reduced)
+    else:
+        gram = _edge_gram(inc, inc.basis @ whiten, scaled_weights)
     gd = eigh(gram)
     if gd.values[-1] <= 0.0:
         raise RforgeError("reduced frame lost rank during whitening")
     inv_sqrt = (gd.vectors / np.sqrt(gd.values)) @ gd.vectors.T
     sqrt_gram = (gd.vectors * np.sqrt(gd.values)) @ gd.vectors.T
-    reduced = reduced @ inv_sqrt
     lift = np.ldexp((v_r * scale) @ sqrt_gram, exponent)
-
-    incidence = frame.incidence
-    if incidence is not None:
-        composed = incidence.basis @ np.ldexp(whiten @ inv_sqrt, -exponent)
-        incidence = replace(incidence, basis=composed)
-    out = Frame(reduced, isotropy_certified=True, incidence=incidence)
-    return out, lift
+    if inc is None:
+        return Frame(reduced @ inv_sqrt, isotropy_certified=True), lift
+    basis = inc.basis @ np.ldexp(whiten @ inv_sqrt, -exponent)
+    return Frame(incidence=replace(inc, basis=basis), isotropy_certified=True), lift
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import CertificationError
-from .graphs import WeightedGraph
+from .graphs import WeightedGraph, _missing_pair
 
 DEFAULT_PROBE_SEED = 0x5EED
 DEFAULT_PROBE_COUNT = 500
@@ -42,14 +41,6 @@ def standard_probes(n: int, *, seed: int = DEFAULT_PROBE_SEED) -> np.ndarray:
     return np.random.default_rng(seed).standard_normal((DEFAULT_PROBE_COUNT, n))
 
 
-def p_energy(g: WeightedGraph, x: np.ndarray, p: float) -> float:
-    """Sum of w_ij |x_i - x_j|^p over ordered vertex pairs.
-
-    Each undirected edge contributes twice, once per orientation.
-    """
-    return float(_energies(g, np.asarray(x, dtype=float)[None, :], p)[0])
-
-
 def _energies(g: WeightedGraph, probes, p: float) -> np.ndarray:
     """p-energies of every row of ``probes`` on g, as one matrix product."""
     if not p > 0:
@@ -57,9 +48,7 @@ def _energies(g: WeightedGraph, probes, p: float) -> np.ndarray:
     x = np.asarray(probes, dtype=float)
     if x.ndim != 2 or x.shape[1] != g.n:
         raise ValueError(f"probes must assign one value per vertex, got shape {x.shape}")
-    edges = np.array([(i, j) for i, j, _ in g.edges], dtype=int).reshape(-1, 2)
-    weights = np.array([w for _, _, w in g.edges])
-    return 2.0 * (np.abs(x[:, edges[:, 0]] - x[:, edges[:, 1]]) ** p) @ weights
+    return 2.0 * (np.abs(x[:, g.heads] - x[:, g.tails]) ** p) @ g.weights
 
 
 def energy_ratio_range(
@@ -70,9 +59,9 @@ def energy_ratio_range(
     The smallest ratio is the optimal global scaling exhibiting the quality
     bound; the spread max/min is the quality lower bound itself.
     """
-    extra = h.edge_pairs() - g.edge_pairs()
-    if extra:
-        raise ValueError(f"candidate edge {min(extra)} missing from the reference support")
+    witness = _missing_pair(g, h)
+    if witness is not None:
+        raise ValueError(f"candidate edge {witness} missing from the reference support")
     ratios = _energies(h, probes, p) / _energies(g, probes, p)
     return float(ratios.min()), float(ratios.max())
 
@@ -113,36 +102,3 @@ def cycle_counterexample(n: int, p: float, eps: float) -> tuple[WeightedGraph, W
     witnesses[0] = np.arange(n)
     witnesses[1, 1] = 1.0
     return g, h, witnesses
-
-
-def monotonicity_check(
-    g: WeightedGraph,
-    h: WeightedGraph,
-    p: float,
-    q: float,
-    probes: np.ndarray,
-    quality: float,
-) -> dict:
-    """Check that a certified p-sparsifier also behaves at exponents q <= p.
-
-    ``quality`` must be a certified upper bound on h's p-quality (from a
-    spectral certificate at p = 2, or by construction).  The probe lower
-    bound at exponent q must then stay below it; a violation raises
-    CertificationError, since it would contradict the monotone transfer of
-    sparsifier quality to smaller exponents.
-    """
-    if q > p:
-        raise ValueError(f"monotone transfer needs q <= p, got q={q} > p={p}")
-    bound = quality_lower_bound(g, h, q, probes)
-    if bound > quality + 1e-8:
-        raise CertificationError(
-            f"quality lower bound {bound:.12g} at exponent {q} exceeds the certified "
-            f"p-quality {quality:.12g}"
-        )
-    return {
-        "p": p,
-        "q": q,
-        "certified_p_quality": quality,
-        "q_quality_lower_bound": bound,
-        "margin": quality - bound,
-    }

@@ -134,6 +134,8 @@ def ri_select(
         raise ValueError(f"operator must be a matrix, got shape {t.shape}")
     if not np.all(np.isfinite(t)):
         raise ValueError("operator must be finite")
+    if frame.vectors is None:
+        raise ValueError("ri_select needs stored vectors; pass Frame(frame.rows()) for an edge frame")
 
     work = frame
     if not frame.isotropy_certified:

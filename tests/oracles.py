@@ -149,6 +149,44 @@ def cut_decompose_oracle(points: np.ndarray) -> list[tuple[frozenset[int], float
     return [(subset, weight) for subset, weight in sorted(merged.items(), key=lambda c: sorted(c[0]))]
 
 
+def weighted_graph_loop_check(n, edges) -> list[tuple[int, int, float]]:
+    """Edge-list validation one edge at a time: range, then repeat, then weight.
+
+    Returns the canonical (int, int, float) edges or raises ValueError with
+    the message for the first bad edge.
+    """
+    if n < 1:
+        raise ValueError(f"vertex count must be positive, got {n}")
+    seen, canon = set(), []
+    for i, j, w in edges:
+        i, j = int(i), int(j)
+        if not 0 <= i < j < n:
+            raise ValueError(f"edge ({i}, {j}) must satisfy 0 <= i < j < {n}")
+        if (i, j) in seen:
+            raise ValueError(f"duplicate edge ({i}, {j})")
+        if not 0 < w < math.inf:
+            raise ValueError(f"edge ({i}, {j}) has nonpositive or non-finite weight {w}")
+        seen.add((i, j))
+        canon.append((i, j, float(w)))
+    return canon
+
+
+def components_union_find(n: int, edges) -> list[int]:
+    """Lowest vertex of each vertex's connected component, by union-find over (i, j, w) edges."""
+    parent = list(range(n))
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for i, j, _ in edges:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[max(ri, rj)] = min(ri, rj)
+    return [find(v) for v in range(n)]
+
+
 def power_energy_double_sum(n: int, edges, x, p: float) -> float:
     """Sum of w * |x_i - x_j|^p over ordered pairs, via the full matrix."""
     g = np.zeros((n, n))
@@ -160,6 +198,45 @@ def power_energy_double_sum(n: int, edges, x, p: float) -> float:
         for j in range(n):
             total += g[i, j] * abs(x[i] - x[j]) ** p
     return total
+
+
+def p_energy(g, x, p: float) -> float:
+    """Sum of w_ij |x_i - x_j|^p over ordered vertex pairs, through the library's energy kernel.
+
+    Each undirected edge contributes twice, once per orientation.
+    """
+    from rforge.nonlinear import _energies
+
+    return float(_energies(g, np.asarray(x, dtype=float)[None, :], p)[0])
+
+
+def monotonicity_check(g, h, p: float, q: float, probes: np.ndarray, quality: float) -> dict:
+    """Check that a certified p-sparsifier also behaves at exponents q <= p.
+
+    ``quality`` must be a certified upper bound on h's p-quality (from a
+    spectral certificate at p = 2, or by construction).  The probe lower
+    bound at exponent q must then stay below it; a violation raises
+    CertificationError, since it would contradict the monotone transfer of
+    sparsifier quality to smaller exponents.
+    """
+    from rforge.errors import CertificationError
+    from rforge.nonlinear import quality_lower_bound
+
+    if q > p:
+        raise ValueError(f"monotone transfer needs q <= p, got q={q} > p={p}")
+    bound = quality_lower_bound(g, h, q, probes)
+    if bound > quality + 1e-8:
+        raise CertificationError(
+            f"quality lower bound {bound:.12g} at exponent {q} exceeds the certified "
+            f"p-quality {quality:.12g}"
+        )
+    return {
+        "p": p,
+        "q": q,
+        "certified_p_quality": quality,
+        "q_quality_lower_bound": bound,
+        "margin": quality - bound,
+    }
 
 
 def lp_norm(x: np.ndarray, p: float) -> float:

@@ -307,7 +307,7 @@ class TestOracleEquivalence:
     def assert_run_matches_oracle(frame, eps):
         state = initial_barrier_state(frame.ambient_dim, eps)
         for _ in range(support_bound(frame.ambient_dim, eps)):
-            oracle = barrier_step_oracle(state.A, frame.vectors, eps, state.step + 1)
+            oracle = barrier_step_oracle(state.A, frame.rows(), eps, state.step + 1)
             upper_gap, lower_gap = barrier_gaps(state)
             assert upper_gap == pytest.approx(oracle["upper_gap"], rel=1e-9)
             assert lower_gap == pytest.approx(oracle["lower_gap"], rel=1e-9)

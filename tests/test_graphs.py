@@ -1,7 +1,7 @@
 import itertools
+import json
 import math
-from dataclasses import replace
-
+import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
@@ -10,8 +10,12 @@ from rforge import formats
 from rforge.bss import sparsify_frame, support_bound
 from rforge.cli import build_parser, run
 from rforge.errors import CertificationError
+from rforge.linalg import Frame, isotropic_reduce
+
+from oracles import components_union_find, weighted_graph_loop_check
 from rforge.graphs import (
     WeightedGraph,
+    _components,
     edge_frame,
     laplacian,
     sparsify_graph,
@@ -78,6 +82,112 @@ class TestWeightedGraph:
                 WeightedGraph(3, [(0, 1, 1.0), (1, 2, bad)])
 
 
+class TestArrayGraph:
+    """The array-backed graph against the edge-by-edge validation it replaced."""
+
+    BAD = [
+        (3, [(1, 0, 1.0)]),
+        (3, [(1, 1, 1.0)]),
+        (3, [(0, 3, 1.0)]),
+        (3, [(-1, 2, 1.0)]),
+        (3, [(0, 1, 1.0), (1, 2, 1.0), (0, 1, 2.0)]),
+        (3, [(0, 1, 0.0)]),
+        (3, [(0, 1, 1.0), (1, 2, -2.5)]),
+        (3, [(0, 1, math.inf)]),
+        (3, [(0, 1, 1.0), (0, 2, math.nan)]),
+        (3, [(0, 1, -1.0), (0, 1, 2.0)]),
+        (3, [(0, 1, 1.0), (0, 1, -1.0), (2, 1, 1.0)]),
+        (3, [(0, 2, 1.0), (0, 5, 0.0), (0, 2, 1.0)]),
+        (10**10, [(5, 10**9, 1.0), (5, 10**9 + 1, 1.0), (5, 10**9, 2.0)]),
+        (0, []),
+        (-2, [(0, 1, 1.0)]),
+    ]
+
+    @staticmethod
+    def loop_message(n, edges):
+        try:
+            weighted_graph_loop_check(n, edges)
+        except ValueError as exc:
+            return str(exc)
+        return None
+
+    @pytest.mark.parametrize("n, edges", BAD)
+    def test_rejects_what_the_loop_rejects(self, n, edges):
+        want = self.loop_message(n, edges)
+        assert want is not None
+        with pytest.raises(ValueError) as caught:
+            WeightedGraph(n, edges)
+        assert str(caught.value) == want
+
+    def test_random_edge_lists_match_the_loop(self, rng):
+        weights = [1.0, 2.5, 0.0, -1.0, math.inf, math.nan, 1e-300]
+        for _ in range(300):
+            n = int(rng.integers(1, 6))
+            edges = [
+                (int(rng.integers(-1, n + 1)), int(rng.integers(-1, n + 1)), weights[rng.integers(len(weights))])
+                for _ in range(int(rng.integers(0, 6)))
+            ]
+            want = self.loop_message(n, edges)
+            if want is None:
+                assert WeightedGraph(n, edges).edges == weighted_graph_loop_check(n, edges)
+            else:
+                with pytest.raises(ValueError) as caught:
+                    WeightedGraph(n, edges)
+                assert str(caught.value) == want
+
+    def test_components_match_union_find(self, rng):
+        for _ in range(200):
+            n = int(rng.integers(1, 40))
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 2.0 / n]
+            g = WeightedGraph(n, [(i, j, 1.0) for i, j in rng.permutation(pairs).tolist()] if pairs else [])
+            assert _components(g).tolist() == components_union_find(n, g.edges)
+        path = WeightedGraph(64, [(j, j + 1, 1.0) for j in range(63)][::-1])
+        assert _components(path).tolist() == [0] * 64
+
+    def test_edges_are_python_numbers(self):
+        g = WeightedGraph(4, [(np.int64(0), 2, np.float64(4.0)), (1, 3, 0.25)])
+        assert g.edges == [(0, 2, 4.0), (1, 3, 0.25)]
+        assert all(type(i) is int and type(j) is int and type(w) is float for i, j, w in g.edges)
+        assert json.loads(json.dumps(g.edges)) == [[0, 2, 4.0], [1, 3, 0.25]]
+        assert WeightedGraph(3).edges == [] and WeightedGraph(3).edge_count == 0
+
+    def test_arrays_are_read_only_copies(self):
+        heads, tails, weights = np.array([0, 1]), np.array([1, 2]), np.array([1.0, 2.0])
+        g = WeightedGraph.from_arrays(3, heads, tails, weights)
+        weights[0] = -1.0
+        assert g.weights.tolist() == [1.0, 2.0]
+        with pytest.raises(ValueError):
+            g.weights[0] = 5.0
+        with pytest.raises(ValueError, match="equal length"):
+            WeightedGraph.from_arrays(3, heads, tails, weights[:1])
+        with pytest.raises(ValueError, match="triples"):
+            WeightedGraph(3, [(0, 1), (1, 2)])
+
+    def test_array_and_tuple_graphs_sparsify_identically(self, rng):
+        pairs = np.array(list(itertools.combinations(range(24), 2)))
+        weights = np.exp(rng.uniform(0.0, math.log(100.0), len(pairs)))
+        from_arrays = WeightedGraph.from_arrays(24, pairs[:, 0], pairs[:, 1], weights)
+        from_tuples = WeightedGraph(24, [(int(i), int(j), float(w)) for (i, j), w in zip(pairs, weights)])
+        assert from_arrays.edges == from_tuples.edges
+        h_arrays, h_tuples = sparsify_graph(from_arrays, 0.5), sparsify_graph(from_tuples, 0.5)
+        assert np.array_equal(h_arrays.heads, h_tuples.heads)
+        assert np.array_equal(h_arrays.tails, h_tuples.tails)
+        assert np.array_equal(h_arrays.weights, h_tuples.weights)
+
+    def test_sparsify_and_verify_form_no_edge_by_vertex_matrix(self, rng):
+        # weighted K64: one m x n float64 array is 2016 * 64 * 8 bytes
+        g = log_weighted(rng, 64, list(itertools.combinations(range(64), 2)))
+        budget = g.edge_count * g.n * 8
+        tracemalloc.start()
+        try:
+            verify_quality(g, sparsify_graph(g, 0.5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert budget == 1_032_192
+        assert peak < budget
+
+
 class TestLaplacian:
     def test_single_edge(self):
         g = WeightedGraph(2, [(0, 1, 1.0)])
@@ -114,7 +224,8 @@ class TestEdgeFrame:
     def test_scaling(self):
         g = WeightedGraph(2, [(0, 1, 4.0)])
         frame = edge_frame(g)
-        assert np.allclose(frame.vectors, [[2.0, -2.0]])
+        assert frame.vectors is None
+        assert np.allclose(frame.rows(), [[2.0, -2.0]])
 
     def test_outer_products_sum_to_laplacian(self, rng):
         g = random_graph(rng, 8, 0.6)
@@ -145,10 +256,11 @@ class TestFactoredScoring:
         "name", ["weighted K12", "sparse random", "two components", "isolated vertex", "heavy cluster"]
     )
     def test_factored_run_matches_dense_run(self, rng, name):
-        frame = edge_frame(factored_test_graphs(rng)[name])
+        frame, _ = isotropic_reduce(edge_frame(factored_test_graphs(rng)[name]))
         factored, dense = [], []
         weights = sparsify_frame(frame, 0.5, history=factored)
-        dense_weights = sparsify_frame(replace(frame, incidence=None), 0.5, history=dense)
+        dense_frame = Frame(frame.rows(), isotropy_certified=True)
+        dense_weights = sparsify_frame(dense_frame, 0.5, history=dense)
         assert len(factored) == len(dense) > 0
         assert [r["chosen"] for r in factored] == [r["chosen"] for r in dense]
         for got, want in zip(factored, dense):

@@ -125,14 +125,17 @@ class TestIsotropicReduce:
         vectors = np.zeros((3, 3))
         vectors[np.arange(3), heads] = np.sqrt(weights)
         vectors[np.arange(3), tails] = -np.sqrt(weights)
-        frame = Frame(vectors, incidence=Incidence(heads, tails, weights, np.eye(3)))
-        reduced, _ = isotropic_reduce(frame)
+        frame = Frame(incidence=Incidence(heads, tails, weights, np.eye(3)))
+        reduced, lift = isotropic_reduce(frame)
         inc = reduced.incidence
-        assert inc.basis.shape == (3, 2)
+        assert reduced.vectors is None and inc.basis.shape == (3, 2)
         assert np.array_equal(inc.heads, heads) and np.array_equal(inc.weights, weights)
         rebuilt = np.sqrt(weights)[:, None] * (inc.basis[heads] - inc.basis[tails])
-        assert np.max(np.abs(rebuilt - reduced.vectors)) <= 1e-14
-        assert isotropic_reduce(Frame(vectors))[0].incidence is None
+        assert np.array_equal(reduced.rows(), rebuilt)
+        dense, dense_lift = isotropic_reduce(Frame(vectors))
+        assert dense.incidence is None
+        assert np.max(np.abs(rebuilt - dense.vectors)) <= 1e-14
+        assert np.max(np.abs(lift - dense_lift)) <= 1e-14
 
 
 class TestFrame:
@@ -144,17 +147,19 @@ class TestFrame:
         frame = Frame(np.eye(3), isotropy_certified=True)
         assert frame.size == 3 and frame.ambient_dim == 3
 
-    def test_incidence_factor_must_match_rows(self):
+    def test_vectors_or_incidence_factor(self):
         vectors = np.array([[2.0, -2.0, 0.0], [0.0, 1.0, -1.0]])  # edges 0-1 (w 4), 1-2 (w 1)
         heads, tails = np.array([0, 1]), np.array([1, 2])
-        Frame(vectors, incidence=Incidence(heads, tails, np.array([4.0, 1.0]), np.eye(3)))
-        with pytest.raises(ValueError, match="disagrees with frame row 1"):
-            Frame(vectors, incidence=Incidence(heads, tails, np.array([4.0, 1.0 + 1e-9]), np.eye(3)))
-        reversed_first = Incidence(np.array([1, 1]), np.array([0, 2]), np.array([4.0, 1.0]), np.eye(3))
-        with pytest.raises(ValueError, match="disagrees with frame row 0"):
-            Frame(vectors, incidence=reversed_first)
-        with pytest.raises(ValueError, match="does not fit"):
-            Frame(vectors, incidence=Incidence(heads, tails, np.array([4.0, 1.0]), np.eye(4)))
+        inc = Incidence(heads, tails, np.array([4.0, 1.0]), np.eye(3))
+        frame = Frame(incidence=inc)
+        assert frame.vectors is None and frame.size == 2 and frame.ambient_dim == 3
+        assert np.array_equal(frame.rows(), vectors)
+        assert np.array_equal(frame.rows(1), vectors[1])
+        assert np.array_equal(frame.gram(), Frame(vectors).gram())
+        with pytest.raises(ValueError, match="not both"):
+            Frame(vectors, incidence=inc)
+        with pytest.raises(ValueError, match="at least one vector"):
+            Frame(incidence=Incidence(heads[:0], tails[:0], np.zeros(0), np.eye(3)))
         with pytest.raises(ValueError, match="endpoints"):
             Incidence(heads, np.array([1, 3]), np.array([4.0, 1.0]), np.eye(3))
 

@@ -6,14 +6,12 @@ from rforge.graphs import WeightedGraph, sparsify_graph, verify_quality
 from rforge.nonlinear import (
     cycle_counterexample,
     energy_ratio_range,
-    monotonicity_check,
     nonzero_energy_probes,
-    p_energy,
     quality_lower_bound,
     standard_probes,
 )
 
-from oracles import power_energy_double_sum
+from oracles import monotonicity_check, p_energy, power_energy_double_sum
 
 
 class TestPEnergy:

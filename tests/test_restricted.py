@@ -6,7 +6,7 @@ import pytest
 from oracles import ri_select_oracle
 from rforge import RiSelection
 from rforge.errors import SelectionInvariantError
-from rforge.linalg import Frame
+from rforge.linalg import Frame, Incidence
 from rforge.restricted import (
     _factored_resolvent,
     operator_norms,
@@ -169,6 +169,11 @@ class TestRiSelect:
         t[1, 2] = np.nan
         with pytest.raises(ValueError, match="finite"):
             ri_select(basis_frame(3), t, 0.5)
+
+    def test_edge_frame_needs_stored_vectors(self):
+        inc = Incidence(np.array([0, 1]), np.array([1, 2]), np.array([4.0, 1.0]), np.eye(3))
+        with pytest.raises(ValueError, match="stored vectors"):
+            ri_select(Frame(incidence=inc), np.eye(3), 0.5)
 
     def test_k_zero_warns(self):
         # scalar operator: stable rank 1, so eps < 1 always gives k = 0
