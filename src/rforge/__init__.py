@@ -6,8 +6,8 @@ Core surface:
   eigendecomposition, frame whitening) and the spectral ``Certificate``
   check every builder goes through.
 - :mod:`rforge.bss` -- barrier-potential frame sparsification.
-- :mod:`rforge.graphs` -- weighted graphs, Laplacians, graph sparsification
-  and its spectral certificate.
+- :mod:`rforge.graphs` -- weighted graphs, graph sparsification and its
+  spectral certificate.
 - :mod:`rforge.restricted` -- well-conditioned column subset selection.
 - :mod:`rforge.embed` -- approximate John decompositions, L1 point-set
   embeddings, even-exponent subspace embeddings.
@@ -48,7 +48,6 @@ from .graphs import (
     QualityReport,
     WeightedGraph,
     edge_frame,
-    laplacian,
     sparsify_graph,
     spectral_gap_ratio,
     verify_quality,
@@ -105,7 +104,6 @@ __all__ = [
     "embed_lp_even",
     "initial_barrier_state",
     "isotropic_reduce",
-    "laplacian",
     "nonzero_energy_probes",
     "quality_lower_bound",
     "ri_barrier",

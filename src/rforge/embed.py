@@ -56,8 +56,10 @@ class JohnDecomposition:
             raise ValueError(f"points must be (m, {self.dim}), got {self.points.shape}")
         if self.weights.shape != (self.points.shape[0],):
             raise ValueError("weights must align with points")
-        if not np.all(self.weights > 0):
-            raise ValueError("weights must be positive")
+        if not np.all(np.isfinite(self.points)):
+            raise ValueError("points must be finite")
+        if not np.all((self.weights > 0) & np.isfinite(self.weights)):
+            raise ValueError("weights must be positive and finite")
 
     @property
     def size(self) -> int:
@@ -261,6 +263,8 @@ def embed_lp_even(basis: np.ndarray, p: int, eps: float) -> tuple[np.ndarray, np
     u = np.asarray(basis, dtype=float)
     if u.ndim != 2:
         raise ValueError(f"basis must be a 2-D array, got shape {u.shape}")
+    if not np.all(np.isfinite(u)):
+        raise ValueError("basis must be finite")
     n, m = u.shape
     if np.linalg.matrix_rank(u) < n:
         raise ValueError("basis vectors are linearly dependent")

@@ -1,4 +1,4 @@
-"""Weighted graphs, Laplacians, graph sparsification, and its certificate.
+"""Weighted graphs, graph sparsification, and its certificate.
 
 A graph on n vertices is three arrays (edge heads, tails and weights).  Its
 edge frame of vectors sqrt(w) * (e_i - e_j) stores no rows, only that
@@ -8,9 +8,9 @@ reweighted subgraph H whose Laplacian quadratic form sandwiches the input's:
     <L_G y, y>  <=  <L_H y, y>  <=  ((1+eps)/(1-eps))^2 * <L_G y, y>
 
 for every y, with at most 2*ceil(n/eps^2) nonzero ordered entries in H.
-``verify_quality`` certifies any candidate sparsifier independently: an
-exact connected-components check, then a validated symmetric eigensolve of
-L_H whitened by L_G on the common range.
+``verify_quality`` certifies any candidate sparsifier: an exact
+connected-components check, then a validated eigensolve of L_H on the
+basis that whitens G's edge frame exactly as the sparsifier whitens it.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from .bss import check_eps, sparsify_frame
 from .errors import CertificationError
-from .linalg import _RANK_RTOL, Frame, Incidence, _adjacency, eigh, symmetrize
+from .linalg import Frame, Incidence, _edge_gram, eigh, isotropic_reduce
 
 
 class WeightedGraph:
@@ -86,7 +86,9 @@ class WeightedGraph:
         return set(zip(self.heads.tolist(), self.tails.tolist()))
 
     def adjacency(self) -> np.ndarray:
-        return _adjacency(self.n, self.heads, self.tails, self.weights)
+        adj = np.zeros((self.n, self.n))
+        adj[self.heads, self.tails] = adj[self.tails, self.heads] = self.weights  # edges are distinct pairs
+        return adj
 
 
 @dataclass
@@ -96,12 +98,6 @@ class QualityReport:
     min_quotient: float
     max_quotient: float
     range_dim: int
-
-
-def laplacian(g: WeightedGraph) -> np.ndarray:
-    """Degree matrix minus adjacency; rows sum to zero."""
-    a = g.adjacency()
-    return np.diag(a.sum(axis=1)) - a
 
 
 def edge_frame(g: WeightedGraph) -> Frame:
@@ -123,24 +119,33 @@ def sparsify_graph(g: WeightedGraph, eps: float, *, history: list | None = None)
     The output H keeps a subset of g's edges (at most ceil(n/eps^2) of
     them), reweighted so the generalized Rayleigh quotients of (L_H, L_G)
     on the range of L_G lie in [1, ((1+eps)/(1-eps))^2].  Vertices with no
-    surviving edge are kept; the Laplacian kernel is preserved.  The range
-    of L_G has dimension n minus the number of connected components; when
-    whitening the edge frame resolves fewer directions (edge weights
-    spanning about 1e16), CertificationError is raised.
+    surviving edge are kept; the Laplacian kernel is preserved.  The edge
+    frame is whitened before any barrier step, and a graph whose range
+    whitening cannot resolve (edge weights spanning about 1e16) raises
+    CertificationError then.
     """
     check_eps(eps)
     if g.edge_count == 0:
         return WeightedGraph(g.n)
-    sparse = sparsify_frame(edge_frame(g), eps, history=history)
-    r = g.n - int(np.count_nonzero(_components(g) == np.arange(g.n)))
-    if sparse.certificate.range_dim != r:
-        raise CertificationError(
-            f"whitening resolved {sparse.certificate.range_dim} of the Laplacian's {r} range "
-            "directions; the edge weights span too wide a range to certify"
-        )
+    sparse = sparsify_frame(_whitened(g, _components(g)), eps, history=history)
     # Lift the frame certificate's lower constant to exactly 1.
     weights = sparse.weights * (1.0 / (1.0 - eps) ** 2) * g.weights[sparse.support]
     return WeightedGraph.from_arrays(g.n, g.heads[sparse.support], g.tails[sparse.support], weights)
+
+
+def _whitened(g: WeightedGraph, roots: np.ndarray) -> Frame:
+    """g's whitened edge frame; CertificationError unless it spans L_G's range.
+
+    ``roots`` labels g's components, so the range has dimension n - (number of components).
+    """
+    frame, _ = isotropic_reduce(edge_frame(g))
+    r = g.n - int(np.count_nonzero(roots == np.arange(g.n)))
+    if frame.ambient_dim != r:
+        raise CertificationError(
+            f"whitening resolved {frame.ambient_dim} of the Laplacian's {r} range directions "
+            "above the float64 rank floor; the edge weights span too wide a range to certify"
+        )
+    return frame
 
 
 def _components(g: WeightedGraph) -> np.ndarray:
@@ -174,12 +179,14 @@ def verify_quality(g: WeightedGraph, h: WeightedGraph) -> QualityReport:
     pair of vertices g connects (raising CertificationError with a witness
     edge or vertex pair on violation).  The component indicators of g then
     span the kernel of both Laplacians, so the range of L_G has dimension
-    r = n - (number of components).  With L_G = V diag(lambda) V^T on its
-    top r eigenpairs, the generalized Rayleigh quotients of (L_H, L_G) there
-    are the eigenvalues of W^T L_H W for W = V diag(lambda)^(-1/2); both
-    decompositions use the validated ``eigh``.  If lambda_r is not above
-    n * eps_mach * lambda_1, the rank floor of ``isotropic_reduce``, the
-    range cannot be resolved in float64 and CertificationError is raised.
+    r = n - (number of components).  g's edge frame is whitened as
+    ``sparsify_graph`` whitens it, so its basis W has W^T L_G W = I on r
+    columns (the isotropy check of the whitened frame verifies it), and the
+    generalized Rayleigh quotients of (L_H, L_G) there are the eigenvalues
+    of W^T L_H W, formed edge by edge and taken with the validated ``eigh``.
+    A range that whitening cannot resolve raises CertificationError.  The
+    independent references are the tests' scipy and mpmath pencils and the
+    benchmark's scipy checks.
     """
     if g.n != h.n:
         raise ValueError(f"vertex counts differ: {g.n} vs {h.n}")
@@ -197,20 +204,11 @@ def verify_quality(g: WeightedGraph, h: WeightedGraph) -> QualityReport:
             f"candidate disconnects vertices {roots[v]} and {v}, which the reference "
             "graph connects; its quadratic form vanishes on a vector the reference's does not"
         )
-    r = g.n - int(np.count_nonzero(roots == np.arange(g.n)))
-    if r == 0:
+    if g.edge_count == 0:
         return QualityReport(1.0, 1.0, 0)
-    decomp = eigh(laplacian(g))
-    lam = decomp.values
-    floor = g.n * _RANK_RTOL * lam[0]
-    if not lam[r - 1] > floor:
-        raise CertificationError(
-            f"reference Laplacian eigenvalue {r} of {g.n} ({lam[r - 1]:.3e}) is not above the "
-            f"float64 rank floor {floor:.3e}; its range cannot be resolved"
-        )
-    whiten = decomp.vectors[:, :r] / np.sqrt(lam[:r])
-    quotients = eigh(symmetrize(whiten.T @ laplacian(h) @ whiten)).values
-    return QualityReport(float(quotients[-1]), float(quotients[0]), r)
+    basis = _whitened(g, roots).incidence.basis
+    quotients = eigh(_edge_gram(h.heads, h.tails, h.weights, basis)).values
+    return QualityReport(float(quotients[-1]), float(quotients[0]), basis.shape[1])
 
 
 def spectral_gap_ratio(h: WeightedGraph) -> float:

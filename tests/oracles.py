@@ -187,6 +187,37 @@ def components_union_find(n: int, edges) -> list[int]:
     return [find(v) for v in range(n)]
 
 
+def laplacian(g) -> np.ndarray:
+    """Degree matrix minus adjacency of a ``WeightedGraph``; rows sum to zero."""
+    a = g.adjacency()
+    return np.diag(a.sum(axis=1)) - a
+
+
+def pencil_mpmath(g, h) -> tuple[float, float]:
+    """Extreme quotients of the (L_H, L_G) pencil for a connected g, in 60-digit arithmetic.
+
+    Grounds vertex 0 (L_G without row and column 0 is positive definite for a
+    connected g, and the grounded pencil has the same eigenvalues as the
+    pencil on L_G's range), factors the grounded L_G = C C^T by Cholesky and
+    takes ``eigsy`` of C^-1 L_H C^-T.  No rforge whitening is involved.
+    """
+    import mpmath
+
+    with mpmath.workdps(60):
+
+        def grounded(graph):
+            lap = mpmath.zeros(graph.n - 1)
+            for i, j, w in graph.edges:
+                for a, b, sign in ((i, i, 1), (j, j, 1), (i, j, -1), (j, i, -1)):
+                    if a and b:
+                        lap[a - 1, b - 1] += sign * mpmath.mpf(w)
+            return lap
+
+        c_inv = mpmath.inverse(mpmath.cholesky(grounded(g)))
+        values = mpmath.eigsy(c_inv * grounded(h) * c_inv.T, eigvals_only=True)
+        return float(min(values)), float(max(values))
+
+
 def power_energy_double_sum(n: int, edges, x, p: float) -> float:
     """Sum of w * |x_i - x_j|^p over ordered pairs, via the full matrix."""
     g = np.zeros((n, n))

@@ -318,6 +318,24 @@ class TestRun:
         assert status == EXIT_INPUT
         assert "weight column" in report["error"]
 
+    def test_john_approx_non_finite_exit_code(self, tmp_path):
+        raw = np.column_stack([np.vstack([np.eye(3), -np.eye(3)]), np.full(6, 0.5)])
+        raw[2, 1] = np.nan
+        src = tmp_path / "john.mat"
+        formats.write_matrix(src, raw)
+        status, report = cli("john-approx", src, "--eps", 0.8)
+        assert status == EXIT_INPUT
+        assert "points must be finite" in report["error"]
+
+    def test_embed_lp_non_finite_exit_code(self, tmp_path, rng):
+        basis = rng.standard_normal((2, 20))
+        basis[0, 5] = np.inf
+        src = tmp_path / "basis.mat"
+        formats.write_matrix(src, basis)
+        status, report = cli("embed-lp", src, "--p", 4, "--eps", 0.5)
+        assert status == EXIT_INPUT
+        assert "basis must be finite" in report["error"]
+
     def test_ri_select_non_square_exit_code(self, tmp_path, rng):
         src = tmp_path / "op.mat"
         formats.write_matrix(src, rng.standard_normal((4, 6)))

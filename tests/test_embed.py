@@ -63,6 +63,16 @@ class TestApproximateJohn:
         with pytest.raises(ValueError, match="norm|residual"):
             approximate_john(bad, 0.5)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, value):
+        points, weights = np.vstack([np.eye(2), -np.eye(2)]), np.full(4, 0.5)
+        bad_points, bad_weights = points.copy(), weights.copy()
+        bad_points[1, 0] = bad_weights[1] = value
+        with pytest.raises(ValueError, match="points must be finite"):
+            JohnDecomposition(2, bad_points, weights)
+        with pytest.raises(ValueError, match="weights must be positive and finite"):
+            JohnDecomposition(2, points, bad_weights)
+
 
 def cut_distances(cd):
     """The cut metric: l1 distances between the points' weighted cut profiles."""
@@ -239,6 +249,13 @@ class TestEmbedLpEven:
         dependent = np.vstack([basis[0], 2 * basis[0]])
         with pytest.raises(ValueError, match="dependent"):
             embed_lp_even(dependent, 4, 0.5)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_basis_rejected(self, rng, value):
+        basis = rng.standard_normal((2, 8))
+        basis[1, 3] = value
+        with pytest.raises(ValueError, match="basis must be finite"):
+            embed_lp_even(basis, 4, 0.5)
 
     def check_lifted_certificate(self, basis, p, eps, lift_dim):
         # independent orthonormal basis of the monomial lift

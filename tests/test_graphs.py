@@ -12,12 +12,11 @@ from rforge.cli import build_parser, run
 from rforge.errors import CertificationError
 from rforge.linalg import Frame, isotropic_reduce
 
-from oracles import components_union_find, weighted_graph_loop_check
+from oracles import components_union_find, laplacian, pencil_mpmath, weighted_graph_loop_check
 from rforge.graphs import (
     WeightedGraph,
     _components,
     edge_frame,
-    laplacian,
     sparsify_graph,
     spectral_gap_ratio,
     verify_quality,
@@ -323,9 +322,12 @@ class TestSparsifyGraph:
 
     @pytest.mark.parametrize("n", [8, 16, 24])
     def test_whitening_that_drops_range_directions_raises(self, n):
-        # a 1e16 K4 puts the light directions below whitening's rank cut
+        # a 1e16 K4 puts the light directions below whitening's rank cut;
+        # the refusal comes before any barrier step
+        history = []
         with pytest.raises(CertificationError, match=f"resolved 3 of the Laplacian's {n - 1} range"):
-            sparsify_graph(heavy_cluster_graph(n, 4, 1e16), 0.5)
+            sparsify_graph(heavy_cluster_graph(n, 4, 1e16), 0.5, history=history)
+        assert history == []
         g = heavy_cluster_graph(n, 4, 1e15)
         assert verify_quality(g, sparsify_graph(g, 0.5)).range_dim == n - 1
 
@@ -393,6 +395,20 @@ class TestVerifyQuality:
         assert report.range_dim == n - 1
         assert report.min_quotient >= 1.0 - 1e-3
         assert report.max_quotient <= 9.0 + 1e-3
+
+    @pytest.mark.parametrize("heavy", [1e12, 1e15])
+    @pytest.mark.parametrize("n", [16, 24])
+    def test_wide_weights_match_mpmath_pencil(self, n, heavy):
+        # lambda_1 / lambda_r reaches ~1e14, so a whitening taken from L_G's own
+        # eigenvectors is off by ~eps_mach * lambda_1 / lambda_r (0.99995 and
+        # 0.922 on K24, where the pencil's minimum is 1)
+        pytest.importorskip("mpmath")
+        g = heavy_cluster_graph(n, 4, heavy)
+        h = sparsify_graph(g, 0.5)
+        low, high = pencil_mpmath(g, h)
+        report = verify_quality(g, h)
+        assert report.min_quotient == pytest.approx(low, rel=1e-9)
+        assert report.max_quotient == pytest.approx(high, rel=1e-9)
 
     @pytest.mark.parametrize(
         "g",
