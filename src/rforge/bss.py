@@ -12,13 +12,23 @@ both potentials in check; the iteration picks the one with the largest
 slack and steps with weight 1/alpha, where alpha is the chosen vector's
 upper-barrier score.
 
-Every step eigendecomposes the running sum once, A = U diag(lam) U^T, and
-keeps both factors.  The potentials and gaps come from lam alone, and every
-candidate is scored in that eigenbasis: with Y = X U (one row per
-candidate), all four resolvent quadratic forms are the columns of
-(Y*Y) @ [du, du^2, dl, dl^2], where du = 1/(u' - lam) and dl = 1/(lam - l')
-at the advanced barriers u' and l'.  All invariants are re-checked eagerly
-at every step (any violation raises BarrierInvariantError rather than
+The state keeps the running sum's eigendecomposition A = U diag(lam) U^T.
+A step adds one term, A + t x x^T, and from order 44 up (_UPDATE_MIN_ORDER,
+the measured crossover) it updates (lam, U) in place of eigendecomposing
+the sum again: a rank-one update in the current eigenbasis, with the
+roots of its secular equation from LAPACK's values-only eigensolver and
+the vectors from Loewner's formula (``linalg._rank_one_update``).  Either
+way the new pairs pass eigh's own checks against the explicitly
+accumulated A (reconstruction and orthonormality, both to 1e-10); an
+update that fails them, or whose roots do not interlace, gives way to the
+full validated eigh, and the step's history record says which ran
+("update" or "full").
+The potentials and gaps come from lam alone, and every candidate is scored
+in that eigenbasis: with Y = X U (one row per candidate), all four
+resolvent quadratic forms are the columns of (Y*Y) @ [du, du^2, dl, dl^2],
+where du = 1/(u' - lam) and dl = 1/(lam - l') at the advanced barriers u'
+and l', computed once per state.  All invariants are re-checked eagerly at
+every step (any violation raises BarrierInvariantError rather than
 returning a bad certificate).
 
 An edge frame stores no rows, only its ``Incidence`` factor, and is scored
@@ -42,12 +52,21 @@ returned ``SparseWeights`` carries that certificate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import BarrierInvariantError, CertificationError
-from .linalg import Certificate, Frame, certify_spectrum, eigh, isotropic_reduce, symmetrize
+from .linalg import (
+    Certificate,
+    Frame,
+    _rank_one_update,
+    _residual_failure,
+    certify_spectrum,
+    eigh,
+    isotropic_reduce,
+    symmetrize,
+)
 
 # Tolerances for the per-step invariant checks.
 _UPPER_CONSERVATION_RTOL = 1e-8
@@ -63,6 +82,9 @@ _SANDWICH_TOL = 1e-8
 # from the incidence gather before it is scored from its row instead.
 _GATHER_RTOL = 1e-10
 _MACHINE_EPS = np.finfo(float).eps
+# Order from which a step updates its eigendecomposition instead of
+# recomputing it; below it the full eigh was faster (see CHANGES.md).
+_UPDATE_MIN_ORDER = 44
 
 
 def check_eps(eps: float) -> float:
@@ -81,7 +103,8 @@ class BarrierState:
     -n/eps + step; the two potentials are the sums of reciprocal gaps
     between the barriers and the eigenvalues of A (cached in
     ``eigenvalues``, descending, with the matching orthonormal eigenvectors
-    as the columns of ``eigenvectors``).
+    as the columns of ``eigenvectors``).  ``eigensolve`` says how the step
+    that made this state found them: "update" or "full".
     """
 
     step: int
@@ -94,6 +117,9 @@ class BarrierState:
     lower_potential: float
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    eigensolve: str = "full"
+    # 1/(u' - lam) and 1/(lam - l') at the advanced barriers, once computed.
+    _reciprocal_gaps: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def order(self) -> int:
@@ -102,7 +128,7 @@ class BarrierState:
 
 @dataclass
 class SparseWeights:
-    """Positive weights on the frame rows ``support`` (ascending), aligned with ``weights``."""
+    """Positive finite weights on the frame rows ``support`` (strictly ascending), aligned with ``weights``."""
 
     support: np.ndarray
     weights: np.ndarray
@@ -115,8 +141,11 @@ class SparseWeights:
         outside = self.support[(self.support < 0) | (self.support >= self.source_size)]
         if outside.size:
             raise ValueError(f"weight index {outside[0]} outside [0, {self.source_size})")
-        if self.weights.shape != self.support.shape or not np.all(self.weights > 0):
-            raise ValueError("weights must be positive and aligned with the support")
+        positive = (self.weights > 0) & np.isfinite(self.weights)
+        if self.weights.shape != self.support.shape or not np.all(positive):
+            raise ValueError("weights must be positive, finite and aligned with the support")
+        if np.any(np.diff(self.support) <= 0):
+            raise ValueError("support indices must be strictly ascending")
 
 
 def support_bound(n: int, eps: float) -> int:
@@ -151,18 +180,28 @@ def _next_barriers(state: BarrierState) -> tuple[float, float]:
     return state.theta * (n / state.eps + i), -n / state.eps + i
 
 
+def _reciprocal_gaps(state: BarrierState) -> tuple[np.ndarray, np.ndarray]:
+    """du = 1/(u' - lam) and dl = 1/(lam - l') at the advanced barriers u', l', computed once per state."""
+    if state._reciprocal_gaps is None:
+        upper_next, lower_next = _next_barriers(state)
+        lam = state.eigenvalues
+        state._reciprocal_gaps = 1.0 / (upper_next - lam), 1.0 / (lam - lower_next)
+    return state._reciprocal_gaps
+
+
 def barrier_gaps(state: BarrierState) -> tuple[float, float]:
     """Potential drops freed by advancing both barriers one step.
 
     Returns (upper_gap, lower_gap): how much the upper potential falls when
     the upper barrier moves up by theta, and how much the lower potential
     rises when the lower barrier moves up by 1, both evaluated on the
-    current matrix.  Either being nonpositive means the invariants broke.
+    current matrix.  The potentials at the current barriers are the ones
+    the state stores.  Either gap being nonpositive means the invariants
+    broke.
     """
-    lam = state.eigenvalues
-    upper_next, lower_next = _next_barriers(state)
-    upper_gap = float(np.sum(1.0 / (state.upper - lam)) - np.sum(1.0 / (upper_next - lam)))
-    lower_gap = float(np.sum(1.0 / (lam - lower_next)) - np.sum(1.0 / (lam - state.lower)))
+    du, dl = _reciprocal_gaps(state)
+    upper_gap = state.upper_potential - float(np.sum(du))
+    lower_gap = float(np.sum(dl)) - state.lower_potential
     if not upper_gap > 0.0:
         raise BarrierInvariantError(f"upper barrier gap must be positive, got {upper_gap:.3e}")
     if not lower_gap > 0.0:
@@ -210,8 +249,7 @@ def candidate_scores(
             f"spectrum [{lam[-1]:.6g}, {lam[0]:.6g}] not inside "
             f"({lower_next:.6g}, {upper_next:.6g})"
         )
-    du = 1.0 / (upper_next - lam)
-    dl = 1.0 / (lam - lower_next)
+    du, dl = _reciprocal_gaps(state)
     if frame.incidence is None:
         upper_scores, lower_scores = _row_scores(frame.vectors, state, du, dl, upper_gap, lower_gap)
     else:
@@ -233,18 +271,24 @@ def _edge_scores(frame, state, du, dl, upper_gap, lower_gap):
     c_up = du + du * du / upper_gap
     c_lo = dl * dl / lower_gap - dl
     heads, tails, w = inc.heads, inc.tails, inc.weights
+    pairs = heads * v.shape[0] + tails  # flat index of M[heads, tails]
 
     def gather(c):
         m = (v * c) @ v.T
         d = np.diagonal(m)
-        return w * (d[heads] + d[tails] - 2.0 * m[heads, tails])
+        return w * (d.take(heads) + d.take(tails) - 2.0 * m.take(pairs))
 
     upper_scores, lower_scores = gather(c_up), gather(c_lo)
     # Rounding in the gather is at most about r * eps_mach * w_e times the
     # endpoint rows' |c|-weighted squared lengths; rows where that could
     # reach _GATHER_RTOL of the upper score are scored from their rows.
+    # When the bound with the largest weight and reach clears the smallest
+    # score twice over, no edge can reach it and none is tested.
     reach = (v * v) @ (c_up + np.abs(c_lo))
-    error = (v.shape[1] * _MACHINE_EPS) * w * (reach[heads] + reach[tails])
+    rounding = v.shape[1] * _MACHINE_EPS
+    if 2.0 * rounding * np.max(w) * np.max(reach) <= 0.5 * _GATHER_RTOL * np.min(upper_scores):
+        return upper_scores, lower_scores
+    error = rounding * w * (reach.take(heads) + reach.take(tails))
     loose = np.flatnonzero(~(error <= _GATHER_RTOL * upper_scores))
     if loose.size:
         upper_scores[loose], lower_scores[loose] = _row_scores(
@@ -282,8 +326,12 @@ def select_and_step(
     least max(slack) - 1e-12 * max(1, max|lower_scores|, max|upper_scores|),
     so rounding noise between exactly tied candidates never decides.
     Returns the advanced state, the chosen index, and the step weight
-    t = 1/upper_score.  The new state's invariants (eigenvalue window,
-    exact upper-potential conservation, lower-potential monotonicity) are
+    t = 1/upper_score.  From order _UPDATE_MIN_ORDER up, the new eigenpairs
+    are a rank-one update of the state's, kept only if they pass eigh's
+    reconstruction and orthonormality checks against the accumulated A;
+    otherwise, and below that order, they come from the full validated
+    eigh.  The new state's invariants (eigenvalue window, exact
+    upper-potential conservation, lower-potential monotonicity) are
     verified eagerly; a violation raises BarrierInvariantError.
     """
     slack = lower_scores - upper_scores
@@ -299,7 +347,13 @@ def select_and_step(
     xj = frame.rows(chosen)
     new_a = state.A + t * np.outer(xj, xj)
     upper_next, lower_next = _next_barriers(state)
-    decomp = eigh(new_a)
+    decomp = None
+    if state.order >= _UPDATE_MIN_ORDER:
+        decomp = _rank_one_update(state.eigenvalues, state.eigenvectors, xj, t)
+    if decomp is not None and _residual_failure(new_a, decomp) is None:
+        eigensolve = "update"
+    else:
+        decomp, eigensolve = eigh(new_a), "full"
     lam = decomp.values
 
     if not (lam[0] < upper_next and lam[-1] > lower_next):
@@ -337,6 +391,7 @@ def select_and_step(
         lower_potential=lower_potential,
         eigenvalues=lam,
         eigenvectors=decomp.vectors,
+        eigensolve=eigensolve,
     )
     return new_state, chosen, t
 
@@ -366,6 +421,7 @@ def _run_barrier(frame: Frame, eps: float, steps: int, history: list | None):
                     "lower_potential": state.lower_potential,
                     "spectrum_min": float(state.eigenvalues[-1]),
                     "spectrum_max": float(state.eigenvalues[0]),
+                    "eigensolve": state.eigensolve,
                 }
             )
     return state, totals

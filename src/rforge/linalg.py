@@ -20,6 +20,7 @@ nothing here mutates its arguments.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,7 +29,8 @@ from .errors import CertificationError, EigenConvergenceError, RforgeError, Zero
 
 # Max-entry tolerance under which a frame counts as a decomposition of the identity.
 ISOTROPY_TOL = 1e-8
-_RANK_RTOL = np.finfo(float).eps  # whitening's rank cut, relative, per dimension
+_MACHINE_EPS = np.finfo(float).eps
+_RANK_RTOL = _MACHINE_EPS  # whitening's rank cut, relative, per dimension
 
 _RECONSTRUCT_TOL = 1e-10
 _ORTHONORMAL_TOL = 1e-10
@@ -193,6 +195,27 @@ def _eigh_failure(m: np.ndarray, detail: str) -> EigenConvergenceError:
     return EigenConvergenceError(m.shape[0], off, detail)
 
 
+def _residual_failure(m: np.ndarray, decomp: EigenDecomposition) -> str | None:
+    """Why ``decomp`` fails eigh's validation against ``m``, or None when it passes.
+
+    The spectral reconstruction must match ``m`` to 1e-10 relative
+    max-entry norm and the eigenvectors must be orthonormal to 1e-10; a NaN
+    residual fails.
+    """
+    scale = 1.0 + float(np.max(np.abs(m)))
+    residual = decomp.reconstruct()
+    residual -= m
+    recon_err = float(np.max(np.abs(residual, out=residual)))
+    if not recon_err <= _RECONSTRUCT_TOL * scale:
+        return f"reconstruction residual {recon_err:.3e}"
+    gram = decomp.vectors.T @ decomp.vectors
+    gram.ravel()[:: m.shape[0] + 1] -= 1.0
+    ortho_err = float(np.max(np.abs(gram, out=gram)))
+    if not ortho_err <= _ORTHONORMAL_TOL:
+        return f"orthonormality residual {ortho_err:.3e}"
+    return None
+
+
 def eigh(m: np.ndarray) -> EigenDecomposition:
     """Eigendecomposition of a symmetric matrix, eigenvalues descending.
 
@@ -205,22 +228,112 @@ def eigh(m: np.ndarray) -> EigenDecomposition:
     EigenConvergenceError is raised as well.
     """
     m = require_symmetric(m)
-    n = m.shape[0]
     try:
         values, vectors = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise _eigh_failure(m, str(exc)) from exc
-    values = values[::-1].copy()
-    vectors = vectors[:, ::-1].copy()
-    decomp = EigenDecomposition(values, vectors)
-    scale = 1.0 + float(np.max(np.abs(m)))
-    recon_err = float(np.max(np.abs(decomp.reconstruct() - m)))
-    if recon_err > _RECONSTRUCT_TOL * scale:
-        raise _eigh_failure(m, f"reconstruction residual {recon_err:.3e}")
-    ortho_err = float(np.max(np.abs(vectors.T @ vectors - np.eye(n))))
-    if ortho_err > _ORTHONORMAL_TOL:
-        raise _eigh_failure(m, f"orthonormality residual {ortho_err:.3e}")
+    decomp = EigenDecomposition(values[::-1].copy(), vectors[:, ::-1].copy())
+    failure = _residual_failure(m, decomp)
+    if failure is not None:
+        raise _eigh_failure(m, failure)
     return decomp
+
+
+def _rank_one_update(
+    values: np.ndarray, vectors: np.ndarray, x: np.ndarray, t: float
+) -> EigenDecomposition | None:
+    """Eigenpairs of A + t x x^T, t > 0, from A = U diag(d) U^T; None when the roots fail.
+
+    ``values`` (d, descending) and ``vectors`` (U) are A's eigenpairs.  In U
+    the update is diag(d) + t z z^T with z = U^T x, and each stage below
+    keeps the result exact for a problem near it:
+
+    - Deflation.  With tol = 8 eps_mach max(|d|_max, t |z|^2), each run of
+      d whose neighbours lie within tol (A = 0 and the null space of a
+      rank-deficient A are such runs) gets a Householder reflection that
+      moves the run's part of z onto its first member; this moves A by at
+      most the run's spread.  Components with t |z| |z_j| <= tol are then
+      dropped, as in LAPACK's dlaed2.  Dropped pairs carry over unchanged.
+    - Roots.  The k remaining d are distinct; the new eigenvalues mu there
+      are the values-only LAPACK spectrum of the k x k diag(d) + t z z^T and
+      must strictly interlace d, mu_1 > d_1 > mu_2 > ... > mu_k > d_k.  Each
+      root is measured from its nearer end d_p of its interval and refined
+      by one Newton step on tau (1 + t sum_{j != p} z_j^2 / (d_j - mu)) -
+      t z_p^2, tau = mu - d_p, the secular equation with that pole removed:
+      LAPACK's roots are accurate only to about eps_mach |A|, which is no
+      relative accuracy at all for a root next to a pole.
+    - Vectors.  Loewner's formula gives the zhat for which d and mu are
+      exact, zhat_i^2 = (mu_i - d_i)/t prod_{j != i} (mu_j - d_i)/(d_j - d_i),
+      with the factors paired as in LAPACK's dlaed3 so that the product
+      neither overflows nor underflows; the new eigenvectors are U Q with
+      Q_ji = zhat_j / (d_j - mu_i), each column normalized.  These are
+      orthogonal to working precision (Gu and Eisenstat, SIAM J. Matrix
+      Anal. Appl. 15, 1994).
+
+    The result is not validated here.
+    """
+    if not (t > 0.0 and np.isfinite(t)):
+        return None
+    d, u = values, vectors
+    z = u.T @ x
+    norm2 = float(z @ z)
+    tol = 8.0 * _MACHINE_EPS * max(abs(float(d[0])), abs(float(d[-1])), t * norm2)
+    tied = d[:-1] - d[1:] <= tol
+    if tied.any():
+        u = u.copy()
+        bounds = np.flatnonzero(np.diff(np.concatenate([[False], tied, [False]])))
+        for first, last in zip(bounds[::2], bounds[1::2] + 1):  # d[first:last] is one cluster
+            norm = float(np.linalg.norm(z[first:last]))
+            if norm > 0.0:
+                v = z[first:last].copy()
+                head = -math.copysign(norm, v[0])
+                v[0] -= head
+                u[:, first:last] -= np.outer(u[:, first:last] @ v, v * (2.0 / (v @ v)))
+                z[first:last] = 0.0
+                z[first] = head
+    keep = np.flatnonzero(t * math.sqrt(norm2) * np.abs(z) > tol)
+    if keep.size == 0:
+        return EigenDecomposition(d.copy(), u.copy())
+    dk, zk = (d, z) if keep.size == d.size else (d[keep], z[keep])
+    k = dk.size
+    arrow = zk[:, None] * (t * zk)
+    arrow.ravel()[:: k + 1] += dk
+    mu = np.linalg.eigvalsh(arrow)[::-1]
+    below = mu - dk  # mu_i must lie strictly inside (dk[i], dk[i - 1])
+    above = dk[:-1] - mu[1:]
+    if not (below.min() > 0.0 and (k == 1 or above.min() > 0.0)):
+        return None
+
+    rows = np.arange(k)
+    pole = rows.copy()  # the nearer end of each root's interval
+    pole[1:] -= above < below[1:]
+    near = dk[pole]
+    tau = mu - near
+    low, high = dk - near, np.concatenate([[np.inf], dk[:-1] - near[1:]])
+    spread = dk - dk[:, None]  # [i, j] = d_j - d_i
+    delta = spread[pole]
+    delta -= tau[:, None]  # [i, j] = d_j - mu_i, exact near the pole
+    zk2 = zk * zk
+    r = zk2 / delta
+    r[rows, pole] = 0.0
+    slope = 1.0 + t * r.sum(axis=1)
+    step = (tau * slope - t * zk2[pole]) / (slope + tau * t * (r / delta).sum(axis=1))
+    step[~((tau - step > low) & (tau - step < high))] = 0.0
+    tau -= step
+    delta += step[:, None]
+    mu = near + tau
+    spread.ravel()[:: k + 1] = -1.0  # so that column j's product is t zhat_j^2
+    zhat = np.copysign(np.sqrt((delta / spread).prod(axis=0) / t), zk)
+    q = zhat / delta  # row i: the new eigenvector for mu_i in the old basis
+    q /= np.sqrt(np.einsum("ij,ij->i", q, q))[:, None]
+    if keep.size == d.size:
+        return EigenDecomposition(mu, u @ q.T)
+    d = d.copy()
+    d[keep] = mu
+    u = u.copy() if u is vectors else u
+    u[:, keep] = u[:, keep] @ q.T
+    order = np.argsort(-d, kind="stable")
+    return EigenDecomposition(d[order], u[:, order])
 
 
 def isotropic_reduce(frame: Frame) -> tuple[Frame, np.ndarray]:

@@ -74,6 +74,58 @@ def barrier_step_oracle(a_prev: np.ndarray, frame_vectors: np.ndarray, eps: floa
     }
 
 
+def barrier_loop_oracle(frame, eps: float):
+    """The whole barrier loop with a fresh ``np.linalg.eigh`` of the running sum at every step.
+
+    ``frame`` is an isotropy-certified ``rforge.linalg.Frame``.  Each step
+    takes both gaps as differences of four potential sums over the
+    eigenvalues of the accumulated A, scores every vector in A's eigenbasis
+    and picks by the production tie rule, then adds t x x^T to A and
+    eigendecomposes the sum from scratch.  Dense frames, and edge frames
+    whose weights span more than 1e6, are scored from their rows, Y = X U.
+    Other edge frames are scored through the effective-resistance gather
+    w_e (M[i,i] + M[j,j] - 2 M[i,j]), M = V diag(c) V^T, V = B U, which at
+    such weights loses nothing to cancellation.  Returns the chosen indices
+    and the step weights.
+    """
+    n = frame.ambient_dim
+    theta = (1.0 + eps) / (1.0 - eps)
+    inc = frame.incidence
+    gather = inc is not None and np.max(inc.weights) <= 1e6 * np.min(inc.weights)
+    rows = None if gather else frame.rows()
+    a = np.zeros((n, n))
+    lam, u = np.zeros(n), np.eye(n)
+    choices, weights = [], []
+    for step in range(math.ceil(n / eps**2)):
+        u_prev, u_next = theta * (n / eps + step), theta * (n / eps + step + 1)
+        l_prev, l_next = -n / eps + step, -n / eps + step + 1
+        upper_gap = np.sum(1.0 / (u_prev - lam)) - np.sum(1.0 / (u_next - lam))
+        lower_gap = np.sum(1.0 / (lam - l_next)) - np.sum(1.0 / (lam - l_prev))
+        du, dl = 1.0 / (u_next - lam), 1.0 / (lam - l_next)
+        c_up = du + du**2 / upper_gap
+        c_lo = dl**2 / lower_gap - dl
+        if gather:
+            v = inc.basis @ u
+            h, j = inc.heads, inc.tails
+            upper, lower = [
+                inc.weights * (mm[h, h] + mm[j, j] - 2.0 * mm[h, j]) for mm in ((v * c_up) @ v.T, (v * c_lo) @ v.T)
+            ]
+        else:
+            y2 = (rows @ u) ** 2
+            upper, lower = y2 @ c_up, y2 @ c_lo
+        slack = lower - upper
+        tol = 1e-12 * max(1.0, np.max(np.abs(lower)), np.max(np.abs(upper)))
+        chosen = int(np.flatnonzero(slack >= slack.max() - tol)[0])
+        t = 1.0 / upper[chosen]
+        x = frame.rows(chosen)
+        a = a + t * np.outer(x, x)
+        ascending, vectors = np.linalg.eigh(a)
+        lam, u = ascending[::-1], vectors[:, ::-1]
+        choices.append(chosen)
+        weights.append(t)
+    return choices, np.array(weights)
+
+
 def ri_select_oracle(frame_vectors: np.ndarray, t: np.ndarray, eps: float):
     """Restricted-invertibility selection with an explicit resolvent per step.
 

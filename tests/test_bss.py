@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from rforge import bss
 from rforge.bss import (
     SparseWeights,
     barrier_gaps,
@@ -15,10 +16,10 @@ from rforge.bss import (
     support_bound,
 )
 from rforge.errors import BarrierInvariantError
-from rforge.graphs import WeightedGraph, edge_frame
+from rforge.graphs import WeightedGraph, edge_frame, sparsify_graph
 from rforge.linalg import Frame, eigh, isotropic_reduce, symmetrize
 
-from oracles import barrier_step_oracle
+from oracles import barrier_loop_oracle, barrier_step_oracle
 
 
 def dense(weights):
@@ -30,6 +31,14 @@ def dense(weights):
 
 def scalar_frame():
     return Frame(np.array([[1.0]]), isotropy_certified=True)
+
+
+def complete_graph(n, seed, heavy=0, heavy_weight=1e12):
+    """K_n with weights log-uniform in [1, 100], except weight ``heavy_weight`` among the first ``heavy`` vertices."""
+    pairs = np.array([(i, j) for i in range(n) for j in range(i + 1, n)])
+    weights = np.exp(np.random.default_rng(seed).uniform(0.0, math.log(100.0), len(pairs)))
+    weights[pairs[:, 1] < heavy] = heavy_weight
+    return WeightedGraph.from_arrays(n, pairs[:, 0], pairs[:, 1], weights)
 
 
 def random_isotropic_frame(rng, n, m):
@@ -138,6 +147,23 @@ class TestSparseWeights:
             SparseWeights([0, 3], [1.0, 0.5], 3, cert)
         with pytest.raises(ValueError, match="positive"):
             SparseWeights([0, 2], [1.0, 0.0], 3, cert)
+
+    @pytest.mark.parametrize("weight", [np.inf, np.nan, -np.inf])
+    def test_rejects_non_finite_weights(self, weight):
+        cert = sparsify_frame(scalar_frame(), 0.5).certificate
+        with pytest.raises(ValueError, match="finite"):
+            SparseWeights([0, 1], [1.0, weight], 2, cert)
+
+    @pytest.mark.parametrize("support", [[1, 1], [2, 0], [0, 2, 1]])
+    def test_rejects_repeated_or_unsorted_support(self, support):
+        cert = sparsify_frame(scalar_frame(), 0.5).certificate
+        with pytest.raises(ValueError, match="strictly ascending"):
+            SparseWeights(support, np.ones(len(support)), 3, cert)
+
+    def test_rejects_a_repeated_index_with_an_infinite_weight(self):
+        cert = sparsify_frame(scalar_frame(), 0.5).certificate
+        with pytest.raises(ValueError):
+            SparseWeights([1, 1], [1.0, np.inf], 2, cert)
 
 
 class TestSparsifyFrame:
@@ -377,3 +403,58 @@ class TestEigenWindow:
             lam = eigh(state.A).values
             assert lam[-1] > -3 / eps + state.step
             assert lam[0] < state.theta * (3 / eps + state.step)
+
+
+class TestRankOneStep:
+    def test_k64_updates_every_step(self):
+        history = []
+        sparsify_graph(complete_graph(64, 1), 0.5, history=history)
+        assert len(history) == 252
+        assert all(record["eigensolve"] == "update" for record in history)
+
+    @pytest.mark.parametrize("fault", ["shifted", "scaled"])
+    def test_bad_roots_fall_back_to_full_eigh(self, monkeypatch, fault):
+        g = complete_graph(48, 2)
+        reference = []
+        sparsify_graph(g, 0.5, history=reference)
+        assert all(record["eigensolve"] == "update" for record in reference)
+        solve, calls = np.linalg.eigvalsh, []
+
+        def perturbed(m):
+            roots = solve(m)  # ascending
+            calls.append(None)
+            if len(calls) % 4:
+                return roots
+            if fault == "shifted":  # the smallest root drops below every pole
+                roots[0] -= 1.0 + abs(roots[0])
+                return roots
+            return roots * (1.0 + 1e-3)  # interlacing may hold; the roots are wrong
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", perturbed)
+        history = []
+        sparsify_graph(g, 0.5, history=history)
+        expected = ["update" if (step + 1) % 4 else "full" for step in range(len(history))]
+        assert [record["eigensolve"] for record in history] == expected
+        assert [record["chosen"] for record in history] == [record["chosen"] for record in reference]
+        np.testing.assert_allclose(
+            [record["weight"] for record in history], [record["weight"] for record in reference], rtol=1e-9
+        )
+
+    @pytest.mark.parametrize(
+        "case",
+        ["K24", "K48 at eps 0.7", "K64", "K128", "K16 with a 1e12-weight K4", "whitened 600x40 Gaussian frame"],
+    )
+    def test_loop_matches_full_eigh_oracle(self, monkeypatch, case):
+        monkeypatch.setattr(bss, "_UPDATE_MIN_ORDER", 1)  # every case takes the update
+        eps = 0.7 if "0.7" in case else 0.5
+        if case.startswith("whitened"):
+            frame, _ = isotropic_reduce(Frame(np.random.default_rng(1).standard_normal((600, 40))))
+        else:
+            n = int(case.split()[0][1:])
+            frame, _ = isotropic_reduce(edge_frame(complete_graph(n, 1, heavy=4 if "1e12" in case else 0)))
+        history = []
+        sparsify_frame(frame, eps, history=history)
+        choices, weights = barrier_loop_oracle(frame, eps)
+        assert [record["chosen"] for record in history] == choices
+        np.testing.assert_allclose([record["weight"] for record in history], weights, rtol=1e-9)
+        assert sum(record["eigensolve"] == "update" for record in history) >= len(history) // 2

@@ -194,3 +194,79 @@ class TestCertifySpectrum:
     def test_nan_fails(self):
         with pytest.raises(CertificationError):
             certify_spectrum([1.0, np.nan], 0.0, 2.0, tol=1e-8, what="test")
+
+
+def random_orthogonal(rng, n):
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return q
+
+
+def assert_update_matches(d, u, x, t, rtol=1e-12):
+    """The rank-one update of (d, u) by t x x^T agrees with eigh of the explicit sum."""
+    m = (u * d) @ u.T + t * np.outer(x, x)
+    out = linalg._rank_one_update(d, u, x, t)
+    assert out is not None
+    scale = max(1.0, np.max(np.abs(m)))
+    reference = np.linalg.eigvalsh(m)[::-1]
+    np.testing.assert_allclose(out.values, reference, rtol=rtol, atol=rtol * scale)
+    assert np.all(np.diff(out.values) <= 0.0)
+    assert np.max(np.abs(out.reconstruct() - m)) <= 1e-12 * scale
+    assert np.max(np.abs(out.vectors.T @ out.vectors - np.eye(d.size))) <= 1e-12
+    return out
+
+
+class TestRankOneUpdate:
+    @pytest.mark.parametrize("n", [32, 63, 127, 255])
+    def test_diagonal_plus_rank_one_matches_eigh(self, rng, n):
+        for _ in range(3):
+            d = np.sort(rng.uniform(1.0, 10.0, n))[::-1]
+            z = rng.standard_normal(n)
+            t = float(rng.uniform(0.1, 2.0))
+            assert_update_matches(d, np.eye(n), z, t)
+
+    def test_from_zero(self, rng):
+        # A = 0 is one run of equal eigenvalues: the update is t |x|^2 along x
+        n = 8
+        x = rng.standard_normal(n)
+        out = assert_update_matches(np.zeros(n), random_orthogonal(rng, n), x, 0.5)
+        assert out.values[0] == pytest.approx(0.5 * (x @ x), rel=1e-14)
+        assert np.all(out.values[1:] == 0.0)
+        assert abs(out.vectors[:, 0] @ x) == pytest.approx(np.linalg.norm(x), rel=1e-14)
+
+    def test_repeated_cluster(self, rng):
+        d = np.array([5.0, 5.0, 5.0, 3.0, 2.0, 2.0, 1.0, 0.0, 0.0])
+        out = assert_update_matches(d, random_orthogonal(rng, d.size), rng.standard_normal(d.size), 0.7)
+        # each run of k equal values keeps k - 1 of them exactly
+        assert np.count_nonzero(out.values == 5.0) == 2
+        assert np.count_nonzero(out.values == 2.0) == 1
+        assert np.count_nonzero(out.values == 0.0) == 1
+
+    def test_zero_components_keep_their_pairs(self, rng):
+        n = 10
+        d = np.sort(rng.uniform(0.0, 4.0, n))[::-1]
+        u = random_orthogonal(rng, n)
+        z = rng.standard_normal(n)
+        z[[2, 7]] = 0.0
+        out = assert_update_matches(d, u, u @ z, 1.3)
+        for j in (2, 7):
+            k = int(np.flatnonzero(out.values == d[j])[0])
+            assert np.array_equal(out.vectors[:, k], u[:, j])
+
+    def test_tiny_components(self, rng):
+        n = 12
+        d = np.sort(rng.uniform(1.0, 5.0, n))[::-1]
+        z = rng.standard_normal(n)
+        z[3] = 1e-20  # negligible: deflated, its pair unchanged
+        z[8] = 1e-6  # kept: its root sits about 1e-12 above d[8], near LAPACK's rounding
+        out = assert_update_matches(d, np.eye(n), z, 1.0)
+        assert d[3] in out.values
+        assert np.count_nonzero(out.values == d[3]) == 1
+
+    def test_refuses_a_nonpositive_weight(self, rng):
+        assert linalg._rank_one_update(np.ones(3), np.eye(3), np.ones(3), 0.0) is None
+        assert linalg._rank_one_update(np.ones(3), np.eye(3), np.ones(3), -1.0) is None
+
+    def test_zero_vector_changes_nothing(self):
+        d = np.array([3.0, 1.0])
+        out = linalg._rank_one_update(d, np.eye(2), np.zeros(2), 1.0)
+        assert np.array_equal(out.values, d) and np.array_equal(out.vectors, np.eye(2))
