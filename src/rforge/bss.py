@@ -27,9 +27,12 @@ The potentials and gaps come from lam alone, and every candidate is scored
 in that eigenbasis: with Y = X U (one row per candidate), all four
 resolvent quadratic forms are the columns of (Y*Y) @ [du, du^2, dl, dl^2],
 where du = 1/(u' - lam) and dl = 1/(lam - l') at the advanced barriers u'
-and l', computed once per state.  All invariants are re-checked eagerly at
-every step (any violation raises BarrierInvariantError rather than
-returning a bad certificate).
+and l'.  The state is a frozen record of what a step cannot recompute
+cheaply (A, its eigenpairs and the two potentials); the barrier positions
+follow from eps, the step and the order, and each function computes the
+reciprocal gaps it reads.  All invariants are re-checked eagerly at every
+step (any violation raises BarrierInvariantError rather than returning a
+bad certificate).
 
 An edge frame stores no rows, only its ``Incidence`` factor, and is scored
 without forming Y: its vector for edge e = (i, j) is sqrt(w_e) (B[i] - B[j]), so
@@ -52,7 +55,7 @@ returned ``SparseWeights`` carries that certificate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,36 +97,53 @@ def check_eps(eps: float) -> float:
     return eps
 
 
-@dataclass
+@dataclass(frozen=True)
 class BarrierState:
     """State of the barrier iteration after ``step`` updates.
 
-    ``A`` is the running weighted sum of outer products; ``upper`` and
-    ``lower`` are the current barrier positions theta*(n/eps + step) and
-    -n/eps + step; the two potentials are the sums of reciprocal gaps
-    between the barriers and the eigenvalues of A (cached in
-    ``eigenvalues``, descending, with the matching orthonormal eigenvectors
-    as the columns of ``eigenvectors``).  ``eigensolve`` says how the step
-    that made this state found them: "update" or "full".
+    ``A`` is the running weighted sum of outer products; the two potentials
+    are the sums of reciprocal gaps between the barriers and the eigenvalues
+    of A (kept in ``eigenvalues``, descending, with the matching orthonormal
+    eigenvectors as the columns of ``eigenvectors``).  ``eigensolve`` says
+    how the step that made this state found them: "update" or "full".  The
+    barrier positions ``upper`` = theta*(n/eps + step) and ``lower`` =
+    -n/eps + step follow from eps, step and the order n, and are not stored.
     """
 
     step: int
     A: np.ndarray
     eps: float
-    theta: float
-    upper: float
-    lower: float
     upper_potential: float
     lower_potential: float
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     eigensolve: str = "full"
-    # 1/(u' - lam) and 1/(lam - l') at the advanced barriers, once computed.
-    _reciprocal_gaps: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def order(self) -> int:
         return self.A.shape[0]
+
+    @property
+    def theta(self) -> float:
+        return _theta(self.eps)
+
+    @property
+    def upper(self) -> float:
+        return _barriers(self, self.step)[0]
+
+    @property
+    def lower(self) -> float:
+        return _barriers(self, self.step)[1]
+
+
+def _theta(eps: float) -> float:
+    return (1.0 + eps) / (1.0 - eps)
+
+
+def _barriers(state: BarrierState, step: int) -> tuple[float, float]:
+    """(upper, lower) barrier positions after ``step`` updates of an iteration like ``state``'s."""
+    n = state.order
+    return _theta(state.eps) * (n / state.eps + step), -n / state.eps + step
 
 
 @dataclass
@@ -157,36 +177,15 @@ def initial_barrier_state(n: int, eps: float) -> BarrierState:
     check_eps(eps)
     if n < 1:
         raise ValueError(f"dimension must be positive, got {n}")
-    theta = (1.0 + eps) / (1.0 - eps)
-    upper = theta * n / eps
-    lower = -n / eps
     return BarrierState(
         step=0,
         A=np.zeros((n, n)),
         eps=eps,
-        theta=theta,
-        upper=upper,
-        lower=lower,
-        upper_potential=eps / theta,
+        upper_potential=eps / _theta(eps),
         lower_potential=eps,
         eigenvalues=np.zeros(n),
         eigenvectors=np.eye(n),
     )
-
-
-def _next_barriers(state: BarrierState) -> tuple[float, float]:
-    n = state.order
-    i = state.step + 1
-    return state.theta * (n / state.eps + i), -n / state.eps + i
-
-
-def _reciprocal_gaps(state: BarrierState) -> tuple[np.ndarray, np.ndarray]:
-    """du = 1/(u' - lam) and dl = 1/(lam - l') at the advanced barriers u', l', computed once per state."""
-    if state._reciprocal_gaps is None:
-        upper_next, lower_next = _next_barriers(state)
-        lam = state.eigenvalues
-        state._reciprocal_gaps = 1.0 / (upper_next - lam), 1.0 / (lam - lower_next)
-    return state._reciprocal_gaps
 
 
 def barrier_gaps(state: BarrierState) -> tuple[float, float]:
@@ -199,9 +198,10 @@ def barrier_gaps(state: BarrierState) -> tuple[float, float]:
     the state stores.  Either gap being nonpositive means the invariants
     broke.
     """
-    du, dl = _reciprocal_gaps(state)
-    upper_gap = state.upper_potential - float(np.sum(du))
-    lower_gap = float(np.sum(dl)) - state.lower_potential
+    upper_next, lower_next = _barriers(state, state.step + 1)
+    lam = state.eigenvalues
+    upper_gap = state.upper_potential - float(np.sum(1.0 / (upper_next - lam)))
+    lower_gap = float(np.sum(1.0 / (lam - lower_next))) - state.lower_potential
     if not upper_gap > 0.0:
         raise BarrierInvariantError(f"upper barrier gap must be positive, got {upper_gap:.3e}")
     if not lower_gap > 0.0:
@@ -241,7 +241,7 @@ def candidate_scores(
     """
     if not frame.isotropy_certified:
         raise ValueError("candidate_scores requires an isotropy-certified frame")
-    upper_next, lower_next = _next_barriers(state)
+    upper_next, lower_next = _barriers(state, state.step + 1)
     lam = state.eigenvalues
     if not (lam[0] < upper_next and lam[-1] > lower_next):
         raise BarrierInvariantError(
@@ -249,7 +249,7 @@ def candidate_scores(
             f"spectrum [{lam[-1]:.6g}, {lam[0]:.6g}] not inside "
             f"({lower_next:.6g}, {upper_next:.6g})"
         )
-    du, dl = _reciprocal_gaps(state)
+    du, dl = 1.0 / (upper_next - lam), 1.0 / (lam - lower_next)
     if frame.incidence is None:
         upper_scores, lower_scores = _row_scores(frame.vectors, state, du, dl, upper_gap, lower_gap)
     else:
@@ -346,7 +346,7 @@ def select_and_step(
     t = 1.0 / float(upper_scores[chosen])
     xj = frame.rows(chosen)
     new_a = state.A + t * np.outer(xj, xj)
-    upper_next, lower_next = _next_barriers(state)
+    upper_next, lower_next = _barriers(state, state.step + 1)
     decomp = None
     if state.order >= _UPDATE_MIN_ORDER:
         decomp = _rank_one_update(state.eigenvalues, state.eigenvectors, xj, t)
@@ -384,9 +384,6 @@ def select_and_step(
         step=state.step + 1,
         A=new_a,
         eps=state.eps,
-        theta=state.theta,
-        upper=upper_next,
-        lower=lower_next,
         upper_potential=upper_potential,
         lower_potential=lower_potential,
         eigenvalues=lam,

@@ -26,7 +26,7 @@ import numpy as np
 
 from .bss import check_eps, sparsify_frame, support_bound
 from .errors import CertificationError
-from .linalg import Frame, certify_spectrum, eigh, symmetrize
+from .linalg import Frame, certify_spectrum, eigh, lift_certificate, symmetrize
 
 _JOHN_IDENTITY_TOL = 1e-8
 _JOHN_CENTER_TOL = 1e-8
@@ -292,8 +292,7 @@ def embed_lp_even(basis: np.ndarray, p: int, eps: float) -> tuple[np.ndarray, np
     eps0 = barrier_eps_for_ratio(1.0 + eps * p / 4.0)
     sparse = sparsify_frame(frame, eps0)
     lift = 1.0 / (1.0 - eps0) ** 2
-    lifted = [sparse.certificate.measured_min * lift, sparse.certificate.measured_max * lift]
-    certify_spectrum(lifted, 1.0, 1.0 + eps * p / 4.0, tol=1e-8, what="lifted-space")
+    lift_certificate(sparse.certificate, lift, 1.0, 1.0 + eps * p / 4.0, tol=1e-8, what="lifted-space")
     return sparse.support, sparse.weights * lift
 
 

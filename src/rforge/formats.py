@@ -149,18 +149,3 @@ def write_weights(path, indices, weights, certificate: dict) -> None:
     sidecar = Path(str(path) + ".json")
     sidecar.write_text(json.dumps(certificate, indent=2) + "\n", encoding="utf-8")
 
-
-def read_weights(path) -> dict[int, float]:
-    out: dict[int, float] = {}
-    for number, text in _content_lines(path):
-        fields = text.split()
-        if len(fields) != 2:
-            raise ParseError(path, number, f"expected 'index<TAB>weight', got {text!r}")
-        try:
-            idx, w = int(fields[0]), float(fields[1])
-        except ValueError:
-            raise ParseError(path, number, f"could not parse weight line {fields!r}") from None
-        if idx in out:
-            raise ParseError(path, number, f"duplicate index {idx}")
-        out[idx] = w
-    return out

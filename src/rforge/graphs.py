@@ -8,6 +8,8 @@ reweighted subgraph H whose Laplacian quadratic form sandwiches the input's:
     <L_G y, y>  <=  <L_H y, y>  <=  ((1+eps)/(1-eps))^2 * <L_G y, y>
 
 for every y, with at most 2*ceil(n/eps^2) nonzero ordered entries in H.
+H carries the certificate the frame sparsifier measured for it, lifted
+onto that interval, so a caller reads it without certifying again.
 ``verify_quality`` certifies any candidate sparsifier: an exact
 connected-components check, then a validated eigensolve of L_H on the
 basis that whitens G's edge frame exactly as the sparsifier whitens it.
@@ -19,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bss import check_eps, sparsify_frame
+from .bss import _SANDWICH_TOL, _theta, check_eps, sparsify_frame
 from .errors import CertificationError
-from .linalg import Frame, Incidence, _edge_gram, eigh, isotropic_reduce
+from .linalg import Certificate, Frame, Incidence, _edge_gram, eigh, isotropic_reduce, lift_certificate
 
 
 class WeightedGraph:
@@ -29,8 +31,10 @@ class WeightedGraph:
 
     Edge e joins ``heads[e]`` < ``tails[e]`` with weight ``weights[e]``, at most one per pair.
     Build one from (i, j, w) tuples, ``WeightedGraph(n, edges)``, or with ``from_arrays``;
-    the three arrays are validated, read-only copies.
+    the three arrays are validated, read-only copies.  Only ``sparsify_graph`` sets ``certificate``.
     """
+
+    certificate: Certificate | None = None
 
     def __init__(self, n: int, edges=()):
         cols = np.array(list(edges) or np.zeros((0, 3)), dtype=float)
@@ -123,14 +127,26 @@ def sparsify_graph(g: WeightedGraph, eps: float, *, history: list | None = None)
     frame is whitened before any barrier step, and a graph whose range
     whitening cannot resolve (edge weights spanning about 1e16) raises
     CertificationError then.
+
+    H's ``certificate`` is the frame sparsifier's, lifted onto that interval:
+    the extreme quotients and ``range_dim`` that ``verify_quality(g, H)``
+    would measure again (1.0, 1.0 and 0 for an edgeless g).
     """
     check_eps(eps)
+    theta_sq = _theta(eps) ** 2
     if g.edge_count == 0:
-        return WeightedGraph(g.n)
+        h = WeightedGraph(g.n)
+        h.certificate = Certificate(1.0, theta_sq, 1.0, 1.0, 0)
+        return h
     sparse = sparsify_frame(_whitened(g, _components(g)), eps, history=history)
-    # Lift the frame certificate's lower constant to exactly 1.
-    weights = sparse.weights * (1.0 / (1.0 - eps) ** 2) * g.weights[sparse.support]
-    return WeightedGraph.from_arrays(g.n, g.heads[sparse.support], g.tails[sparse.support], weights)
+    # Lift the frame certificate's lower constant to exactly 1; its tolerance scales alike.
+    lift = 1.0 / (1.0 - eps) ** 2
+    weights = sparse.weights * lift * g.weights[sparse.support]
+    h = WeightedGraph.from_arrays(g.n, g.heads[sparse.support], g.tails[sparse.support], weights)
+    h.certificate = lift_certificate(
+        sparse.certificate, lift, 1.0, theta_sq, tol=_SANDWICH_TOL * lift, what="Laplacian pencil"
+    )
+    return h
 
 
 def _whitened(g: WeightedGraph, roots: np.ndarray) -> Frame:

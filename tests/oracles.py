@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from rforge.formats import ParseError
+
 
 def explicit_inverse(m: np.ndarray) -> np.ndarray:
     return np.linalg.inv(np.asarray(m, dtype=float))
@@ -352,3 +354,24 @@ def random_john_decomposition(n: int, pairs: int, rng: np.random.Generator):
 
 def binomial(a: int, b: int) -> int:
     return math.comb(a, b)
+
+
+def read_weights(path) -> dict[int, float]:
+    """Index -> weight map of a file written by ``formats.write_weights``; ParseError on a bad line."""
+    out: dict[int, float] = {}
+    with open(path, "r", encoding="utf-8") as handle:
+        for number, raw in enumerate(handle, start=1):
+            text = raw.split("#", 1)[0].strip()
+            if not text:
+                continue
+            fields = text.split()
+            if len(fields) != 2:
+                raise ParseError(path, number, f"expected 'index<TAB>weight', got {text!r}")
+            try:
+                idx, w = int(fields[0]), float(fields[1])
+            except ValueError:
+                raise ParseError(path, number, f"could not parse weight line {fields!r}") from None
+            if idx in out:
+                raise ParseError(path, number, f"duplicate index {idx}")
+            out[idx] = w
+    return out

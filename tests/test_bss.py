@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -7,6 +7,7 @@ import scipy.linalg
 
 from rforge import bss
 from rforge.bss import (
+    BarrierState,
     SparseWeights,
     barrier_gaps,
     candidate_scores,
@@ -46,6 +47,49 @@ def random_isotropic_frame(rng, n, m):
     frame, _ = isotropic_reduce(Frame(vectors))
     assert frame.ambient_dim == n
     return frame
+
+
+class TestBarrierState:
+    def test_stores_only_what_a_step_cannot_recompute(self):
+        names = [f.name for f in fields(BarrierState)]
+        assert names == [
+            "step",
+            "A",
+            "eps",
+            "upper_potential",
+            "lower_potential",
+            "eigenvalues",
+            "eigenvectors",
+            "eigensolve",
+        ]
+
+    def test_barriers_follow_from_eps_step_and_order(self, rng):
+        frame = random_isotropic_frame(rng, 3, 7)
+        eps = 0.6
+        theta = (1 + eps) / (1 - eps)
+        state = initial_barrier_state(3, eps)
+        for _ in range(4):
+            assert state.theta == theta
+            assert (state.upper, state.lower) == (theta * (3 / eps + state.step), -3 / eps + state.step)
+            scores = candidate_scores(state, frame, *barrier_gaps(state))
+            state, _, _ = select_and_step(state, frame, *scores)
+
+    def test_gaps_and_scores_leave_the_state_untouched(self, rng):
+        frame = random_isotropic_frame(rng, 3, 7)
+        state = initial_barrier_state(3, 0.6)
+        for _ in range(3):
+            before = {name: np.copy(value) for name, value in vars(state).items()}
+            scores = candidate_scores(state, frame, *barrier_gaps(state))
+            assert vars(state).keys() == before.keys()
+            for name, value in vars(state).items():
+                assert np.array_equal(value, before[name]), name
+            state, _, _ = select_and_step(state, frame, *scores)
+
+    def test_frozen(self):
+        state = initial_barrier_state(2, 0.5)
+        for name in ("step", "A", "eigenvalues", "upper_potential", "upper", "theta"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(state, name, 1.0)
 
 
 class TestBarrierGaps:

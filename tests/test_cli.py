@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import rforge.bss
+import rforge.cli
+import rforge.graphs
 from rforge import formats
 from rforge.cli import EXIT_CERTIFICATION, EXIT_INPUT, EXIT_OK, build_parser, main, run
 from rforge.embed import JohnDecomposition
-from rforge.graphs import WeightedGraph
+from rforge.graphs import WeightedGraph, sparsify_graph
 
-from oracles import pairwise_l1_distances
+from oracles import pairwise_l1_distances, read_weights
 
 
 def write_single_edge(path):
@@ -19,6 +22,13 @@ def write_single_edge(path):
 
 def cli(*argv):
     return run(build_parser().parse_args([str(a) for a in argv]))
+
+
+def complete_graph(n, rng):
+    """K_n with weights log-uniform in [1, 100]."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    weights = np.exp(rng.uniform(0.0, np.log(100.0), len(pairs)))
+    return WeightedGraph(n, [(i, j, float(w)) for (i, j), w in zip(pairs, weights)])
 
 
 def strip_timing(report):
@@ -44,7 +54,7 @@ class TestFormats:
     def test_weights_round_trip(self, tmp_path):
         path = tmp_path / "w.tsv"
         formats.write_weights(path, [3, 1], [0.25, 1.5], {"note": "cert"})
-        assert formats.read_weights(path) == {1: 1.5, 3: 0.25}
+        assert read_weights(path) == {1: 1.5, 3: 0.25}
         sidecar = json.loads((tmp_path / "w.tsv.json").read_text())
         assert sidecar == {"note": "cert"}
 
@@ -73,6 +83,31 @@ class TestFormats:
         with pytest.raises(formats.ParseError, match="expected 2 data rows"):
             formats.read_matrix(path)
 
+    @pytest.mark.parametrize(
+        "reader, text, line, message",
+        [
+            ("read_graph", "# nothing but a comment\n", 1, "empty graph file; expected a 'n <vertexcount>' header"),
+            ("read_graph", "n three\n", 1, "vertex count 'three' is not an integer"),
+            ("read_graph", "# header\nn 0\n", 2, "vertex count must be positive, got 0"),
+            ("read_graph", "n 3\n0\t1\t1.0\n1\t2\n", 3, "expected 'i<TAB>j<TAB>w', got '1\\t2'"),
+            ("read_graph", "n 3\n0\tone\t1.0\n", 2, "could not parse edge fields ['0', 'one', '1.0']"),
+            ("read_graph", "n 3\n\n2\t1\t0.0\n", 3, "edge (1, 2) has nonpositive weight 0.0"),
+            ("read_matrix", "\n# empty\n", 1, "empty matrix file; expected a 'rows cols' header"),
+            ("read_matrix", "3\n1 2 3\n", 1, "expected header 'rows cols', got '3'"),
+            ("read_matrix", "2 x\n", 1, "header fields ['2', 'x'] are not integers"),
+            ("read_matrix", "# shape\n0 2\n", 2, "matrix shape (0, 2) must be positive"),
+            ("read_matrix", "2 2\n1 2\n3\n", 3, "expected 2 values, found 1"),
+            ("read_matrix", "1 2\n1.0 two\n", 2, "could not parse row ['1.0', 'two']"),
+        ],
+    )
+    def test_parse_errors_name_path_line_and_cause(self, tmp_path, reader, text, line, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(formats.ParseError) as caught:
+            getattr(formats, reader)(path)
+        assert (caught.value.path, caught.value.line_number) == (str(path), line)
+        assert str(caught.value) == f"{path}:{line}: {message}"
+
 
 class TestRun:
     def test_sparsify_graph_single_edge(self, tmp_path):
@@ -85,6 +120,49 @@ class TestRun:
         assert report["results"]["quality_max"] == pytest.approx(1.0, abs=1e-9)
         h = formats.read_graph(out)
         assert h.edge_pairs() == {(0, 1)}
+
+    def test_sparsify_graph_reports_the_certificate_it_whitened_for_once(self, tmp_path, monkeypatch):
+        g = complete_graph(12, np.random.default_rng(12))
+        src, out = tmp_path / "g.edges", tmp_path / "h.edges"
+        formats.write_graph(src, g)
+        calls = {"isotropic_reduce": 0, "verify_quality": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for module in (rforge.graphs, rforge.bss):
+            monkeypatch.setattr(module, "isotropic_reduce", counted("isotropic_reduce", module.isotropic_reduce))
+        for module in (rforge.cli, rforge.graphs):
+            monkeypatch.setattr(module, "verify_quality", counted("verify_quality", module.verify_quality))
+        status, report = cli("sparsify-graph", src, "--eps", 0.5, "-o", out)
+        assert status == EXIT_OK
+        assert calls == {"isotropic_reduce": 1, "verify_quality": 0}
+        monkeypatch.undo()
+
+        cert = sparsify_graph(g, 0.5).certificate
+        res = report["results"]
+        assert (res["quality_min"], res["quality_max"], res["range_dim"]) == (
+            cert.measured_min,
+            cert.measured_max,
+            cert.range_dim,
+        )
+        assert res["quality_ceiling"] == cert.high
+        _, checked = cli("verify", src, out)
+        assert checked["results"]["range_dim"] == res["range_dim"] == 11
+        for key in ("quality_min", "quality_max"):
+            assert res[key] == pytest.approx(checked["results"][key], rel=1e-12)
+
+    def test_sparsify_graph_edgeless_report(self, tmp_path):
+        src = tmp_path / "empty.edges"
+        formats.write_graph(src, WeightedGraph(4, []))
+        status, report = cli("sparsify-graph", src, "--eps", 0.5)
+        assert status == EXIT_OK
+        res = report["results"]
+        assert (res["range_dim"], res["quality_min"], res["quality_max"]) == (0, 1.0, 1.0)
 
     def test_verify_identity(self, tmp_path):
         src = write_single_edge(tmp_path / "g.edges")
@@ -161,7 +239,7 @@ class TestRun:
         out = tmp_path / "weights.tsv"
         status, report = cli("sparsify-frame", src, "--eps", 0.6, "-o", out)
         assert status == EXIT_OK
-        weights = formats.read_weights(out)
+        weights = read_weights(out)
         assert 0 < len(weights) <= report["derived"]["support_bound"]
         cert = json.loads((tmp_path / "weights.tsv.json").read_text())
         assert cert["quadratic_ratio_min"] >= (1 - 0.6) ** 2 - 1e-8
@@ -192,7 +270,7 @@ class TestRun:
         # independent reference: the generalized eigenproblem of the weighted
         # and plain sums, restricted to the span of the input frame
         dense = np.zeros(len(vectors))
-        for idx, w in formats.read_weights(out).items():
+        for idx, w in read_weights(out).items():
             dense[idx] = w
         weighted = (vectors * dense[:, None]).T @ vectors
         plain = vectors.T @ vectors
@@ -230,7 +308,7 @@ class TestRun:
             assert res["gram_min_eigenvalue"] == pytest.approx(np.linalg.eigvalsh(cols.T @ cols)[0], rel=1e-12)
             assert res["certified_floor"] == pytest.approx((1 - eps) ** 2 * hs / n, rel=1e-12)
             assert res["gram_min_eigenvalue"] >= res["certified_floor"]
-            assert formats.read_weights(tmp_path / "sel.tsv") == {idx: 1.0 for idx in selected}
+            assert read_weights(tmp_path / "sel.tsv") == {idx: 1.0 for idx in selected}
 
     def test_ri_select_empty_selection(self, tmp_path):
         src = tmp_path / "op.mat"
@@ -282,7 +360,7 @@ class TestRun:
         assert status == EXIT_OK
         assert report["results"]["sampled_distortion_max"] <= 1.5 + 1e-8
         # the same 200 seeded draws, one vector at a time, from the written weights
-        weights = formats.read_weights(tmp_path / "lp.tsv")
+        weights = read_weights(tmp_path / "lp.tsv")
         draws = np.random.default_rng(report["seed"])
         worst = 1.0
         for _ in range(200):

@@ -10,7 +10,7 @@ from rforge import formats
 from rforge.bss import sparsify_frame, support_bound
 from rforge.cli import build_parser, run
 from rforge.errors import CertificationError
-from rforge.linalg import Frame, isotropic_reduce
+from rforge.linalg import Certificate, Frame, isotropic_reduce
 
 from oracles import components_union_find, laplacian, pencil_mpmath, weighted_graph_loop_check
 from rforge.graphs import (
@@ -319,6 +319,32 @@ class TestSparsifyGraph:
     def test_empty_graph(self):
         h = sparsify_graph(WeightedGraph(4, []), 0.5)
         assert h.edge_count == 0
+
+    def test_certificate_matches_verify_quality(self, rng):
+        cases = [
+            (log_weighted(rng, 24, list(itertools.combinations(range(24), 2))), 0.5),
+            (factored_test_graphs(rng)["two components"], 0.7),
+            (heavy_cluster_graph(16, 4, 1e15), 0.5),
+            (heavy_cluster_graph(24, 4, 1e12), 0.5),
+        ]
+        for g, eps in cases:
+            h = sparsify_graph(g, eps)
+            cert, report = h.certificate, verify_quality(g, h)
+            assert (cert.low, cert.high) == (1.0, ((1 + eps) / (1 - eps)) ** 2)
+            assert cert.range_dim == report.range_dim
+            assert cert.measured_min == pytest.approx(report.min_quotient, rel=1e-12)
+            assert cert.measured_max == pytest.approx(report.max_quotient, rel=1e-12)
+
+    def test_certificate_only_on_sparsifier_output(self, tmp_path):
+        g = complete_graph(5)
+        assert g.certificate is None
+        path = tmp_path / "h.edges"
+        formats.write_graph(path, sparsify_graph(g, 0.5))
+        assert formats.read_graph(path).certificate is None
+        with pytest.raises(TypeError):
+            WeightedGraph(2, [(0, 1, 1.0)], certificate=None)
+        empty = sparsify_graph(WeightedGraph(4, []), 0.5).certificate
+        assert empty == Certificate(1.0, 9.0, 1.0, 1.0, 0)
 
     @pytest.mark.parametrize("n", [8, 16, 24])
     def test_whitening_that_drops_range_directions_raises(self, n):
