@@ -134,7 +134,7 @@ def read_matrix(path) -> np.ndarray:
         if len(fields) != cols:
             raise ParseError(path, number, f"expected {cols} values, found {len(fields)}")
         try:
-            out[r] = [float(f) for f in fields]
+            out[r] = list(map(float, fields))
         except ValueError:
             raise ParseError(path, number, f"could not parse row {fields!r}") from None
     return out

@@ -15,6 +15,10 @@ one always exists, and the implementation picks the one with the most
 negative margin (the lowest index among exact ties).  All of this is
 asserted at runtime; violations raise SelectionInvariantError instead of
 silently returning a weak subset.
+
+No step decomposes anything: with G = P^T P for the selected images P,
+(P P^T - b I)^{-1} = -(I - P (G - b I)^{-1} P^T) / b puts each step on i x m
+arrays at O(n m + i^2 m), and the certificate is the one eigensolve.
 """
 
 from __future__ import annotations
@@ -33,10 +37,8 @@ from .linalg import Certificate, Frame, certify_spectrum, eigh, isotropic_reduce
 _MU_TOL = 1e-9
 _MARGIN_SLACK = 1e-12
 _POTENTIAL_DECREASE_RTOL = 1e-9
-_EIGENCOUNT_TOL = 1e-9
 _BARRIER_SEPARATION_RTOL = 1e-12
 _GRAM_FLOOR_TOL = 1e-8
-_RANGE_BASIS_TOL = 1e-10
 # Margins this close to the best one (relative to the best candidate's lhs and
 # rhs) tie; the lowest tied index wins.
 _TIE_RTOL = 1e-12
@@ -113,16 +115,17 @@ def ri_select(
     that Gram matrix or its certificate overflows or underflows at the
     caller's scale.
 
-    The running sum A = P P^T of the i selected images P is kept factored.
-    Each step eigendecomposes the i x i Gram matrix P^T P = W Lambda W^T,
-    which gives A's range basis U = P W Lambda^{-1/2} (checked orthonormal)
-    and A's spectrum, Lambda padded with zeros.  The resolvent is applied as
-    U diag(1/(lambda - b) + 1/b) U^T - I/b, so the candidate scores, both
-    invariant checks and the recomputed trace potential cost O(n i m) per
-    step and no n x n matrix is decomposed.  Among candidates whose margin
-    is within 1e-12 * max(1, |lhs|, |rhs|) of the best (the scale taken at
-    the best one), the lowest index is picked, so rounding never decides
-    between exactly tied columns.
+    The running sum A = P P^T of the selected images P = [y_s] is never
+    formed: the rows <y_s, .> and <T^* y_s, .> of each new s, one
+    matrix-vector product each, give G = P^T P and F^T F for F = T^* P, and
+    with w_j = (G - b I)^{-1} P^T y_j the resolvent R = (A - b I)^{-1} gives
+    y_j^T R y_j = (<P^T y_j, w_j> - ||y_j||^2) / b and b^2 ||T^* R y_j||^2 =
+    ||T^* y_j||^2 - 2 <F^T T^* y_j, w_j> + w_j^T F^T F w_j, so a step costs
+    O(n m + i^2 m).  A Cholesky factor of G - b I shows that A has exactly
+    i eigenvalues above b, and the trace potential is recomputed from each
+    new G.  Among candidates whose margin is within 1e-12 * max(1, |lhs|,
+    |rhs|) of the best (the scale taken at the best one), the lowest index
+    is picked, so rounding never decides between exactly tied columns.
 
     ``history`` (a caller-supplied list) receives one record per step with
     the barrier level (at the caller's scale), the feasibility margin, and
@@ -171,33 +174,34 @@ def ri_select(
         )
         return RiSelection([], np.zeros((0, 0)), None, stable_rank)
 
-    images = t @ work.vectors.T  # column j is T x_j
-    pulled_fixed = t.T @ images  # column j is T^* T x_j
+    images = t @ work.vectors.T  # column j is y_j = T x_j
+    pulled = t.T @ images  # column j is T^* y_j
     image_sq = np.einsum("ij,ij->j", images, images)
+    pulled_sq = np.einsum("ij,ij->j", pulled, pulled)
     image_total = float(image_sq.sum())
-    # Factored state of the running sum: its nonzero eigenvalues, its range
-    # basis pulled back by T^*, and every image in that basis.
-    lam = np.zeros(0)
-    t_basis = np.zeros((t.shape[1], 0))
-    coords = np.zeros((0, m))
+    # Row s holds <y_s, y_j> and <T^* y_s, T^* y_j> for the s-th selection.
+    cross, pulled_cross = np.empty((k, m)), np.empty((k, m))
+    cross_sq = np.empty((k, k))  # cross @ cross.T
+    gram = np.zeros((0, 0))
     potential = -hs_sq / ri_barrier(0, hs_sq, op_sq, m, eps)  # exactly -m/(1-eps)
     floor_level = -m / (1.0 - eps)
     selected: list[int] = []
 
     for i in range(1, k + 1):
         b_i = ri_barrier(i, hs_sq, op_sq, m, eps)
-        e, d_kernel = _factored_resolvent(lam, b_i, i)
-        weighted = e[:, None] * coords
-        lin = np.einsum("ij,ij->j", weighted, coords) + d_kernel * image_sq
+        rows, prows = cross[: i - 1], pulled_cross[: i - 1]
+        pulled_gram = prows[:, selected]  # F^T F
+        # R y_j = -(y_j - P w_j) / b with w_j = (G - b I)^{-1} P^T y_j.
+        w = _shifted_inverse(gram, b_i, i) @ rows
+        lin = (np.einsum("ij,ij->j", rows, w) - image_sq) / b_i
         mu = potential - float(lin.sum())
         if mu < -_MU_TOL * max(1.0, abs(potential)):
             raise SelectionInvariantError(
                 f"barrier drop mu = {mu:.6g} negative at step {i}; breakdown"
             )
-        # T^* (A - b_i I)^{-1} T x_j for every candidate j, as columns.
-        pulled = t_basis @ weighted
-        pulled += d_kernel * pulled_fixed
-        lhs = np.einsum("ij,ij->j", pulled, pulled)
+        # ||T^* R y_j||^2 = ||T^* y_j - F w_j||^2 / b^2, expanded over F^T F.
+        lhs = pulled_sq - 2.0 * np.einsum("ij,ij->j", prows, w) + np.einsum("ij,ij->j", w, pulled_gram @ w)
+        lhs /= b_i**2
         rhs = -mu * (1.0 + lin)
         margin = lhs - rhs
         best = int(np.argmin(margin))
@@ -213,26 +217,17 @@ def ri_select(
                 f"admissible candidate {chosen} has nonnegative shifted form "
                 f"{1.0 + lin[chosen]:.6g} at step {i}"
             )
-        _check_kernel_mass(t_basis, i, hs_sq, op_sq)
+        _check_kernel_mass(gram, pulled_gram, i, hs_sq, op_sq)
         selected.append(chosen)
 
-        picked = images[:, selected]
-        gram = symmetrize(picked.T @ picked)
-        decomp = eigh(gram)
-        lam = decomp.values
-        _check_eigenvalue_counts(np.append(lam, np.zeros(images.shape[0] - i)), b_i, i)
-        to_basis = decomp.vectors / np.sqrt(lam)
-        basis = picked @ to_basis
-        residual = float(np.max(np.abs(basis.T @ basis - np.eye(i))))
-        if residual > _RANGE_BASIS_TOL:
-            raise SelectionInvariantError(
-                f"range basis of the running sum not orthonormal after step {i}: "
-                f"residual {residual:.3e}"
-            )
-        t_basis = pulled_fixed[:, selected] @ to_basis
-        coords = basis.T @ images
-        e, d_kernel = _factored_resolvent(lam, b_i, i)
-        new_potential = float(e @ np.sum(coords * coords, axis=1)) + d_kernel * image_total
+        cross[i - 1] = images[:, chosen] @ images
+        pulled_cross[i - 1] = pulled[:, chosen] @ pulled
+        cross_sq[i - 1, :i] = cross_sq[:i, i - 1] = cross[:i] @ cross[i - 1]
+        gram = symmetrize(cross[:i, selected])
+        # The potential sum_j y_j^T R y_j at b_i, recomputed from the new Gram
+        # matrix: (tr((G - b I)^{-1} P^T Y Y^T P) - sum_j ||y_j||^2) / b.
+        shifted_inv = _shifted_inverse(gram, b_i, i)
+        new_potential = (float(np.sum(shifted_inv * cross_sq[:i, :i])) - image_total) / b_i
         if not new_potential < potential + _POTENTIAL_DECREASE_RTOL * abs(potential):
             raise SelectionInvariantError(
                 f"trace potential failed to decrease at step {i}: "
@@ -257,9 +252,10 @@ def ri_select(
 
     if len(set(selected)) != len(selected):
         raise SelectionInvariantError(f"selected indices repeat: {selected}")
-    # The last step decomposed exactly this Gram matrix.
+    picked = images[:, selected]
+    gram = symmetrize(picked.T @ picked)
     floor = (1.0 - eps) ** 2 * hs_sq / m
-    cert = certify_spectrum(lam, floor, np.inf, tol=_GRAM_FLOOR_TOL, what="selected Gram matrix")
+    cert = certify_spectrum(eigh(gram).values, floor, np.inf, tol=_GRAM_FLOOR_TOL, what="selected Gram matrix")
     return RiSelection(selected, *_at_scale(gram, cert, 2 * exponent), stable_rank)
 
 
@@ -283,42 +279,34 @@ def _at_scale(gram: np.ndarray, cert: Certificate, exponent: int) -> tuple[np.nd
     return out, replace(cert, low=low, measured_min=lo, measured_max=hi)
 
 
-def _factored_resolvent(lam: np.ndarray, barrier: float, step: int) -> tuple[np.ndarray, float]:
-    # (A - b I)^{-1} = U diag(e) U^T + d_kernel I when A = U diag(lam) U^T has
-    # orthonormal U; A's spectrum is lam padded with zeros.  Refuses a barrier
-    # on that spectrum.
-    spectrum = np.append(lam, 0.0)
-    gap = spectrum - barrier
-    closest = float(np.min(np.abs(gap)))
-    if closest <= _BARRIER_SEPARATION_RTOL * max(1.0, float(spectrum[0])):
+def _shifted_inverse(gram: np.ndarray, barrier: float, step: int) -> np.ndarray:
+    # (G - b I)^{-1}, refusing a barrier not below G's spectrum or within
+    # 1e-12 * max(1, tr G) of A's (G's padded with zeros); the gap is at least
+    # min(b, 1/||(G - b I)^{-1}||_F) and tr G >= max eig G, so never looser.
+    order = gram.shape[0]
+    shifted = gram - barrier * np.eye(order)
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        raise SelectionInvariantError(
+            f"barrier {barrier:.6g} at step {step} is not below the spectrum of the "
+            f"{order} x {order} selected Gram matrix"
+        ) from None
+    inverse = np.linalg.inv(shifted)
+    closest = min(barrier, 1.0 / float(np.linalg.norm(inverse))) if order else barrier
+    if closest <= _BARRIER_SEPARATION_RTOL * max(1.0, float(np.trace(gram))):
         raise SelectionInvariantError(
             f"barrier {barrier:.6g} at step {step} sits on the spectrum "
-            f"(closest eigenvalue gap {closest:.3e})"
+            f"(eigenvalue gap at most {closest:.3e})"
         )
-    d = 1.0 / gap
-    return d[:-1] - d[-1], float(d[-1])
+    return inverse
 
 
-def _check_eigenvalue_counts(lam: np.ndarray, barrier: float, step: int) -> None:
-    above = int(np.count_nonzero(lam > barrier))
-    if above != step:
-        raise SelectionInvariantError(
-            f"expected exactly {step} eigenvalues above the barrier {barrier:.6g}, "
-            f"found {above}"
-        )
-    rest = lam[step:]
-    if rest.size and float(np.max(np.abs(rest))) > _EIGENCOUNT_TOL * max(float(lam[0]), 1.0):
-        raise SelectionInvariantError(
-            f"trailing eigenvalues not at zero after step {step}: max "
-            f"{float(np.max(np.abs(rest))):.3e}"
-        )
-
-
-def _check_kernel_mass(t_basis: np.ndarray, step: int, hs_sq: float, op_sq: float) -> None:
-    # Mass of T on the kernel of the running sum cannot drop faster than one
-    # squared operator norm per completed step; ``t_basis`` is T^* U for the
-    # orthonormal range basis U.
-    kernel_mass = hs_sq - float(np.sum(t_basis * t_basis))
+def _check_kernel_mass(gram: np.ndarray, pulled_gram: np.ndarray, step: int, hs_sq: float, op_sq: float) -> None:
+    # Mass of T on the kernel of the running sum A = P P^T cannot drop faster
+    # than one squared operator norm per completed step.  T's mass on A's
+    # range is tr(G^{-1} F^T F) for G = P^T P and F = T^* P.
+    kernel_mass = hs_sq - float(np.trace(np.linalg.solve(gram, pulled_gram)))
     required = hs_sq - (step - 1) * op_sq
     if kernel_mass < required - 1e-8 * max(hs_sq, 1.0):
         raise SelectionInvariantError(

@@ -2,21 +2,30 @@
 
 Each case runs in a fresh interpreter, because OpenBLAS reads its thread
 count once, when numpy is first imported.  K40 takes the full eigh at every
-barrier step and K64 the rank-one update.  Larger inputs are not covered:
-at K100 the selected edges still agree, but weights differ in the last
-few bits between 1 and 2 threads (see README).
+barrier step and K64 the rank-one update; ``rforge ri-select`` runs on a
+120 x 120 operator.  Larger inputs are not covered: at K100 the selected
+edges still agree, but weights differ in the last few bits between 1 and 2
+threads (see README).
 """
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+from test_cli import strip_timing
+
+from rforge import formats
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 SCRIPT = """
+import sys
 import numpy as np
 from rforge import JohnDecomposition, WeightedGraph, approximate_john, sparsify_graph
+from rforge.cli import main
 
 rng = np.random.default_rng(40)
 n = 40
@@ -47,22 +56,32 @@ history = []
 h = sparsify_graph(WeightedGraph(n, edges), 0.5, history=history)
 print(repr(h.edges))
 print(sum(record["eigensolve"] == "update" for record in history))
+
+operator, report = sys.argv[1:]
+sys.exit(main(["ri-select", operator, "--eps", "0.8", "--report", report]))
 """
 
 
-def run_with_threads(threads):
+def run_with_threads(threads, operator, report):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     env["OPENBLAS_NUM_THREADS"] = str(threads)
     done = subprocess.run(
-        [sys.executable, "-c", SCRIPT], env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, "-c", SCRIPT, str(operator), str(report)],
+        env=env, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
     return done.stdout
 
 
-def test_outputs_identical_with_one_and_two_threads():
-    single = run_with_threads(1)
+def test_outputs_identical_with_one_and_two_threads(tmp_path):
+    operator = tmp_path / "op.mat"
+    formats.write_matrix(operator, np.random.default_rng(120).standard_normal((120, 120)))
+    single = run_with_threads(1, operator, tmp_path / "ri-1.json")
     assert single.count("\n") == 5
     assert int(single.splitlines()[-1]) > 0  # the update path ran
-    assert run_with_threads(2) == single
+    assert run_with_threads(2, operator, tmp_path / "ri-2.json") == single
+
+    reports = [strip_timing(json.loads((tmp_path / f"ri-{n}.json").read_text())) for n in (1, 2)]
+    assert reports[0]["status"] == "ok" and len(reports[0]["results"]["selected"]) >= 10
+    assert json.dumps(reports[0]) == json.dumps(reports[1])

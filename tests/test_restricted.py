@@ -3,12 +3,14 @@ import warnings
 import numpy as np
 import pytest
 
+import rforge.restricted
 from oracles import ri_select_oracle
 from rforge import RiSelection
 from rforge.errors import SelectionInvariantError
-from rforge.linalg import Frame, Incidence
+from rforge.linalg import Frame, Incidence, eigh
 from rforge.restricted import (
-    _factored_resolvent,
+    _check_kernel_mass,
+    _shifted_inverse,
     operator_norms,
     ri_barrier,
     ri_select,
@@ -86,9 +88,37 @@ class TestFirstStep:
             assert record["margin"] == pytest.approx(-250.0 / 9.0, rel=1e-12)
 
     def test_barrier_on_spectrum_raises(self):
+        # on the Gram spectrum (Cholesky of G - b I fails), within 1e-12 of it
+        # (the Frobenius gap bound), and on the zero eigenvalue of A
         barrier = ri_barrier(1, 2.0, 1.0, 2, 0.8)
-        with pytest.raises(SelectionInvariantError, match="spectrum"):
-            _factored_resolvent(np.array([barrier]), barrier, 1)
+        for gram, b in (
+            ([[barrier]], barrier),
+            ([[barrier * (1 + 1e-14)]], barrier),
+            ([[2.0, 0.0], [0.0, 3.0]], 1e-13),
+        ):
+            with pytest.raises(SelectionInvariantError, match="spectrum"):
+                _shifted_inverse(np.array(gram), b, 1)
+        inverse = _shifted_inverse(np.array([[2.0, 1.0], [1.0, 3.0]]), 0.5, 3)
+        np.testing.assert_allclose(inverse, np.linalg.inv([[1.5, 1.0], [1.0, 2.5]]), rtol=1e-14)
+
+
+class TestKernelMass:
+    def test_range_mass_from_the_gram_matrix(self, rng):
+        # tr(G^{-1} F^T F) is ||T^* U||_F^2 for an orthonormal basis U of
+        # range(P): after 3 steps the check passes while 3 ||T||^2 is above
+        # that mass and refuses once it is below
+        t = rng.standard_normal((6, 6))
+        p = t @ rng.standard_normal((6, 3))
+        f = t.T @ p
+        u, _ = np.linalg.qr(p)
+        range_mass = float(np.sum((t.T @ u) ** 2))
+        hs = float(np.sum(t * t))
+        _check_kernel_mass(p.T @ p, f.T @ f, 4, hs, range_mass / 3.0 * (1 + 1e-6))
+        with pytest.raises(SelectionInvariantError, match="kernel mass"):
+            _check_kernel_mass(p.T @ p, f.T @ f, 4, hs, range_mass / 3.0 * (1 - 1e-6))
+
+    def test_empty_selection_has_no_range_mass(self):
+        _check_kernel_mass(np.zeros((0, 0)), np.zeros((0, 0)), 1, 2.0, 1.0)
 
 
 class TestRiSelect:
@@ -159,6 +189,20 @@ class TestRiSelect:
             sigma, gram, *_ = ri_select(Frame(vectors), t, 0.8)
         assert len(sigma) == len(set(sigma))
         assert gram.shape == (len(sigma), len(sigma))
+
+    def test_one_eigensolve_per_call(self, rng, monkeypatch):
+        # the steps run on Cholesky factors and inverses of the i x i Gram
+        # matrix; only the final certificate decomposes it
+        calls = []
+
+        def counted(m):
+            calls.append(m.shape)
+            return eigh(m)
+
+        monkeypatch.setattr(rforge.restricted, "eigh", counted)
+        result = ri_select(basis_frame(40), rng.standard_normal((40, 40)), 0.8)
+        k = len(result.selected)
+        assert k >= 5 and calls == [(k, k)]
 
     def test_zero_operator_rejected(self):
         with pytest.raises(ValueError, match="zero"):
@@ -276,6 +320,12 @@ class TestDenseOracle:
         yield basis_frame(48), rng.standard_normal((24, 48)), 0.8
         vectors = rng.standard_normal((60, 12)) * np.exp(rng.uniform(-0.5, 0.5, 12))
         yield Frame(vectors), well_spread_operator(rng, 12), 0.8
+        # singular values over six decades, and a wide operator: both stress
+        # the expanded form of ||T^* R y||^2 where it could cancel
+        q1, _ = np.linalg.qr(rng.standard_normal((150, 150)))
+        q2, _ = np.linalg.qr(rng.standard_normal((150, 150)))
+        yield basis_frame(150), (q1 * np.geomspace(1.0, 1e-6, 150)) @ q2.T, 0.8
+        yield basis_frame(400), rng.standard_normal((60, 400)), 0.8
 
     def test_selection_and_history_match(self, rng):
         for frame, t, eps in self.instances(rng):
