@@ -10,7 +10,7 @@ Core surface:
   spectral certificate.
 - :mod:`rforge.restricted` -- well-conditioned column subset selection.
 - :mod:`rforge.embed` -- approximate John decompositions, L1 point-set
-  embeddings, even-exponent subspace embeddings.
+  embeddings certified over every pair, even-exponent subspace embeddings.
 - :mod:`rforge.nonlinear` -- power-p energy quality probes and the weighted
   cycle that separates exponents.
 - :mod:`rforge.cli` -- batch command-line interface and file formats.
@@ -49,7 +49,6 @@ from .graphs import (
     WeightedGraph,
     edge_frame,
     sparsify_graph,
-    spectral_gap_ratio,
     verify_quality,
 )
 from .linalg import (
@@ -112,7 +111,6 @@ __all__ = [
     "selection_size",
     "sparsify_frame",
     "sparsify_graph",
-    "spectral_gap_ratio",
     "standard_probes",
     "support_bound",
     "symmetrize",

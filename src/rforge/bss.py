@@ -68,6 +68,7 @@ from .linalg import (
     certify_spectrum,
     eigh,
     isotropic_reduce,
+    lift_certificate,
     symmetrize,
 )
 
@@ -485,3 +486,14 @@ def _certified(work: Frame, support: np.ndarray, s: np.ndarray, size: int, eps: 
     low, high = (1.0 - eps) ** 2, (1.0 + eps) ** 2
     cert = certify_spectrum(lam, low, high, tol=_SANDWICH_TOL, what="weighted sum")
     return SparseWeights(support, s, size, cert)
+
+
+def lift_to_unit(sparse: SparseWeights, eps: float, high: float, row_weights: np.ndarray, *, what: str):
+    """Weights s_i w_i / (1-eps)^2 on ``sparse``'s support, w the ``row_weights`` (squared row scales).
+
+    The lift moves the sandwich's lower constant to exactly 1; the certificate is lifted alike onto
+    [1, high], at the sandwich tolerance times the lift.  Returns (weights, certificate).
+    """
+    lift = 1.0 / (1.0 - eps) ** 2
+    cert = lift_certificate(sparse.certificate, lift, 1.0, high, tol=_SANDWICH_TOL * lift, what=what)
+    return sparse.weights * lift * row_weights[sparse.support], cert

@@ -24,9 +24,9 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .bss import check_eps, sparsify_frame, support_bound
+from .bss import check_eps, lift_to_unit, sparsify_frame, support_bound
 from .errors import CertificationError
-from .linalg import Frame, certify_spectrum, eigh, lift_certificate, symmetrize
+from .linalg import Certificate, Frame, certify_spectrum, eigh, isotropic_reduce, lift_certificate, symmetrize
 
 _JOHN_IDENTITY_TOL = 1e-8
 _JOHN_CENTER_TOL = 1e-8
@@ -200,9 +200,10 @@ def cut_decompose(points: np.ndarray) -> CutDecomposition:
 
 @dataclass
 class EmbeddedPoints:
-    """n points in R^k, one per row, meant to be compared in the l1 norm."""
+    """n points in R^k (rows) for the l1 norm; ``certificate`` bounds every ||z_i - z_j||_1 / d(i, j)."""
 
     points: np.ndarray
+    certificate: Certificate
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float)
@@ -224,18 +225,43 @@ def embed_l1(points: np.ndarray, eps: float) -> EmbeddedPoints:
     frame), every cut is kept with its own weight and the embedding is an
     isometry: k is the number of cuts and every distortion is 1.  Points
     must be finite.
+
+    The result's ``certificate`` is the frame sparsifier's, lifted onto
+    [1, 1+eps]: row E of the cut frame is sqrt(w_E) 1_E, so on y = e_i - e_j
+    the frame's form is d(i, j) and the reweighted one ||z_i - z_j||_1, and
+    the certified extremes bound every pair's distortion with no pair measured.
+    Coincident points get an edgeless graph's certificate; cuts too light to
+    whiten raise CertificationError, as edges do.
     """
     check_eps(eps)
     cuts = cut_decompose(points)
     if cuts.size == 0:
         # all points coincide; the zero embedding is exact
-        return EmbeddedPoints(np.zeros((cuts.n, 1)))
+        return EmbeddedPoints(np.zeros((cuts.n, 1)), Certificate(1.0, 1.0 + eps, 1.0, 1.0, 0))
     eps0 = barrier_eps_for_ratio(1.0 + eps)
-    frame = Frame(cuts.indicators * np.sqrt(cuts.weights)[:, None])
-    sparse = sparsify_frame(frame, eps0)
-    scaled = sparse.weights * (1.0 / (1.0 - eps0) ** 2) * cuts.weights[sparse.support]
+    sparse = sparsify_frame(_whitened(cuts), eps0)
+    scaled, cert = lift_to_unit(sparse, eps0, 1.0 + eps, cuts.weights, what="L1 distortion")
     coords = cuts.indicators[sparse.support].T * scaled  # point i's row: s_E w_E 1_E(i)
-    return EmbeddedPoints(coords)
+    return EmbeddedPoints(coords, cert)
+
+
+def _whitened(cuts: CutDecomposition) -> Frame:
+    """The whitened cut frame; CertificationError unless it spans the 0/1 indicators' row space.
+
+    Whitening drops Gram eigenvalues below n * eps_mach times the largest, which can cut the only
+    directions that separate two points (one 1e-12 from another in a unit-scale cloud).  The
+    indicators' rank does not depend on the weights; it is computed only when the frame falls
+    short of its bound, the number of distinct nonzero point columns.
+    """
+    frame, _ = isotropic_reduce(Frame(cuts.indicators * np.sqrt(cuts.weights)[:, None]))
+    r, columns = frame.ambient_dim, np.ascontiguousarray(cuts.indicators.T)
+    bound = np.unique(_byte_rows(columns)).size - int(not columns.any(axis=1).all())  # a point in no cut
+    if r < bound and r < (rank := np.linalg.matrix_rank(columns.astype(float))):
+        raise CertificationError(
+            f"whitening resolved {r} of the cut frame's {rank} span directions above the float64 "
+            "rank floor; the cut weights span too wide a range to certify"
+        )
+    return frame
 
 
 def embed_lp_even(basis: np.ndarray, p: int, eps: float) -> tuple[np.ndarray, np.ndarray]:

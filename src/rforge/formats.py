@@ -25,6 +25,7 @@ by the caller.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from pathlib import Path
 
@@ -97,6 +98,8 @@ def read_graph(path) -> WeightedGraph:
                 path, number, f"duplicate edge {pair} (first seen on line {seen[pair]})"
             )
         seen[pair] = number
+        if not math.isfinite(w):  # inf, nan, or a literal past the float range such as 1e400
+            raise ParseError(path, number, f"edge {pair} has non-finite weight {fields[2]!r}")
         if not w > 0:
             raise ParseError(path, number, f"edge {pair} has nonpositive weight {w}")
         edges.append((pair[0], pair[1], w))

@@ -9,7 +9,8 @@ reweighted subgraph H whose Laplacian quadratic form sandwiches the input's:
 
 for every y, with at most 2*ceil(n/eps^2) nonzero ordered entries in H.
 H carries the certificate the frame sparsifier measured for it, lifted
-onto that interval, so a caller reads it without certifying again.
+onto that interval, so a caller reads it without certifying again; H's
+quality is that certificate's max/min ratio.
 ``verify_quality`` certifies any candidate sparsifier: an exact
 connected-components check, then a validated eigensolve of L_H on the
 basis that whitens G's edge frame exactly as the sparsifier whitens it.
@@ -21,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bss import _SANDWICH_TOL, _theta, check_eps, sparsify_frame
+from .bss import _theta, check_eps, lift_to_unit, sparsify_frame
 from .errors import CertificationError
-from .linalg import Certificate, Frame, Incidence, _edge_gram, eigh, isotropic_reduce, lift_certificate
+from .linalg import Certificate, Frame, Incidence, _edge_gram, eigh, isotropic_reduce
 
 
 class WeightedGraph:
@@ -89,11 +90,6 @@ class WeightedGraph:
     def edge_pairs(self) -> set[tuple[int, int]]:
         return set(zip(self.heads.tolist(), self.tails.tolist()))
 
-    def adjacency(self) -> np.ndarray:
-        adj = np.zeros((self.n, self.n))
-        adj[self.heads, self.tails] = adj[self.tails, self.heads] = self.weights  # edges are distinct pairs
-        return adj
-
 
 @dataclass
 class QualityReport:
@@ -139,13 +135,9 @@ def sparsify_graph(g: WeightedGraph, eps: float, *, history: list | None = None)
         h.certificate = Certificate(1.0, theta_sq, 1.0, 1.0, 0)
         return h
     sparse = sparsify_frame(_whitened(g, _components(g)), eps, history=history)
-    # Lift the frame certificate's lower constant to exactly 1; its tolerance scales alike.
-    lift = 1.0 / (1.0 - eps) ** 2
-    weights = sparse.weights * lift * g.weights[sparse.support]
+    weights, cert = lift_to_unit(sparse, eps, theta_sq, g.weights, what="Laplacian pencil")
     h = WeightedGraph.from_arrays(g.n, g.heads[sparse.support], g.tails[sparse.support], weights)
-    h.certificate = lift_certificate(
-        sparse.certificate, lift, 1.0, theta_sq, tol=_SANDWICH_TOL * lift, what="Laplacian pencil"
-    )
+    h.certificate = cert
     return h
 
 
@@ -225,23 +217,3 @@ def verify_quality(g: WeightedGraph, h: WeightedGraph) -> QualityReport:
     basis = _whitened(g, roots).incidence.basis
     quotients = eigh(_edge_gram(h.heads, h.tails, h.weights, basis)).values
     return QualityReport(float(quotients[-1]), float(quotients[0]), basis.shape[1])
-
-
-def spectral_gap_ratio(h: WeightedGraph) -> float:
-    """Absolute spectral spread over the top gap of the weighted adjacency.
-
-    Returns (lambda_1 - lambda_n) / (lambda_1 - lambda_2).  Values near 1
-    mean the graph behaves like a strong expander.  Degenerate spectra
-    (lambda_1 close to lambda_2, e.g. disconnected or trivial graphs) are
-    rejected.
-    """
-    if h.n < 2:
-        raise ValueError("spectral gap ratio needs at least 2 vertices")
-    lam = eigh(h.adjacency()).values
-    gap = float(lam[0] - lam[1])
-    if gap <= 1e-12:
-        raise ValueError(
-            f"top spectral gap {gap:.3e} is degenerate; the graph is disconnected or trivial"
-        )
-    return float((lam[0] - lam[-1]) / gap)
-

@@ -243,8 +243,15 @@ def components_union_find(n: int, edges) -> list[int]:
 
 def laplacian(g) -> np.ndarray:
     """Degree matrix minus adjacency of a ``WeightedGraph``; rows sum to zero."""
-    a = g.adjacency()
+    a = adjacency(g)
     return np.diag(a.sum(axis=1)) - a
+
+
+def adjacency(g) -> np.ndarray:
+    """Symmetric weighted adjacency matrix of a ``WeightedGraph``."""
+    adj = np.zeros((g.n, g.n))
+    adj[g.heads, g.tails] = adj[g.tails, g.heads] = g.weights  # edges are distinct pairs
+    return adj
 
 
 def pencil_mpmath(g, h) -> tuple[float, float]:

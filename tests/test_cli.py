@@ -9,7 +9,7 @@ import rforge.cli
 import rforge.graphs
 from rforge import formats
 from rforge.cli import EXIT_CERTIFICATION, EXIT_INPUT, EXIT_OK, build_parser, main, run
-from rforge.embed import JohnDecomposition
+from rforge.embed import JohnDecomposition, embed_l1
 from rforge.graphs import WeightedGraph, sparsify_graph
 
 from oracles import pairwise_l1_distances, read_weights
@@ -92,6 +92,9 @@ class TestFormats:
             ("read_graph", "n 3\n0\t1\t1.0\n1\t2\n", 3, "expected 'i<TAB>j<TAB>w', got '1\\t2'"),
             ("read_graph", "n 3\n0\tone\t1.0\n", 2, "could not parse edge fields ['0', 'one', '1.0']"),
             ("read_graph", "n 3\n\n2\t1\t0.0\n", 3, "edge (1, 2) has nonpositive weight 0.0"),
+            ("read_graph", "n 3\n0\t1\t1.0\n1\t2\tinf\n", 3, "edge (1, 2) has non-finite weight 'inf'"),
+            ("read_graph", "n 3\n2\t0\t1e400\n", 2, "edge (0, 2) has non-finite weight '1e400'"),
+            ("read_graph", "n 3\n0\t1\tnan\n", 2, "edge (0, 1) has non-finite weight 'nan'"),
             ("read_matrix", "\n# empty\n", 1, "empty matrix file; expected a 'rows cols' header"),
             ("read_matrix", "3\n1 2 3\n", 1, "expected header 'rows cols', got '3'"),
             ("read_matrix", "2 x\n", 1, "header fields ['2', 'x'] are not integers"),
@@ -346,11 +349,26 @@ class TestRun:
         formats.write_matrix(src, pts)
         status, report = cli("embed-l1", src, "--eps", 0.5, "-o", out)
         assert status == EXIT_OK
+        res, cert = report["results"], embed_l1(pts, 0.5).certificate
+        assert (res["distortion_min"], res["distortion_max"], res["distortion_ceiling"], res["range_dim"]) == (
+            cert.measured_min,
+            cert.measured_max,
+            cert.high,
+            cert.range_dim,
+        )
         direct = pairwise_l1_distances(pts)
         mask = direct > 0
         ratios = pairwise_l1_distances(formats.read_matrix(out))[mask] / direct[mask]
-        assert report["results"]["distortion_min"] == pytest.approx(ratios.min(), rel=1e-12)
-        assert report["results"]["distortion_max"] == pytest.approx(ratios.max(), rel=1e-12)
+        assert ratios.min() >= res["distortion_min"] * (1.0 - 1e-12)
+        assert ratios.max() <= res["distortion_max"] * (1.0 + 1e-12)
+
+    def test_embed_l1_unresolved_cut_span_exit_code(self, tmp_path):
+        src = tmp_path / "pts.mat"
+        formats.write_matrix(src, np.array([[0.0], [1.0], [1.0 + 2.0**-52]]))
+        status, report = cli("embed-l1", src, "--eps", 0.5)
+        assert status == EXIT_CERTIFICATION
+        assert report["status"] == "certification-failure"
+        assert "span directions" in report["error"]
 
     def test_embed_lp_report(self, tmp_path, rng):
         basis = rng.standard_normal((2, 20))
@@ -434,7 +452,9 @@ class TestRun:
         edges = [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0), (3, 4, 1.0), (3, 5, 1.0), (4, 5, 1.0)]
         formats.write_graph(src, WeightedGraph(6, edges))
         assert main(["sparsify-graph", str(src), "--eps", "0.5", "--report", str(path)]) == EXIT_OK
-        assert '"spectral_gap_ratio": null' in path.read_text()
+        res = json.loads(path.read_text())["results"]
+        assert res["range_dim"] == 4
+        assert "spectral_gap_ratio" not in res
 
     def test_reports_deterministic(self, tmp_path, rng):
         vectors = rng.standard_normal((10, 3))

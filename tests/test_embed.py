@@ -16,6 +16,8 @@ from rforge.embed import (
     embed_l1,
     embed_lp_even,
 )
+from rforge.errors import CertificationError
+from rforge.linalg import Certificate
 
 from oracles import cut_decompose_oracle, lp_norm, pairwise_l1_distances, random_john_decomposition
 
@@ -199,8 +201,53 @@ class TestEmbedL1:
             embed_l1(pts, 0.5)
 
     def test_coincident_points(self):
-        out = embed_l1(np.zeros((3, 2)), 0.5)
+        pts = np.zeros((3, 2))
+        out = embed_l1(pts, 0.5)
         assert np.array_equal(out.points, np.zeros((3, 1)))
+        assert out.certificate == Certificate(1.0, 1.5, 1.0, 1.0, 0)
+        self.assert_certificate_brackets_pairs(pts, 0.5, out)
+
+    @staticmethod
+    def assert_certificate_brackets_pairs(pts, eps, out):
+        cert = out.certificate
+        assert (cert.low, cert.high) == (1.0, 1.0 + eps)
+        assert cert.measured_max <= 1.0 + eps
+        direct, image = pairwise_l1_distances(pts), pairwise_l1_distances(out.points)
+        apart = direct > 0
+        assert np.all(image[~apart] == 0)
+        ratios = image[apart] / direct[apart]
+        assert np.all(ratios >= cert.measured_min * (1.0 - 1e-12))
+        assert np.all(ratios <= cert.measured_max * (1.0 + 1e-12))
+
+    def test_certificate_brackets_every_pair_after_barrier_run(self, rng):
+        pts = rng.standard_normal((40, 60))
+        out = embed_l1(pts, 0.9)
+        assert out.k < cut_decompose(pts).size  # the barrier loop dropped cuts
+        assert 0 < out.certificate.range_dim <= 40
+        self.assert_certificate_brackets_pairs(pts, 0.9, out)
+
+    def test_certificate_brackets_every_pair_when_all_cuts_kept(self, rng):
+        pts = rng.standard_normal((40, 6))
+        out = embed_l1(pts, 0.5)
+        assert out.k == cut_decompose(pts).size  # short-circuit: no barrier step
+        self.assert_certificate_brackets_pairs(pts, 0.5, out)
+
+    @pytest.mark.parametrize("offset", [1e-9, 1e-12])
+    def test_near_duplicate_point_is_bracketed_or_refused(self, rng, offset):
+        # The pair's only separating cuts weigh about offset; at 1e-12 whitening cannot resolve them.
+        pts = rng.standard_normal((40, 60))
+        pts[-1] = pts[0] + offset * rng.standard_normal(60)
+        try:
+            out = embed_l1(pts, 0.9)
+        except CertificationError:
+            return
+        self.assert_certificate_brackets_pairs(pts, 0.9, out)
+
+    def test_unresolved_cut_span_is_refused(self):
+        # The cut separating 1 from 1 + 2^-52 weighs 2^-52: below whitening's rank floor.
+        for pts in ([[0.0], [1.0], [1.0 + 2.0**-52]], [[0.0, 0.0], [1.0, 1.0], [1.0 + 2.0**-52, 1.0]]):
+            with pytest.raises(CertificationError, match="resolved 1 of the cut frame's 2 span directions"):
+                embed_l1(np.array(pts), 0.5)
 
     def test_eps_validation(self):
         with pytest.raises(ValueError):

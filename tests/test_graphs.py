@@ -12,13 +12,12 @@ from rforge.cli import build_parser, run
 from rforge.errors import CertificationError
 from rforge.linalg import Certificate, Frame, isotropic_reduce
 
-from oracles import components_union_find, laplacian, pencil_mpmath, weighted_graph_loop_check
+from oracles import adjacency, components_union_find, laplacian, pencil_mpmath, weighted_graph_loop_check
 from rforge.graphs import (
     WeightedGraph,
     _components,
     edge_frame,
     sparsify_graph,
-    spectral_gap_ratio,
     verify_quality,
 )
 
@@ -206,7 +205,7 @@ class TestLaplacian:
         for _ in range(5):
             g = random_graph(rng, 7, 0.5)
             lap = laplacian(g)
-            a = g.adjacency()
+            a = adjacency(g)
             for _ in range(100):
                 y = rng.standard_normal(7)
                 direct = 0.5 * sum(
@@ -466,28 +465,3 @@ class TestVerifyQuality:
             assert report.range_dim == basis.shape[1]
             assert report.min_quotient == pytest.approx(pencil[0], rel=1e-12)
             assert report.max_quotient == pytest.approx(pencil[-1], rel=1e-12)
-
-
-class TestSpectralGapRatio:
-    def test_complete_graph_is_perfect(self):
-        # adjacency spectrum of K_n: n-1 once, -1 repeated
-        for n in (4, 8, 16):
-            assert spectral_gap_ratio(complete_graph(n)) == pytest.approx(1.0, abs=1e-9)
-
-    def test_sparsifier_of_complete_graph(self):
-        g = complete_graph(16)
-        h = sparsify_graph(g, 0.5)
-        ratio = spectral_gap_ratio(h)
-        assert ratio >= 1.0 - 1e-9
-        # diagnostic only: finite and sane for an expander-like output
-        assert np.isfinite(ratio)
-
-    def test_degenerate_spectrum_rejected(self):
-        # two isolated unit edges: lambda_1 == lambda_2
-        g = WeightedGraph(4, [(0, 1, 1.0), (2, 3, 1.0)])
-        with pytest.raises(ValueError, match="degenerate"):
-            spectral_gap_ratio(g)
-
-    def test_needs_two_vertices(self):
-        with pytest.raises(ValueError, match="2 vertices"):
-            spectral_gap_ratio(WeightedGraph(1, []))
