@@ -114,8 +114,7 @@ def _run_ri_select(args: argparse.Namespace) -> dict:
     if operator.shape[0] != operator.shape[1]:
         raise ValueError(f"operator must be square, got shape {operator.shape}")
     n = operator.shape[0]
-    frame = Frame(np.eye(n), isotropy_certified=True)
-    result = ri_select(frame, operator, eps)
+    result = ri_select(operator, eps)
     sigma, cert = result.selected, result.certificate
     lam_min = cert.measured_min if cert else 0.0
     if args.output:

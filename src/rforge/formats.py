@@ -9,12 +9,13 @@ Edge lists:
     n 5
     0<TAB>1<TAB>2.5
     ...
-Vertex indices are 0-based; pairs are canonicalized to i < j on read, and
-self-loops are dropped with a warning.
+Vertex indices are 0-based; pairs are canonicalized to i < j on read;
+weights must be positive and finite, and self-loops (whose weights are
+checked too) are dropped with a warning.
 
 Dense matrices (also used for point sets and operator inputs):
     rows cols
-    one whitespace-separated row per line
+    one whitespace-separated row per line, every entry finite
 
 Weight maps:
     index<TAB>weight
@@ -89,19 +90,19 @@ def read_graph(path) -> WeightedGraph:
             raise ParseError(path, number, f"could not parse edge fields {fields!r}") from None
         if not (0 <= i < n and 0 <= j < n):
             raise ParseError(path, number, f"vertex index out of range in edge ({i}, {j})")
-        if i == j:
-            warnings.warn(f"ignoring self-loop at vertex {i}; it has no effect", stacklevel=2)
-            continue
         pair = (min(i, j), max(i, j))
         if pair in seen:
             raise ParseError(
                 path, number, f"duplicate edge {pair} (first seen on line {seen[pair]})"
             )
-        seen[pair] = number
         if not math.isfinite(w):  # inf, nan, or a literal past the float range such as 1e400
             raise ParseError(path, number, f"edge {pair} has non-finite weight {fields[2]!r}")
         if not w > 0:
             raise ParseError(path, number, f"edge {pair} has nonpositive weight {w}")
+        if i == j:
+            warnings.warn(f"ignoring self-loop at vertex {i}; it has no effect", stacklevel=2)
+            continue
+        seen[pair] = number
         edges.append((pair[0], pair[1], w))
     return WeightedGraph(n, edges)
 
@@ -140,6 +141,11 @@ def read_matrix(path) -> np.ndarray:
             out[r] = list(map(float, fields))
         except ValueError:
             raise ParseError(path, number, f"could not parse row {fields!r}") from None
+    finite = np.isfinite(out)
+    if not finite.all():  # inf, nan, or a literal past the float range such as 1e400
+        r, c = np.argwhere(~finite)[0]
+        number, text = lines[1 + r]
+        raise ParseError(path, number, f"non-finite value {text.split()[c]!r}")
     return out
 
 

@@ -1,11 +1,13 @@
 """Deterministic selection of well-conditioned column subsets.
 
-Given an operator T and a frame x_1..x_m whose outer products sum to the
-identity, the routine below picks k = floor(eps^2 ||T||_HS^2 / ||T||^2)
-indices sigma so that the Gram matrix of {T x_i : i in sigma} has smallest
+Given a p x m matrix T, the routine below picks k = floor(eps^2 ||T||_HS^2
+/ ||T||^2) of its columns sigma so that their Gram matrix has smallest
 eigenvalue at least (1-eps)^2 ||T||_HS^2 / m.  Equivalently, the selected
-images are linearly independent with an explicit lower bound on how far
-they stay from degeneracy.
+columns are linearly independent with an explicit lower bound on how far
+they stay from degeneracy.  For an operator T and a frame x_1..x_m whose
+outer products sum to the identity, the columns of T X^T are the images
+T x_j and T X^T has T's norms, so the theorem for that pair is this one
+with the standard basis as the frame.
 
 The driver is a descending barrier b_i: the running sum of selected outer
 products always keeps its i nonzero eigenvalues above b_i, and the trace
@@ -32,7 +34,7 @@ import numpy as np
 
 from .bss import check_eps
 from .errors import SelectionInvariantError
-from .linalg import Certificate, Frame, certify_spectrum, eigh, isotropic_reduce, symmetrize
+from .linalg import Certificate, certify_spectrum, eigh, symmetrize
 
 _MU_TOL = 1e-9
 _MARGIN_SLACK = 1e-12
@@ -47,8 +49,8 @@ _TIE_RTOL = 1e-12
 class RiSelection(NamedTuple):
     """What ``ri_select`` returns, at the caller's scale.
 
-    ``selected`` lists the chosen indices in choice order and ``gram`` is
-    the Gram matrix (<T x_i, T x_j>) over them.  ``certificate`` bounds
+    ``selected`` lists the chosen column indices in choice order and
+    ``gram`` is the Gram matrix of those columns of T.  ``certificate`` bounds
     that Gram matrix's spectrum below by the floor (1-eps)^2 ||T||_HS^2 / m
     and records its measured extremes; it is None for an empty selection.
     ``stable_rank`` is ||T||_HS^2 / ||T||^2 of the operator the loop ran on.
@@ -72,7 +74,7 @@ def ri_barrier(i: int, t_hs_sq: float, t_op_sq: float, m: int, eps: float) -> fl
     """
     check_eps(eps)
     if m < 1:
-        raise ValueError(f"frame size must be positive, got {m}")
+        raise ValueError(f"column count must be positive, got {m}")
     k = selection_size(t_hs_sq, t_op_sq, eps)
     if not 0 <= i <= k:
         raise ValueError(f"barrier index {i} outside [0, {k}]")
@@ -90,23 +92,17 @@ def operator_norms(t: np.ndarray) -> tuple[float, float]:
     return float(np.sum(t * t)), float(np.linalg.eigvalsh(small)[-1])
 
 
-def ri_select(
-    frame: Frame,
-    t: np.ndarray,
-    eps: float,
-    *,
-    history: list | None = None,
-) -> RiSelection:
-    """Select k = floor(eps^2 ||T||_HS^2/||T||^2) well-conditioned columns.
+def ri_select(t: np.ndarray, eps: float, *, history: list | None = None) -> RiSelection:
+    """Select k = floor(eps^2 ||T||_HS^2/||T||^2) well-conditioned columns of T.
 
-    Returns an ``RiSelection``: the selected indices in choice order, the
-    Gram matrix (<T x_i, T x_j>) over them, the certificate that its
-    smallest eigenvalue is at least (1-eps)^2 ||T||_HS^2 / m, and the
-    stable rank of T.  Frames that are not isotropy certified are whitened
-    first and T is conjugated onto the reduced coordinates (reported
-    through a warning).  When the stable rank of T is too small for the
-    requested accuracy (k == 0) an empty selection is returned with a
-    warning.
+    T is a p x m matrix.  Returns an ``RiSelection``: the selected column
+    indices in choice order, the Gram matrix of those columns, the
+    certificate that its smallest eigenvalue is at least (1-eps)^2
+    ||T||_HS^2 / m, and the stable rank of T.  An operator T on a frame
+    x_1..x_m whose outer products sum to the identity is passed as
+    ``t @ x.T``, the matrix whose column j is T x_j.  When the stable rank
+    of T is too small for the requested accuracy (k == 0) an empty
+    selection is returned with a warning.
 
     T is first scaled by the power of two that puts max|T| in [0.5, 1), so
     the selection does not depend on the scale of T: T * 2^j selects the
@@ -115,7 +111,7 @@ def ri_select(
     that Gram matrix or its certificate overflows or underflows at the
     caller's scale.
 
-    The running sum A = P P^T of the selected images P = [y_s] is never
+    The running sum A = P P^T of the selected columns P = [y_s] is never
     formed: the rows <y_s, .> and <T^* y_s, .> of each new s, one
     matrix-vector product each, give G = P^T P and F^T F for F = T^* P, and
     with w_j = (G - b I)^{-1} P^T y_j the resolvent R = (A - b I)^{-1} gives
@@ -137,32 +133,13 @@ def ri_select(
         raise ValueError(f"operator must be a matrix, got shape {t.shape}")
     if not np.all(np.isfinite(t)):
         raise ValueError("operator must be finite")
-    if frame.vectors is None:
-        raise ValueError("ri_select needs stored vectors; pass Frame(frame.rows()) for an edge frame")
-
-    work = frame
-    if not frame.isotropy_certified:
-        work, lift = isotropic_reduce(frame)
-        t = t @ lift
-        if not np.all(np.isfinite(t)):
-            raise ValueError("operator overflows float64 when conjugated onto the whitened span")
-        warnings.warn(
-            f"frame was not a decomposition of the identity; whitened onto its span "
-            f"(rank {lift.shape[1]}) and conjugated the operator accordingly",
-            stacklevel=2,
-        )
-    if t.shape[1] != work.ambient_dim:
-        raise ValueError(
-            f"operator has {t.shape[1]} columns but the frame lives in "
-            f"dimension {work.ambient_dim}"
-        )
     if not np.any(t):
-        raise ValueError("operator is zero on the frame's span; nothing to select")
+        raise ValueError("operator is zero; nothing to select")
 
     _, exponent = np.frexp(np.max(np.abs(t)))
     exponent = int(exponent)
     t = np.ldexp(t, -exponent)  # exact: max|t| now in [0.5, 1)
-    m = work.size
+    m = t.shape[1]
     hs_sq, op_sq = operator_norms(t)
     stable_rank = hs_sq / op_sq
     k = selection_size(hs_sq, op_sq, eps)
@@ -174,8 +151,8 @@ def ri_select(
         )
         return RiSelection([], np.zeros((0, 0)), None, stable_rank)
 
-    images = t @ work.vectors.T  # column j is y_j = T x_j
-    pulled = t.T @ images  # column j is T^* y_j
+    images = t  # column j is y_j
+    pulled = t.T @ t  # column j is T^* y_j
     image_sq = np.einsum("ij,ij->j", images, images)
     pulled_sq = np.einsum("ij,ij->j", pulled, pulled)
     image_total = float(image_sq.sum())

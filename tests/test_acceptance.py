@@ -135,7 +135,6 @@ def test_criterion_4_restricted_invertibility():
     rng = np.random.default_rng(411)
     cases = 0
     for n in (4, 8, 16):
-        frame = Frame(np.eye(n), isotropy_certified=True)
         operators = [
             np.eye(n) + 0.05 * rng.standard_normal((n, n)),
             rng.standard_normal((n, n)),
@@ -148,7 +147,7 @@ def test_criterion_4_restricted_invertibility():
                 history = []
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
-                    sigma, gram, *_ = ri_select(frame, t, eps, history=history)
+                    sigma, gram, *_ = ri_select(t, eps, history=history)
                 assert len(sigma) == k, f"n={n} eps={eps}: |sigma|={len(sigma)} != k={k}"
                 if k == 0:
                     continue
@@ -162,7 +161,7 @@ def test_criterion_4_restricted_invertibility():
                     if step > 1:
                         assert record["potential"] < last + 1e-9 * abs(last)
                     last = record["potential"]
-                    image = t @ frame.vectors[sigma[step - 1]]
+                    image = t[:, sigma[step - 1]]
                     running = running + np.outer(image, image)
                     b_i = ri_barrier(step, hs, op, n, eps)
                     lam = np.linalg.eigvalsh(0.5 * (running + running.T))[::-1]

@@ -95,12 +95,17 @@ class TestFormats:
             ("read_graph", "n 3\n0\t1\t1.0\n1\t2\tinf\n", 3, "edge (1, 2) has non-finite weight 'inf'"),
             ("read_graph", "n 3\n2\t0\t1e400\n", 2, "edge (0, 2) has non-finite weight '1e400'"),
             ("read_graph", "n 3\n0\t1\tnan\n", 2, "edge (0, 1) has non-finite weight 'nan'"),
+            ("read_graph", "n 3\n0\t1\t1.0\n1\t1\tinf\n", 3, "edge (1, 1) has non-finite weight 'inf'"),
+            ("read_graph", "n 3\n0\t1\t1.0\n1\t1\t-1.0\n", 3, "edge (1, 1) has nonpositive weight -1.0"),
             ("read_matrix", "\n# empty\n", 1, "empty matrix file; expected a 'rows cols' header"),
             ("read_matrix", "3\n1 2 3\n", 1, "expected header 'rows cols', got '3'"),
             ("read_matrix", "2 x\n", 1, "header fields ['2', 'x'] are not integers"),
             ("read_matrix", "# shape\n0 2\n", 2, "matrix shape (0, 2) must be positive"),
             ("read_matrix", "2 2\n1 2\n3\n", 3, "expected 2 values, found 1"),
             ("read_matrix", "1 2\n1.0 two\n", 2, "could not parse row ['1.0', 'two']"),
+            ("read_matrix", "2 2\n1 2\n3 inf\n", 3, "non-finite value 'inf'"),
+            ("read_matrix", "# nan\n1 2\nnan 1\n", 3, "non-finite value 'nan'"),
+            ("read_matrix", "2 2\n1 2\n1e400 0\n", 3, "non-finite value '1e400'"),
         ],
     )
     def test_parse_errors_name_path_line_and_cause(self, tmp_path, reader, text, line, message):
@@ -421,7 +426,7 @@ class TestRun:
         formats.write_matrix(src, raw)
         status, report = cli("john-approx", src, "--eps", 0.8)
         assert status == EXIT_INPUT
-        assert "points must be finite" in report["error"]
+        assert report["error"] == f"{src}:4: non-finite value 'nan'"
 
     def test_embed_lp_non_finite_exit_code(self, tmp_path, rng):
         basis = rng.standard_normal((2, 20))
@@ -430,7 +435,7 @@ class TestRun:
         formats.write_matrix(src, basis)
         status, report = cli("embed-lp", src, "--p", 4, "--eps", 0.5)
         assert status == EXIT_INPUT
-        assert "basis must be finite" in report["error"]
+        assert report["error"] == f"{src}:2: non-finite value 'inf'"
 
     def test_ri_select_non_square_exit_code(self, tmp_path, rng):
         src = tmp_path / "op.mat"

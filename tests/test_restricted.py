@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 
@@ -7,7 +5,7 @@ import rforge.restricted
 from oracles import ri_select_oracle
 from rforge import RiSelection
 from rforge.errors import SelectionInvariantError
-from rforge.linalg import Frame, Incidence, eigh
+from rforge.linalg import eigh
 from rforge.restricted import (
     _check_kernel_mass,
     _shifted_inverse,
@@ -18,12 +16,8 @@ from rforge.restricted import (
 )
 
 
-def basis_frame(n):
-    return Frame(np.eye(n), isotropy_certified=True)
-
-
 def check_result(result, t, eps):
-    # certificate and stable rank against numpy, for T on a basis frame of R^n
+    # certificate and stable rank against numpy, for the columns of T
     n = t.shape[1]
     lam = np.linalg.eigvalsh(result.gram)
     cert = result.certificate
@@ -73,12 +67,12 @@ class TestSelectionSize:
 
 class TestFirstStep:
     def test_hand_derived_first_step(self):
-        # n = 2, T = I, standard basis frame, eps = 0.8: k = 1, b_0 = 0.2.
+        # T = I_2, eps = 0.8: k = 1, b_0 = 0.2.
         # By direct substitution: b_1 = 0.075, mu = 50/3, and for column 0
         # lhs = (40/3)^2 = 1600/9, rhs = -(50/3) * (1 - 40/3) = 1850/9, so the
         # margin is -250/9; the tied column 1 loses to the lower index.
         history = []
-        sigma, *_ = ri_select(basis_frame(2), np.eye(2), 0.8, history=history)
+        sigma, *_ = ri_select(np.eye(2), 0.8, history=history)
         expected_sigma, expected = ri_select_oracle(np.eye(2), np.eye(2), 0.8)
         assert sigma == expected_sigma == [0]
         for record in (history[0], expected[0]):
@@ -122,16 +116,22 @@ class TestKernelMass:
 
 
 class TestRiSelect:
-    def test_orthonormal_columns(self, rng):
-        # T = I_8: k = floor(0.25 * 8) = 2, gram is the 2x2 identity; every
+    @pytest.mark.parametrize("eps", [0.5, 0.6])
+    def test_orthonormal_columns(self, rng, eps):
+        # orthonormal columns: the Gram matrix is the identity and every
         # unselected column ties, so the tie rule picks the lowest index, also
-        # on a rotated basis, where rounding alone would decide
+        # for a rotated basis q^T, where rounding alone would decide.  At eps
+        # 0.5, eps^2 * 8 = 2 is on the boundary and the rotated basis's k
+        # follows its computed norms; at 0.6 (2.88) both select two columns.
         q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
-        for frame in (basis_frame(8), Frame(q, isotropy_certified=True)):
-            sigma, gram, *_ = ri_select(frame, np.eye(8), 0.5)
-            assert sigma == [0, 1]
-            assert np.allclose(gram, np.eye(2), atol=1e-12)
-            assert np.linalg.eigvalsh(gram)[0] >= (1 - 0.5) ** 2 * 8 / 8 - 1e-8
+        for rotated, s in ((False, np.eye(8)), (True, q.T)):
+            _, exponent = np.frexp(np.max(np.abs(s)))
+            k = selection_size(*operator_norms(np.ldexp(s, -int(exponent))), eps)
+            assert k == 2 or (rotated and eps == 0.5 and k == 1)
+            sigma, gram, *_ = ri_select(s, eps)
+            assert sigma == list(range(k))
+            assert np.allclose(gram, np.eye(k), atol=1e-12)
+            assert np.linalg.eigvalsh(gram)[0] >= (1 - eps) ** 2 * 8 / 8 - 1e-8
 
     def test_selection_count_exact(self, rng):
         for n in (4, 8, 16):
@@ -142,10 +142,10 @@ class TestRiSelect:
                 k = selection_size(hs, op, eps)
                 if k == 0:
                     with pytest.warns(UserWarning, match="stable rank"):
-                        sigma, gram, *_ = ri_select(basis_frame(n), t, eps)
+                        sigma, gram, *_ = ri_select(t, eps)
                     assert sigma == []
                     continue
-                result = ri_select(basis_frame(n), t, eps)
+                result = ri_select(t, eps)
                 assert len(result.selected) == k
                 assert np.linalg.eigvalsh(result.gram)[0] >= (1 - eps) ** 2 * hs / n - 1e-8
                 check_result(result, t, eps)
@@ -153,7 +153,7 @@ class TestRiSelect:
     def test_history_margins_strictly_feasible(self, rng):
         t = well_spread_operator(rng, 6)
         history = []
-        sigma, *_ = ri_select(basis_frame(6), t, 0.6, history=history)
+        sigma, *_ = ri_select(t, 0.6, history=history)
         assert len(history) == len(sigma)
         for record in history:
             assert record["margin"] < 0.0
@@ -162,7 +162,7 @@ class TestRiSelect:
     def test_potential_decreases_and_stays_below_floor(self, rng):
         t = well_spread_operator(rng, 8)
         history = []
-        ri_select(basis_frame(8), t, 0.7, history=history)
+        ri_select(t, 0.7, history=history)
         floor_level = -8 / (1 - 0.7)
         last = 0.0
         for idx, record in enumerate(history):
@@ -174,21 +174,13 @@ class TestRiSelect:
     def test_final_norm_bound_random_coefficients(self, rng):
         t = well_spread_operator(rng, 8)
         eps = 0.6
-        sigma, *_ = ri_select(basis_frame(8), t, eps)
+        sigma, *_ = ri_select(t, eps)
         hs = float(np.sum(t * t))
         bound = (1 - eps) ** 2 * hs / 8
         cols = t[:, sigma]
         for _ in range(100):
             a = rng.standard_normal(len(sigma))
             assert np.sum((cols @ a) ** 2) >= bound * np.sum(a**2) - 1e-8
-
-    def test_non_isotropic_frame_whitened(self, rng):
-        vectors = rng.standard_normal((10, 4)) * 2.0
-        t = well_spread_operator(rng, 4)
-        with pytest.warns(UserWarning, match="whitened"):
-            sigma, gram, *_ = ri_select(Frame(vectors), t, 0.8)
-        assert len(sigma) == len(set(sigma))
-        assert gram.shape == (len(sigma), len(sigma))
 
     def test_one_eigensolve_per_call(self, rng, monkeypatch):
         # the steps run on Cholesky factors and inverses of the i x i Gram
@@ -200,29 +192,24 @@ class TestRiSelect:
             return eigh(m)
 
         monkeypatch.setattr(rforge.restricted, "eigh", counted)
-        result = ri_select(basis_frame(40), rng.standard_normal((40, 40)), 0.8)
+        result = ri_select(rng.standard_normal((40, 40)), 0.8)
         k = len(result.selected)
         assert k >= 5 and calls == [(k, k)]
 
     def test_zero_operator_rejected(self):
         with pytest.raises(ValueError, match="zero"):
-            ri_select(basis_frame(3), np.zeros((3, 3)), 0.5)
+            ri_select(np.zeros((3, 3)), 0.5)
 
     def test_non_finite_operator_rejected(self):
         t = np.eye(3)
         t[1, 2] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            ri_select(basis_frame(3), t, 0.5)
-
-    def test_edge_frame_needs_stored_vectors(self):
-        inc = Incidence(np.array([0, 1]), np.array([1, 2]), np.array([4.0, 1.0]), np.eye(3))
-        with pytest.raises(ValueError, match="stored vectors"):
-            ri_select(Frame(incidence=inc), np.eye(3), 0.5)
+            ri_select(t, 0.5)
 
     def test_k_zero_warns(self):
         # scalar operator: stable rank 1, so eps < 1 always gives k = 0
         with pytest.warns(UserWarning, match="stable rank"):
-            result = ri_select(basis_frame(1), np.eye(1), 0.5)
+            result = ri_select(np.eye(1), 0.5)
         assert isinstance(result, RiSelection)
         assert RiSelection._fields == ("selected", "gram", "certificate", "stable_rank")
         assert result.selected == [] and result.gram.shape == (0, 0)
@@ -236,12 +223,12 @@ class TestRiSelect:
         eps = 0.8
         k = selection_size(hs, op, eps)
         assert k >= 6  # sanity: the instance is actually exercising the loop
-        result = ri_select(basis_frame(n), t, eps)
+        result = ri_select(t, eps)
         assert len(result.selected) == k
         assert np.linalg.eigvalsh(result.gram)[0] >= (1 - eps) ** 2 * hs / n - 1e-8
         check_result(result, t, eps)
         for t in (rng.standard_normal((n, n)), rng.standard_normal((6, n)), np.diag(np.geomspace(1.0, 1e-3, n))):
-            check_result(ri_select(basis_frame(n), t, 0.9), t, 0.9)
+            check_result(ri_select(t, 0.9), t, 0.9)
 
 
 class TestEigenvalueCounts:
@@ -250,13 +237,12 @@ class TestEigenvalueCounts:
         # but verify independently from the history side as well
         n = 8
         t = np.eye(n) + 0.05 * rng.standard_normal((n, n))
-        frame = basis_frame(n)
-        sigma, *_ = ri_select(frame, t, 0.8)
+        sigma, *_ = ri_select(t, 0.8)
         hs = float(np.sum(t * t))
         op = float(np.linalg.norm(t, 2) ** 2)
         a = np.zeros((n, n))
         for step, idx in enumerate(sigma, start=1):
-            image = t @ frame.vectors[idx]
+            image = t[:, idx]
             a = a + np.outer(image, image)
             b_i = ri_barrier(step, hs, op, n, 0.8)
             lam = np.linalg.eigvalsh(0.5 * (a + a.T))[::-1]
@@ -275,65 +261,67 @@ class TestOperatorNorms:
 
 
 class TestScaleInvariance:
-    @pytest.mark.parametrize("whitened", [False, True])
-    def test_power_of_two_scaling_is_exact(self, rng, whitened):
+    @pytest.mark.parametrize("on_frame", [False, True])
+    def test_power_of_two_scaling_is_exact(self, rng, on_frame):
+        # T itself, or T on a non-isotropic frame of 48 vectors as T X^T
         n = 16
         t = rng.standard_normal((n, n))
-        frame = Frame(rng.standard_normal((3 * n, n))) if whitened else basis_frame(n)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            base = ri_select(frame, t, 0.8)
-            assert len(base.selected) >= 2
-            for j in (-400, -100, 100, 400):
-                scaled = ri_select(frame, np.ldexp(t, j), 0.8)
-                assert scaled.selected == base.selected
-                assert np.array_equal(scaled.gram, np.ldexp(base.gram, 2 * j))
-                for field in ("low", "high", "measured_min", "measured_max"):
-                    got, want = getattr(scaled.certificate, field), getattr(base.certificate, field)
-                    assert got == np.ldexp(want, 2 * j), field
-                assert scaled.certificate.range_dim == base.certificate.range_dim
-                assert scaled.stable_rank == base.stable_rank
+        if on_frame:
+            t = t @ rng.standard_normal((3 * n, n)).T
+        base = ri_select(t, 0.8)
+        assert len(base.selected) >= 2
+        for j in (-400, -100, 100, 400):
+            scaled = ri_select(np.ldexp(t, j), 0.8)
+            assert scaled.selected == base.selected
+            assert np.array_equal(scaled.gram, np.ldexp(base.gram, 2 * j))
+            for field in ("low", "high", "measured_min", "measured_max"):
+                got, want = getattr(scaled.certificate, field), getattr(base.certificate, field)
+                assert got == np.ldexp(want, 2 * j), field
+            assert scaled.certificate.range_dim == base.certificate.range_dim
+            assert scaled.stable_rank == base.stable_rank
 
     def test_tiny_operator_selects_the_same_columns(self, rng):
         t = rng.standard_normal((16, 16))
-        sigma, gram, *_ = ri_select(basis_frame(16), t, 0.8)
-        sigma_tiny, gram_tiny, *_ = ri_select(basis_frame(16), 1e-30 * t, 0.8)
+        sigma, gram, *_ = ri_select(t, 0.8)
+        sigma_tiny, gram_tiny, *_ = ri_select(1e-30 * t, 0.8)
         assert sigma_tiny == sigma
         np.testing.assert_allclose(gram_tiny, 1e-60 * gram, rtol=1e-12, atol=0.0)
 
     def test_gram_out_of_range_raises(self, rng):
         t = rng.standard_normal((8, 8))
         with pytest.raises(ValueError, match="overflows"):
-            ri_select(basis_frame(8), 1e160 * t, 0.8)
+            ri_select(1e160 * t, 0.8)
         with pytest.raises(ValueError, match="underflows"):
-            ri_select(basis_frame(8), 1e-170 * t, 0.8)
+            ri_select(1e-170 * t, 0.8)
         # every Gram entry fits, but its top eigenvalue (1.3125 s^2 against
         # entries up to 1.15625 s^2) does not
         skewed = np.sqrt(np.finfo(float).max / 1.2) * (np.eye(8) + 0.5 / 8)
         with pytest.raises(ValueError, match="overflows"):
-            ri_select(basis_frame(8), skewed, 0.8)
+            ri_select(skewed, 0.8)
 
 
 class TestDenseOracle:
     def instances(self, rng):
-        yield basis_frame(20), rng.standard_normal((20, 20)), 0.8
-        yield basis_frame(48), rng.standard_normal((24, 48)), 0.8
+        # (frame vectors x, operator T, eps); ri_select runs on T X^T
+        yield np.eye(20), rng.standard_normal((20, 20)), 0.8
+        yield np.eye(48), rng.standard_normal((24, 48)), 0.8
         vectors = rng.standard_normal((60, 12)) * np.exp(rng.uniform(-0.5, 0.5, 12))
-        yield Frame(vectors), well_spread_operator(rng, 12), 0.8
+        yield vectors, well_spread_operator(rng, 12), 0.8
+        # 60 vectors spanning 8 orthonormal directions of R^12: T X^T has rank 8
+        q, _ = np.linalg.qr(rng.standard_normal((12, 12)))
+        yield rng.standard_normal((60, 8)) @ q[:8], well_spread_operator(rng, 12), 0.8
         # singular values over six decades, and a wide operator: both stress
         # the expanded form of ||T^* R y||^2 where it could cancel
         q1, _ = np.linalg.qr(rng.standard_normal((150, 150)))
         q2, _ = np.linalg.qr(rng.standard_normal((150, 150)))
-        yield basis_frame(150), (q1 * np.geomspace(1.0, 1e-6, 150)) @ q2.T, 0.8
-        yield basis_frame(400), rng.standard_normal((60, 400)), 0.8
+        yield np.eye(150), (q1 * np.geomspace(1.0, 1e-6, 150)) @ q2.T, 0.8
+        yield np.eye(400), rng.standard_normal((60, 400)), 0.8
 
     def test_selection_and_history_match(self, rng):
-        for frame, t, eps in self.instances(rng):
+        for x, t, eps in self.instances(rng):
             history = []
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                sigma, gram, *_ = ri_select(frame, t, eps, history=history)
-            expected_sigma, expected = ri_select_oracle(frame.vectors, t, eps)
+            sigma, gram, *_ = ri_select(t @ x.T, eps, history=history)
+            expected_sigma, expected = ri_select_oracle(x, t, eps)
             assert len(sigma) >= 2
             assert sigma == expected_sigma
             assert len(history) == len(expected)
@@ -341,5 +329,5 @@ class TestDenseOracle:
                 assert got["step"] == want["step"] and got["chosen"] == want["chosen"]
                 for key in ("barrier", "mu", "margin", "potential"):
                     assert got[key] == pytest.approx(want[key], rel=1e-9), key
-            images = t @ frame.vectors[sigma].T
+            images = (t @ x.T)[:, sigma]
             np.testing.assert_allclose(gram, images.T @ images, rtol=1e-9, atol=1e-9 * np.max(np.abs(gram)))
