@@ -13,16 +13,16 @@ slack and steps with weight 1/alpha, where alpha is the chosen vector's
 upper-barrier score.
 
 The state keeps the running sum's eigendecomposition A = U diag(lam) U^T.
-A step adds one term, A + t x x^T, and from order 44 up (_UPDATE_MIN_ORDER,
+A step adds one term, A + t x x^T, and from order 24 up (_UPDATE_MIN_ORDER,
 the measured crossover) it updates (lam, U) in place of eigendecomposing
-the sum again: a rank-one update in the current eigenbasis, with the
-roots of its secular equation from LAPACK's values-only eigensolver and
-the vectors from Loewner's formula (``linalg._rank_one_update``).  Either
-way the new pairs pass eigh's own checks against the explicitly
-accumulated A (reconstruction and orthonormality, both to 1e-10); an
-update that fails them, or whose roots do not interlace, gives way to the
-full validated eigh, and the step's history record says which ran
-("update" or "full").
+the sum again: a rank-one update in the current eigenbasis, whose roots
+and vectors come from LAPACK's secular solver dlaed9
+(``linalg._rank_one_update``).  Either way the new pairs pass eigh's own
+checks against the explicitly accumulated A (reconstruction and
+orthonormality, both to 1e-10); an update that fails them, whose roots do
+not interlace, or that finds no dlaed9 in numpy gives way to the full
+validated eigh, and the step's history record says which ran ("update"
+or "full").
 The potentials and gaps come from lam alone, and every candidate is scored
 in that eigenbasis: with Y = X U (one row per candidate), all four
 resolvent quadratic forms are the columns of (Y*Y) @ [du, du^2, dl, dl^2],
@@ -88,7 +88,7 @@ _GATHER_RTOL = 1e-10
 _MACHINE_EPS = np.finfo(float).eps
 # Order from which a step updates its eigendecomposition instead of
 # recomputing it; below it the full eigh was faster (see CHANGES.md).
-_UPDATE_MIN_ORDER = 44
+_UPDATE_MIN_ORDER = 24
 
 
 def check_eps(eps: float) -> float:

@@ -20,6 +20,8 @@ nothing here mutates its arguments.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -239,6 +241,34 @@ def eigh(m: np.ndarray) -> EigenDecomposition:
     return decomp
 
 
+@functools.cache
+def _dlaed9():
+    """LAPACK's dlaed9 in numpy's bundled ILP64 OpenBLAS; None where numpy exports none (numpy 1.x, Windows)."""
+    try:
+        solve = ctypes.CDLL(np.linalg._umath_linalg.__file__).scipy_dlaed9_64_
+    except (AttributeError, OSError):
+        return None
+    solve.argtypes, solve.restype = [ctypes.c_void_p] * 13, None
+    return solve
+
+
+def _secular_roots(d: np.ndarray, z: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """Eigenvalues (descending) and unit eigenvectors (columns) of diag(d) + t z z^T, d descending and distinct.
+
+    dlaed9 takes the poles ascending and z of unit norm; None when it is missing or fails.
+    """
+    solve = _dlaed9()
+    if solve is None:
+        return None
+    k, norm, at = d.size, float(np.linalg.norm(z)), ctypes.byref
+    poles, w = d[::-1].astype(float), z[::-1].astype(float) / norm  # contiguous float64 buffers for Fortran
+    roots, work, s = np.empty(k), np.empty((k, k)), np.empty((k, k))
+    size, first, info, rho = ctypes.c_int64(k), ctypes.c_int64(1), ctypes.c_int64(0), ctypes.c_double(t * norm * norm)
+    solve(at(size), at(first), at(size), at(size), roots.ctypes.data, work.ctypes.data, at(size), at(rho),
+          poles.ctypes.data, w.ctypes.data, s.ctypes.data, at(size), at(info))  # K, KSTART..KSTOP, N, ..., INFO
+    return (roots[::-1].copy(), s[::-1, ::-1].T) if info.value == 0 else None  # s's row j is root j's vector
+
+
 def _rank_one_update(
     values: np.ndarray, vectors: np.ndarray, x: np.ndarray, t: float
 ) -> EigenDecomposition | None:
@@ -254,23 +284,18 @@ def _rank_one_update(
       moves the run's part of z onto its first member; this moves A by at
       most the run's spread.  Components with t |z| |z_j| <= tol are then
       dropped, as in LAPACK's dlaed2.  Dropped pairs carry over unchanged.
-    - Roots.  The k remaining d are distinct; the new eigenvalues mu there
-      are the values-only LAPACK spectrum of the k x k diag(d) + t z z^T and
-      must strictly interlace d, mu_1 > d_1 > mu_2 > ... > mu_k > d_k.  Each
-      root is measured from its nearer end d_p of its interval and refined
-      by one Newton step on tau (1 + t sum_{j != p} z_j^2 / (d_j - mu)) -
-      t z_p^2, tau = mu - d_p, the secular equation with that pole removed:
-      LAPACK's roots are accurate only to about eps_mach |A|, which is no
-      relative accuracy at all for a root next to a pole.
-    - Vectors.  Loewner's formula gives the zhat for which d and mu are
-      exact, zhat_i^2 = (mu_i - d_i)/t prod_{j != i} (mu_j - d_i)/(d_j - d_i),
-      with the factors paired as in LAPACK's dlaed3 so that the product
-      neither overflows nor underflows; the new eigenvectors are U Q with
-      Q_ji = zhat_j / (d_j - mu_i), each column normalized.  These are
-      orthogonal to working precision (Gu and Eisenstat, SIAM J. Matrix
-      Anal. Appl. 15, 1994).
+    - Roots and vectors.  The k remaining d are distinct, and LAPACK's
+      dlaed9 solves diag(d) + t z z^T on them (``_secular_roots``).  Its
+      dlaed4 finds each root as an offset from the nearer pole, so a root
+      next to a pole keeps its relative accuracy (R.-C. Li, LAPACK Working
+      Note 89); the vectors Q_ji = zhat_j / (d_j - mu_i), from the zhat for
+      which d and mu are exact, are orthogonal to working precision (Gu and
+      Eisenstat, SIAM J. Matrix Anal. Appl. 15, 1994).  The new eigenvectors
+      are U Q.  The roots must interlace d, mu_1 >= d_1 >= ... >= mu_k >= d_k
+      (a root within half an ulp of its pole rounds onto it).
 
-    The result is not validated here.
+    Without numpy's dlaed9 every update returns None, and the caller runs
+    the full eigh.  The result is not validated here.
     """
     if not (t > 0.0 and np.isfinite(t)):
         return None
@@ -295,43 +320,18 @@ def _rank_one_update(
     if keep.size == 0:
         return EigenDecomposition(d.copy(), u.copy())
     dk, zk = (d, z) if keep.size == d.size else (d[keep], z[keep])
-    k = dk.size
-    arrow = zk[:, None] * (t * zk)
-    arrow.ravel()[:: k + 1] += dk
-    mu = np.linalg.eigvalsh(arrow)[::-1]
-    below = mu - dk  # mu_i must lie strictly inside (dk[i], dk[i - 1])
-    above = dk[:-1] - mu[1:]
-    if not (below.min() > 0.0 and (k == 1 or above.min() > 0.0)):
+    solved = _secular_roots(dk, zk, t)
+    if solved is None:
         return None
-
-    rows = np.arange(k)
-    pole = rows.copy()  # the nearer end of each root's interval
-    pole[1:] -= above < below[1:]
-    near = dk[pole]
-    tau = mu - near
-    low, high = dk - near, np.concatenate([[np.inf], dk[:-1] - near[1:]])
-    spread = dk - dk[:, None]  # [i, j] = d_j - d_i
-    delta = spread[pole]
-    delta -= tau[:, None]  # [i, j] = d_j - mu_i, exact near the pole
-    zk2 = zk * zk
-    r = zk2 / delta
-    r[rows, pole] = 0.0
-    slope = 1.0 + t * r.sum(axis=1)
-    step = (tau * slope - t * zk2[pole]) / (slope + tau * t * (r / delta).sum(axis=1))
-    step[~((tau - step > low) & (tau - step < high))] = 0.0
-    tau -= step
-    delta += step[:, None]
-    mu = near + tau
-    spread.ravel()[:: k + 1] = -1.0  # so that column j's product is t zhat_j^2
-    zhat = np.copysign(np.sqrt((delta / spread).prod(axis=0) / t), zk)
-    q = zhat / delta  # row i: the new eigenvector for mu_i in the old basis
-    q /= np.sqrt(np.einsum("ij,ij->i", q, q))[:, None]
+    mu, q = solved
+    if not ((mu - dk).min() >= 0.0 and (dk.size == 1 or (dk[:-1] - mu[1:]).min() >= 0.0)):
+        return None
     if keep.size == d.size:
-        return EigenDecomposition(mu, u @ q.T)
+        return EigenDecomposition(mu, u @ q)
     d = d.copy()
     d[keep] = mu
     u = u.copy() if u is vectors else u
-    u[:, keep] = u[:, keep] @ q.T
+    u[:, keep] = u[:, keep] @ q
     order = np.argsort(-d, kind="stable")
     return EigenDecomposition(d[order], u[:, order])
 

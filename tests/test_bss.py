@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from rforge import bss
+from rforge import bss, linalg
 from rforge.bss import (
     BarrierState,
     SparseWeights,
@@ -462,31 +462,55 @@ class TestRankOneStep:
         reference = []
         sparsify_graph(g, 0.5, history=reference)
         assert all(record["eigensolve"] == "update" for record in reference)
-        solve, calls = np.linalg.eigvalsh, []
+        solve, calls = linalg._secular_roots, []
 
-        def perturbed(m):
-            roots = solve(m)  # ascending
+        def perturbed(d, z, t):
+            roots, vectors = solve(d, z, t)  # descending
             calls.append(None)
             if len(calls) % 4:
-                return roots
+                return roots, vectors
             if fault == "shifted":  # the smallest root drops below every pole
-                roots[0] -= 1.0 + abs(roots[0])
-                return roots
-            return roots * (1.0 + 1e-3)  # interlacing may hold; the roots are wrong
+                roots[-1] -= 1.0 + abs(roots[-1])
+                return roots, vectors
+            # each root's distance from the pole below it shrinks by 1e-3: interlacing holds, the roots are wrong
+            return d + (roots - d) * (1.0 - 1e-3), vectors
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", perturbed)
+        update, updates = bss._rank_one_update, []
+        monkeypatch.setattr(linalg, "_secular_roots", perturbed)
+        monkeypatch.setattr(bss, "_rank_one_update", lambda *args: updates.append(update(*args)) or updates[-1])
         history = []
         sparsify_graph(g, 0.5, history=history)
         expected = ["update" if (step + 1) % 4 else "full" for step in range(len(history))]
         assert [record["eigensolve"] for record in history] == expected
+        # the shifted roots are refused for not interlacing; the scaled ones fail the residual check
+        refused = [out is None for out in updates[3::4]]
+        assert all(refused) if fault == "shifted" else not any(refused)
         assert [record["chosen"] for record in history] == [record["chosen"] for record in reference]
         np.testing.assert_allclose(
             [record["weight"] for record in history], [record["weight"] for record in reference], rtol=1e-9
         )
 
+    def test_missing_lapack_symbol_takes_full_eigh(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_dlaed9", lambda: None)
+        frame, _ = isotropic_reduce(edge_frame(complete_graph(48, 1)))
+        history = []
+        sparsify_frame(frame, 0.5, history=history)
+        assert all(record["eigensolve"] == "full" for record in history)
+        choices, weights = barrier_loop_oracle(frame, 0.5)
+        assert [record["chosen"] for record in history] == choices
+        np.testing.assert_allclose([record["weight"] for record in history], weights, rtol=1e-9)
+
     @pytest.mark.parametrize(
         "case",
-        ["K24", "K48 at eps 0.7", "K64", "K128", "K16 with a 1e12-weight K4", "whitened 600x40 Gaussian frame"],
+        [
+            "K24",
+            "K48 at eps 0.7",
+            "K64",
+            "K128",
+            "K16 with a 1e12-weight K4",
+            "K32 with a 1e12-weight K6",  # the update before dlaed9 fell back on 5 of its 124 steps
+            "whitened 600x40 Gaussian frame",
+        ],
     )
     def test_loop_matches_full_eigh_oracle(self, monkeypatch, case):
         monkeypatch.setattr(bss, "_UPDATE_MIN_ORDER", 1)  # every case takes the update
@@ -495,10 +519,11 @@ class TestRankOneStep:
             frame, _ = isotropic_reduce(Frame(np.random.default_rng(1).standard_normal((600, 40))))
         else:
             n = int(case.split()[0][1:])
-            frame, _ = isotropic_reduce(edge_frame(complete_graph(n, 1, heavy=4 if "1e12" in case else 0)))
+            heavy = int(case.split(" K")[-1]) if "1e12" in case else 0
+            frame, _ = isotropic_reduce(edge_frame(complete_graph(n, 1, heavy=heavy)))
         history = []
         sparsify_frame(frame, eps, history=history)
         choices, weights = barrier_loop_oracle(frame, eps)
         assert [record["chosen"] for record in history] == choices
         np.testing.assert_allclose([record["weight"] for record in history], weights, rtol=1e-9)
-        assert sum(record["eigensolve"] == "update" for record in history) >= len(history) // 2
+        assert all(record["eigensolve"] == "update" for record in history)

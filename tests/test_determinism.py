@@ -1,7 +1,7 @@
 """Results must not depend on the BLAS thread count at these sizes.
 
 Each case runs in a fresh interpreter, because OpenBLAS reads its thread
-count once, when numpy is first imported.  K40 takes the full eigh at every
+count once, when numpy is first imported.  K20 takes the full eigh at every
 barrier step and K64 the rank-one update; ``rforge ri-select`` runs on a
 120 x 120 operator.  Larger inputs are not covered: at K100 the selected
 edges still agree, but weights differ in the last few bits between 1 and 2
@@ -27,14 +27,17 @@ import numpy as np
 from rforge import JohnDecomposition, WeightedGraph, approximate_john, sparsify_graph
 from rforge.cli import main
 
-rng = np.random.default_rng(40)
-n = 40
+# K20 is below bss._UPDATE_MIN_ORDER, so its steps take the full eigh.
+rng = np.random.default_rng(20)
+n = 20
 edges = [(i, j, float(w)) for (i, j), w in zip(
     [(i, j) for i in range(n) for j in range(i + 1, n)],
     np.exp(rng.uniform(0.0, np.log(100.0), n * (n - 1) // 2)),
 )]
-h = sparsify_graph(WeightedGraph(n, edges), 0.5)
+history = []
+h = sparsify_graph(WeightedGraph(n, edges), 0.5, history=history)
 print(repr(h.edges))
+print(len(history) > 0 and all(record["eigensolve"] == "full" for record in history))
 
 rows = []
 for _ in range(8):
@@ -78,7 +81,8 @@ def test_outputs_identical_with_one_and_two_threads(tmp_path):
     operator = tmp_path / "op.mat"
     formats.write_matrix(operator, np.random.default_rng(120).standard_normal((120, 120)))
     single = run_with_threads(1, operator, tmp_path / "ri-1.json")
-    assert single.count("\n") == 5
+    assert single.count("\n") == 6
+    assert single.splitlines()[1] == "True"  # K20 took the full eigh at every step
     assert int(single.splitlines()[-1]) > 0  # the update path ran
     assert run_with_threads(2, operator, tmp_path / "ri-2.json") == single
 
