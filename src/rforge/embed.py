@@ -248,10 +248,10 @@ def embed_l1(points: np.ndarray, eps: float) -> EmbeddedPoints:
 def _whitened(cuts: CutDecomposition) -> Frame:
     """The whitened cut frame; CertificationError unless it spans the 0/1 indicators' row space.
 
-    Whitening drops Gram eigenvalues below n * eps_mach times the largest, which can cut the only
-    directions that separate two points (one 1e-12 from another in a unit-scale cloud).  The
-    indicators' rank does not depend on the weights; it is computed only when the frame falls
-    short of its bound, the number of distinct nonzero point columns.
+    Whitening drops singular values below n * eps_mach times the largest, which cuts the only
+    directions that separate two points when the cut weights span more than about
+    (n * eps_mach)^-2.  The indicators' rank does not depend on the weights; it is computed only
+    when the frame falls short of its bound, the number of distinct nonzero point columns.
     """
     frame, _ = isotropic_reduce(Frame(cuts.indicators * np.sqrt(cuts.weights)[:, None]))
     r, columns = frame.ambient_dim, np.ascontiguousarray(cuts.indicators.T)
@@ -275,13 +275,12 @@ def embed_lp_even(basis: np.ndarray, p: int, eps: float) -> tuple[np.ndarray, np
     coordinate indices and their weights; applying
     x -> (s_i^(1/p) * x_i) for selected i realizes the embedding.
 
-    The orthonormal basis of Y is the leading left singular vectors of the
-    monomial matrix; singular values at or below count * eps_mach times the
-    largest (count the number of monomials) are cut as rank deficiency.
-    The quadratic certificate on Y covers every vector of X, not just
-    sampled ones.  It is the frame sparsifier's own certificate scaled by the
-    lift: the lifted basis is orthonormal, so the sparsifier measures the
-    spectrum of exactly these weighted rows, up to the scalar lift.
+    The basis is first scaled by the power of two that puts its largest
+    entry in [0.5, 1), so the monomials neither overflow nor underflow;
+    X and Y keep their spans.  The monomial rows go to ``sparsify_frame``,
+    which whitens them onto Y with ``isotropic_reduce``'s SVD.  The
+    quadratic certificate on Y covers every vector of X, not just sampled
+    ones.  It is the frame sparsifier's own certificate scaled by the lift.
     """
     if p % 2 != 0 or p < 4:
         raise ValueError(f"exponent must be an even integer >= 4, got {p}")
@@ -292,6 +291,7 @@ def embed_lp_even(basis: np.ndarray, p: int, eps: float) -> tuple[np.ndarray, np
     if not np.all(np.isfinite(u)):
         raise ValueError("basis must be finite")
     n, m = u.shape
+    u = np.ldexp(u, -np.frexp(np.max(np.abs(u)))[1])  # exact: max entry now in [0.5, 1)
     if np.linalg.matrix_rank(u) < n:
         raise ValueError("basis vectors are linearly dependent")
 
@@ -300,23 +300,8 @@ def embed_lp_even(basis: np.ndarray, p: int, eps: float) -> tuple[np.ndarray, np
         [np.prod(u[list(combo), :], axis=0) for combo in combinations_with_replacement(range(n), half)],
         axis=1,
     )  # (m, number of monomials)
-    count = monomials.shape[1]
-    # The lift keeps its own rank cut on singular values.  Whitening the
-    # monomials as a frame (isotropic_reduce) cuts Gram eigenvalues at
-    # n * eps_mach relative, i.e. singular values near 1e-8 relative: that
-    # drops true, small directions of a near-degenerate lift, and the
-    # certificate would then not cover them.
-    left, sigma, _ = np.linalg.svd(monomials, full_matrices=False)
-    threshold = count * np.finfo(float).eps * (sigma[0] if sigma.size else 0.0)
-    d = int(np.count_nonzero(sigma > threshold))
-    if d == 0:
-        raise ValueError("monomial lift collapsed to zero; basis is degenerate")
-    assert d <= math.comb(n + half - 1, half)
-    v = left[:, :d]
-
-    frame = Frame(v, isotropy_certified=True)
     eps0 = barrier_eps_for_ratio(1.0 + eps * p / 4.0)
-    sparse = sparsify_frame(frame, eps0)
+    sparse = sparsify_frame(Frame(monomials), eps0)
     lift = 1.0 / (1.0 - eps0) ** 2
     lift_certificate(sparse.certificate, lift, 1.0, 1.0 + eps * p / 4.0, tol=1e-8, what="lifted-space")
     return sparse.support, sparse.weights * lift

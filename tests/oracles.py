@@ -175,6 +175,20 @@ def ri_select_oracle(frame_vectors: np.ndarray, t: np.ndarray, eps: float):
     return selected, history
 
 
+def quadratic_ratio_range(vectors: np.ndarray, support, weights) -> tuple[float, float]:
+    """Extremes of sum_i s_i <x_i, y>^2 / sum_i <x_i, y>^2 over y in the span of the rows x_i.
+
+    With Q an orthonormal basis of the column space of X (scipy's ``orth``, keeping
+    singular values above eps_mach relative), X y = Q z and the ratio is a Rayleigh
+    quotient of Q^T diag(s) Q.
+    """
+    import scipy.linalg
+
+    q = scipy.linalg.orth(np.asarray(vectors, dtype=float), rcond=np.finfo(float).eps)[list(support)]
+    lam = np.linalg.eigvalsh((q * np.asarray(weights, dtype=float)[:, None]).T @ q)
+    return float(lam[0]), float(lam[-1])
+
+
 def pairwise_l1_distances(points: np.ndarray) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     n = pts.shape[0]

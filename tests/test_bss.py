@@ -20,7 +20,7 @@ from rforge.errors import BarrierInvariantError
 from rforge.graphs import WeightedGraph, edge_frame, sparsify_graph
 from rforge.linalg import Frame, eigh, isotropic_reduce, symmetrize
 
-from oracles import barrier_loop_oracle, barrier_step_oracle
+from oracles import barrier_loop_oracle, barrier_step_oracle, quadratic_ratio_range
 
 
 def dense(weights):
@@ -370,6 +370,17 @@ class TestCertificate:
         assert cert.measured_min == pytest.approx((1 - eps) ** 2, abs=1e-12)
         assert cert.measured_max <= (1 + eps) ** 2 + 1e-8
         assert cert.margin == pytest.approx(0.0, abs=1e-12)  # the rescaling lands on the low end
+
+    @pytest.mark.parametrize("scale", [1e-8, 1e-12, 1e-15])
+    def test_small_column_is_certified_on_the_whole_span(self, scale):
+        # A Gram matrix would square the column's singular value below the rank floor.
+        vectors = np.random.default_rng(0).standard_normal((40, 3))
+        vectors[:, 2] *= scale
+        weights = sparsify_frame(Frame(vectors), 0.5)
+        cert = weights.certificate
+        assert cert.range_dim == 3
+        low, high = quadratic_ratio_range(vectors, weights.support, weights.weights)
+        assert cert.measured_min <= low * (1.0 + 1e-9) and high <= cert.measured_max * (1.0 + 1e-9)
 
 
 class TestOracleEquivalence:

@@ -368,8 +368,18 @@ class TestRun:
         assert ratios.max() <= res["distortion_max"] * (1.0 + 1e-12)
 
     def test_embed_l1_unresolved_cut_span_exit_code(self, tmp_path):
-        src = tmp_path / "pts.mat"
-        formats.write_matrix(src, np.array([[0.0], [1.0], [1.0 + 2.0**-52]]))
+        src, out = tmp_path / "pts.mat", tmp_path / "embedded.mat"
+        pts = np.array([[0.0], [1.0], [1.0 + 2.0**-52]])  # a 2^-52 cut is resolved
+        formats.write_matrix(src, pts)
+        status, report = cli("embed-l1", src, "--eps", 0.5, "-o", out)
+        assert status == EXIT_OK
+        res = report["results"]
+        assert res["range_dim"] == 2
+        direct = pairwise_l1_distances(pts)
+        ratios = pairwise_l1_distances(formats.read_matrix(out))[direct > 0] / direct[direct > 0]
+        assert ratios.min() >= res["distortion_min"] * (1.0 - 1e-12)
+        assert ratios.max() <= res["distortion_max"] * (1.0 + 1e-12)
+        formats.write_matrix(src, np.array([[0.0], [1e-40], [1.0]]))  # a 1e-40 cut is not
         status, report = cli("embed-l1", src, "--eps", 0.5)
         assert status == EXIT_CERTIFICATION
         assert report["status"] == "certification-failure"

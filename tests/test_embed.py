@@ -244,8 +244,15 @@ class TestEmbedL1:
         self.assert_certificate_brackets_pairs(pts, 0.9, out)
 
     def test_unresolved_cut_span_is_refused(self):
-        # The cut separating 1 from 1 + 2^-52 weighs 2^-52: below whitening's rank floor.
+        # The cut separating 1 from 1 + 2^-52 weighs 2^-52, a singular value 2^-26 relative: resolved.
         for pts in ([[0.0], [1.0], [1.0 + 2.0**-52]], [[0.0, 0.0], [1.0, 1.0], [1.0 + 2.0**-52, 1.0]]):
+            out = embed_l1(np.array(pts), 0.5)
+            assert out.certificate.range_dim == 2
+            assert out.certificate.measured_min == pytest.approx(1.0, abs=1e-12)
+            assert out.certificate.measured_max == pytest.approx(1.0, abs=1e-12)
+            self.assert_certificate_brackets_pairs(np.array(pts), 0.5, out)
+        # A 1e-40 cut beside a unit one is a singular value 1e-20 relative: below whitening's rank floor.
+        for pts in ([[0.0], [1e-40], [1.0]], [[0.0, 0.0], [1e-40, 0.0], [1.0, 1.0]]):
             with pytest.raises(CertificationError, match="resolved 1 of the cut frame's 2 span directions"):
                 embed_l1(np.array(pts), 0.5)
 
@@ -286,6 +293,20 @@ class TestEmbedLpEven:
             assert ratio >= 1.0 - 1e-8
             worst = max(worst, ratio)
         assert worst <= 1.0 + eps + 1e-8
+
+    @pytest.mark.parametrize(
+        "scale", [2.0**600, 2.0**-600, 1e200, 1e-200], ids=["2^600", "2^-600", "1e200", "1e-200"]
+    )
+    def test_scaled_basis_selects_alike(self, scale):
+        basis = np.random.default_rng(0).standard_normal((2, 200))
+        selected, weights = embed_lp_even(basis, 4, 0.9)
+        assert len(selected) < 200  # the barrier loop ran
+        scaled_selected, scaled_weights = embed_lp_even(basis * scale, 4, 0.9)
+        assert np.array_equal(scaled_selected, selected)
+        if np.frexp(scale)[0] == 0.5:  # a power of two
+            assert np.array_equal(scaled_weights, weights)
+        else:
+            assert np.allclose(scaled_weights, weights, rtol=1e-13, atol=0.0)
 
     def test_argument_validation(self, rng):
         basis = rng.standard_normal((2, 8))
