@@ -29,10 +29,10 @@ resolvent quadratic forms are the columns of (Y*Y) @ [du, du^2, dl, dl^2],
 where du = 1/(u' - lam) and dl = 1/(lam - l') at the advanced barriers u'
 and l'.  The state is a frozen record of what a step cannot recompute
 cheaply (A, its eigenpairs and the two potentials); the barrier positions
-follow from eps, the step and the order, and each function computes the
-reciprocal gaps it reads.  All invariants are re-checked eagerly at every
-step (any violation raises BarrierInvariantError rather than returning a
-bad certificate).
+follow from eps, the step and the order, and one helper turns a spectrum
+into its reciprocal gaps, checking that it lies inside the barriers.  All
+invariants are re-checked eagerly at every step (any violation raises
+BarrierInvariantError rather than returning a bad certificate).
 
 An edge frame stores no rows, only its ``Incidence`` factor, and is scored
 without forming Y: its vector for edge e = (i, j) is sqrt(w_e) (B[i] - B[j]), so
@@ -196,18 +196,34 @@ def barrier_gaps(state: BarrierState) -> tuple[float, float]:
     the upper barrier moves up by theta, and how much the lower potential
     rises when the lower barrier moves up by 1, both evaluated on the
     current matrix.  The potentials at the current barriers are the ones
-    the state stores.  Either gap being nonpositive means the invariants
-    broke.
+    the state stores.  The spectrum must lie strictly inside the advanced
+    barriers, and either gap being nonpositive means the invariants broke
+    (BarrierInvariantError in both cases).
     """
-    upper_next, lower_next = _barriers(state, state.step + 1)
-    lam = state.eigenvalues
-    upper_gap = state.upper_potential - float(np.sum(1.0 / (upper_next - lam)))
-    lower_gap = float(np.sum(1.0 / (lam - lower_next))) - state.lower_potential
+    du, dl = _reciprocal_gaps(state, state.eigenvalues, "before")
+    upper_gap = state.upper_potential - float(np.sum(du))
+    lower_gap = float(np.sum(dl)) - state.lower_potential
     if not upper_gap > 0.0:
         raise BarrierInvariantError(f"upper barrier gap must be positive, got {upper_gap:.3e}")
     if not lower_gap > 0.0:
         raise BarrierInvariantError(f"lower barrier gap must be positive, got {lower_gap:.3e}")
     return upper_gap, lower_gap
+
+
+def _reciprocal_gaps(state: BarrierState, lam: np.ndarray, when: str) -> tuple[np.ndarray, np.ndarray]:
+    """du = 1/(u' - lam) and dl = 1/(lam - l') at the barriers u' and l' of step ``state.step + 1``.
+
+    Raises BarrierInvariantError unless the spectrum ``lam`` (descending) lies strictly inside
+    (l', u'); ``when`` ("before" or "at") places it relative to that step in the message.
+    """
+    upper_next, lower_next = _barriers(state, state.step + 1)
+    if not (lam[0] < upper_next and lam[-1] > lower_next):
+        raise BarrierInvariantError(
+            f"eigenvalue window violated {when} step {state.step + 1}: "
+            f"spectrum [{lam[-1]:.6g}, {lam[0]:.6g}] not inside "
+            f"({lower_next:.6g}, {upper_next:.6g})"
+        )
+    return 1.0 / (upper_next - lam), 1.0 / (lam - lower_next)
 
 
 def candidate_scores(
@@ -242,15 +258,7 @@ def candidate_scores(
     """
     if not frame.isotropy_certified:
         raise ValueError("candidate_scores requires an isotropy-certified frame")
-    upper_next, lower_next = _barriers(state, state.step + 1)
-    lam = state.eigenvalues
-    if not (lam[0] < upper_next and lam[-1] > lower_next):
-        raise BarrierInvariantError(
-            f"eigenvalue window violated before step {state.step + 1}: "
-            f"spectrum [{lam[-1]:.6g}, {lam[0]:.6g}] not inside "
-            f"({lower_next:.6g}, {upper_next:.6g})"
-        )
-    du, dl = 1.0 / (upper_next - lam), 1.0 / (lam - lower_next)
+    du, dl = _reciprocal_gaps(state, state.eigenvalues, "before")
     if frame.incidence is None:
         upper_scores, lower_scores = _row_scores(frame.vectors, state, du, dl, upper_gap, lower_gap)
     else:
@@ -347,7 +355,6 @@ def select_and_step(
     t = 1.0 / float(upper_scores[chosen])
     xj = frame.rows(chosen)
     new_a = state.A + t * np.outer(xj, xj)
-    upper_next, lower_next = _barriers(state, state.step + 1)
     decomp = None
     if state.order >= _UPDATE_MIN_ORDER:
         decomp = _rank_one_update(state.eigenvalues, state.eigenvectors, xj, t)
@@ -356,15 +363,8 @@ def select_and_step(
     else:
         decomp, eigensolve = eigh(new_a), "full"
     lam = decomp.values
-
-    if not (lam[0] < upper_next and lam[-1] > lower_next):
-        raise BarrierInvariantError(
-            f"eigenvalue window violated at step {state.step + 1}: "
-            f"spectrum [{lam[-1]:.6g}, {lam[0]:.6g}] not inside "
-            f"({lower_next:.6g}, {upper_next:.6g})"
-        )
-    upper_potential = float(np.sum(1.0 / (upper_next - lam)))
-    lower_potential = float(np.sum(1.0 / (lam - lower_next)))
+    du, dl = _reciprocal_gaps(state, lam, "at")
+    upper_potential, lower_potential = float(np.sum(du)), float(np.sum(dl))
     target = state.eps / state.theta
     if abs(upper_potential - target) > _UPPER_CONSERVATION_RTOL * target:
         raise BarrierInvariantError(
@@ -461,7 +461,7 @@ def sparsify_frame(
     check_eps(eps)
     work = frame
     if not frame.isotropy_certified:
-        work, _ = isotropic_reduce(frame)
+        work = isotropic_reduce(frame)
     steps = support_bound(work.ambient_dim, eps)
     nonzero = work.nonzero()
     if nonzero.size <= steps:
@@ -495,8 +495,16 @@ def lift_to_unit(sparse: SparseWeights, eps: float, high: float, row_weights: np
     """Weights s_i w_i / (1-eps)^2 on ``sparse``'s support, w the ``row_weights`` (squared row scales).
 
     The lift moves the sandwich's lower constant to exactly 1; the certificate is lifted alike onto
-    [1, high], at the sandwich tolerance times the lift.  Returns (weights, certificate).
+    [1, high], at the sandwich tolerance times the lift.  Returns (weights, certificate).  A weight
+    that float64 cannot hold raises ValueError.
     """
     lift = 1.0 / (1.0 - eps) ** 2
     cert = lift_certificate(sparse.certificate, lift, 1.0, high, tol=_SANDWICH_TOL * lift, what=what)
-    return sparse.weights * lift * row_weights[sparse.support], cert
+    with np.errstate(over="ignore"):
+        weights = sparse.weights * lift * row_weights[sparse.support]
+    if not np.all(np.isfinite(weights)):
+        raise ValueError(
+            f"{what} sparsifier's weights overflow float64 at the input's scale "
+            f"(largest input weight {np.max(row_weights):.3g} times up to {np.max(sparse.weights) * lift:.3g})"
+        )
+    return weights, cert

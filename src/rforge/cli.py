@@ -111,9 +111,6 @@ def _run_sparsify_frame(args: argparse.Namespace) -> dict:
 def _run_ri_select(args: argparse.Namespace) -> dict:
     eps = check_eps(args.eps)
     operator = formats.read_matrix(args.input)
-    if operator.shape[0] != operator.shape[1]:
-        raise ValueError(f"operator must be square, got shape {operator.shape}")
-    n = operator.shape[0]
     result = ri_select(operator, eps)
     sigma, cert = result.selected, result.certificate
     lam_min = cert.measured_min if cert else 0.0
@@ -121,7 +118,7 @@ def _run_ri_select(args: argparse.Namespace) -> dict:
         sidecar = {"selected": sigma, "gram_min_eigenvalue": lam_min}
         formats.write_weights(args.output, sorted(sigma), np.ones(len(sigma)), sidecar)
     return {
-        "sizes": {"dimension": n},
+        "sizes": {"rows": operator.shape[0], "columns": operator.shape[1]},
         "eps": eps,
         "derived": {
             "stable_rank": result.stable_rank,
@@ -234,14 +231,15 @@ def _run_cycle_demo(args: argparse.Namespace) -> dict:
     n, p, q, eps = args.n, args.p, args.q, args.eps
     g, h, witnesses = cycle_counterexample(n, p, eps)
     probes = nonzero_energy_probes(np.vstack([witnesses, standard_probes(n, seed=args.seed)]), g, p)
-    low_p, high_p = energy_ratio_range(g, h, p, probes)
-    p_quality = high_p / low_p if low_p > 0 else float("inf")
+    low_p, _ = energy_ratio_range(g, h, p, probes)
+    p_quality = quality_lower_bound(g, h, p, probes)
+    # Raises unless the ramp's q-energy, at least (n-1)^q, is finite; then so is the floor's power.
     q_bound = quality_lower_bound(g, h, q, witnesses)
     return {
         "sizes": {"vertices": n, "edges": g.edge_count},
         "eps": eps,
         "seed": args.seed,
-        "derived": {"p": p, "q": q, "heavy_weight": (n - 1) ** (p - 1) / eps},
+        "derived": {"p": p, "q": q, "heavy_weight": float(h.weights[0])},
         "results": {
             "p_quality_lower_bound": p_quality,
             "p_quality_ceiling": 1.0 + eps,
@@ -319,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     add("sparsify-graph", "sparsify a weighted graph")
     add("sparsify-frame", "sparsify a vector frame (rows of a dense matrix)")
-    add("ri-select", "select well-conditioned columns of a square operator")
+    add("ri-select", "select well-conditioned columns of a matrix")
     add("embed-l1", "reduce the dimension of an L1 point set")
     lp = add("embed-lp", "coordinate selection for an even-p subspace")
     lp.add_argument("--p", type=int, required=True, help="even exponent >= 4")

@@ -253,7 +253,7 @@ def _whitened(cuts: CutDecomposition) -> Frame:
     (n * eps_mach)^-2.  The indicators' rank does not depend on the weights; it is computed only
     when the frame falls short of its bound, the number of distinct nonzero point columns.
     """
-    frame, _ = isotropic_reduce(Frame(cuts.indicators * np.sqrt(cuts.weights)[:, None]))
+    frame = isotropic_reduce(Frame(cuts.indicators * np.sqrt(cuts.weights)[:, None]))
     r, columns = frame.ambient_dim, np.ascontiguousarray(cuts.indicators.T)
     bound = np.unique(_byte_rows(columns)).size - int(not columns.any(axis=1).all())  # a point in no cut
     if r < bound and r < (rank := np.linalg.matrix_rank(columns.astype(float))):

@@ -146,7 +146,7 @@ def _whitened(g: WeightedGraph, roots: np.ndarray) -> Frame:
 
     ``roots`` labels g's components, so the range has dimension n - (number of components).
     """
-    frame, _ = isotropic_reduce(edge_frame(g))
+    frame = isotropic_reduce(edge_frame(g))
     r = g.n - int(np.count_nonzero(roots == np.arange(g.n)))
     if frame.ambient_dim != r:
         raise CertificationError(

@@ -336,25 +336,21 @@ def _rank_one_update(
     return EigenDecomposition(d[order], u[:, order])
 
 
-def isotropic_reduce(frame: Frame) -> tuple[Frame, np.ndarray]:
+def isotropic_reduce(frame: Frame) -> Frame:
     """Whiten a frame to an exact decomposition of the identity on its span.
 
     The frame is first scaled by the power of two that puts its largest
-    entry in [0.5, 1), and the lift and the incidence basis absorb that
-    power: nothing overflows or underflows, and a frame times 2^j whitens
-    to the same vectors bit for bit.  The returned frame is
-    isotropy-certified, and the returned lift (shape (n, r)) maps reduced
-    vectors back, x_i == lift @ y_i, so its transpose carries a direction w
-    in the span to reduced coordinates with matching quadratic forms:
-    sum_i <x_i, w>^2 == sum_i <y_i, lift.T @ w>^2.
+    entry in [0.5, 1), and the incidence basis absorbs that power: nothing
+    overflows or underflows, and a frame times 2^j whitens to the same
+    vectors bit for bit.  The returned frame is isotropy-certified.
 
     A dense frame X is whitened by its thin SVD, X = U Sigma V^T: the
     reduced frame is U's first r columns, r the number of singular values
-    above n times the machine epsilon times the largest, and the lift is
-    V_r Sigma_r.  The SVD works on X itself, so a direction survives down
-    to n * eps_mach relative in singular value; a Gram matrix would square
-    that floor.  Rows of zero vectors are set to exactly zero, so that
-    ``Frame.nonzero`` does not count the rounding LAPACK leaves there.
+    above n times the machine epsilon times the largest.  The SVD works on
+    X itself, so a direction survives down to n * eps_mach relative in
+    singular value; a Gram matrix would square that floor.  Rows of zero
+    vectors are set to exactly zero, so that ``Frame.nonzero`` does not
+    count the rounding LAPACK leaves there.
 
     An edge frame is whitened without rows in O(n^3): A = sum_i x_i (x) x_i
     is B^T L B for its factor, and eigenvalues of A below n eps_mach times
@@ -367,13 +363,13 @@ def isotropic_reduce(frame: Frame) -> tuple[Frame, np.ndarray]:
     if inc is None:
         _, exponent = np.frexp(np.max(np.abs(frame.vectors)))
         scaled = np.ldexp(frame.vectors, -exponent)  # exact: max entry now in [0.5, 1)
-        left, sigma, right = np.linalg.svd(scaled, full_matrices=False)
+        left, sigma, _ = np.linalg.svd(scaled, full_matrices=False)
         if not sigma[0] > 0.0:
             raise ZeroFrameError("frame has no positive-energy direction; all vectors are zero")
         r = int(np.count_nonzero(sigma > frame.ambient_dim * _RANK_RTOL * sigma[0]))
         reduced = left[:, :r]
         reduced[~np.any(frame.vectors != 0.0, axis=1)] = 0.0
-        return Frame(reduced, isotropy_certified=True), np.ldexp(right[:r].T * sigma[:r], exponent)
+        return Frame(reduced, isotropy_certified=True)
     _, exponent = np.frexp(np.sqrt(np.max(inc.weights)) * np.max(np.abs(inc.basis)))
     scaled_weights = np.ldexp(inc.weights, -2 * exponent)
     decomp = eigh(_edge_gram(inc.heads, inc.tails, scaled_weights, inc.basis))
@@ -381,21 +377,15 @@ def isotropic_reduce(frame: Frame) -> tuple[Frame, np.ndarray]:
     if lam[0] <= 0.0:
         raise ZeroFrameError("frame has no positive-energy direction; all vectors are zero")
     r = int(np.count_nonzero(lam > frame.ambient_dim * _RANK_RTOL * lam[0]))
-    lam_r = lam[:r]
-    v_r = decomp.vectors[:, :r]
-    scale = np.sqrt(lam_r)
-
-    whiten = v_r / scale
+    whiten = decomp.vectors[:, :r] / np.sqrt(lam[:r])
     # One Newton-style correction of the reduced Gram matrix; without it the
     # certificate can drift when the discarded/kept eigenvalue gap is narrow.
     gd = eigh(_edge_gram(inc.heads, inc.tails, scaled_weights, inc.basis @ whiten))
     if gd.values[-1] <= 0.0:
         raise RforgeError("reduced frame lost rank during whitening")
     inv_sqrt = (gd.vectors / np.sqrt(gd.values)) @ gd.vectors.T
-    sqrt_gram = (gd.vectors * np.sqrt(gd.values)) @ gd.vectors.T
-    lift = np.ldexp((v_r * scale) @ sqrt_gram, exponent)
     basis = inc.basis @ np.ldexp(whiten @ inv_sqrt, -exponent)
-    return Frame(incidence=replace(inc, basis=basis), isotropy_certified=True), lift
+    return Frame(incidence=replace(inc, basis=basis), isotropy_certified=True)
 
 
 @dataclass(frozen=True)

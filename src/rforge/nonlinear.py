@@ -42,13 +42,18 @@ def standard_probes(n: int, *, seed: int = DEFAULT_PROBE_SEED) -> np.ndarray:
 
 
 def _energies(g: WeightedGraph, probes, p: float) -> np.ndarray:
-    """p-energies of every row of ``probes`` on g, as one matrix product."""
+    """p-energies of every row of ``probes`` on g, as one matrix product; ValueError unless all are finite."""
     if not p > 0:
         raise ValueError(f"exponent must be positive, got {p}")
     x = np.asarray(probes, dtype=float)
     if x.ndim != 2 or x.shape[1] != g.n:
         raise ValueError(f"probes must assign one value per vertex, got shape {x.shape}")
-    return 2.0 * (np.abs(x[:, g.heads] - x[:, g.tails]) ** p) @ g.weights
+    with np.errstate(over="ignore"):
+        energies = 2.0 * (np.abs(x[:, g.heads] - x[:, g.tails]) ** p) @ g.weights
+    bad = np.flatnonzero(~np.isfinite(energies))
+    if bad.size:
+        raise ValueError(f"{p:g}-energy of probe {bad[0]} is {energies[bad[0]]}, not a finite float64")
+    return energies
 
 
 def energy_ratio_range(
@@ -88,13 +93,19 @@ def cycle_counterexample(n: int, p: float, eps: float) -> tuple[WeightedGraph, W
     quality at most 1+eps, yet evaluating at the returned witnesses (the
     ramp x_i = i and the single-vertex indicator) shows quality at least
     eps * (n-1)^(q-p) at any exponent q > p.  The witnesses are the rows
-    of a (2, n) array; both have positive energy on g.
+    of a (2, n) array; both have positive energy on g.  A path weight that
+    overflows float64 raises ValueError.
     """
     if n < 3:
         raise ValueError(f"cycle needs at least 3 vertices, got {n}")
     if not p > 0 or not eps > 0:
         raise ValueError("exponent and eps must be positive")
-    heavy = (n - 1) ** (p - 1) / eps
+    try:
+        heavy = (n - 1) ** (p - 1) / eps
+    except OverflowError:
+        heavy = float("inf")
+    if not np.isfinite(heavy):
+        raise ValueError(f"path weight (n-1)^(p-1)/eps overflows float64 at n={n}, p={p:g}, eps={eps:g}")
     path = [(i, i + 1, heavy) for i in range(n - 1)]
     g = WeightedGraph(n, path + [(0, n - 1, 1.0)])
     h = WeightedGraph(n, path)

@@ -189,6 +189,15 @@ def quadratic_ratio_range(vectors: np.ndarray, support, weights) -> tuple[float,
     return float(lam[0]), float(lam[-1])
 
 
+def whitening_lift(reduced: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """The (n, r) lift L with vectors[i] == L @ reduced[i], by least squares on the whitened rows.
+
+    It maps whitened vectors back to the caller's; its transpose carries a direction w in the
+    span of the rows to whitened coordinates with the same quadratic form.
+    """
+    return np.linalg.lstsq(np.asarray(reduced, dtype=float), np.asarray(vectors, dtype=float), rcond=None)[0].T
+
+
 def pairwise_l1_distances(points: np.ndarray) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     n = pts.shape[0]

@@ -267,7 +267,7 @@ def test_criterion_9_oracle_equivalence():
         if n == 1:
             frame = Frame(np.ones((1, 1)), isotropy_certified=True)
         else:
-            frame, _ = isotropic_reduce(Frame(rng.standard_normal((m, n))))
+            frame = isotropic_reduce(Frame(rng.standard_normal((m, n))))
         eps = 0.8
         state = initial_barrier_state(n, eps)
         for _ in range(support_bound(n, eps)):

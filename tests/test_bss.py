@@ -44,7 +44,7 @@ def complete_graph(n, seed, heavy=0, heavy_weight=1e12):
 
 def random_isotropic_frame(rng, n, m):
     vectors = rng.standard_normal((m, n))
-    frame, _ = isotropic_reduce(Frame(vectors))
+    frame = isotropic_reduce(Frame(vectors))
     assert frame.ambient_dim == n
     return frame
 
@@ -98,6 +98,13 @@ class TestBarrierGaps:
         upper_gap, lower_gap = barrier_gaps(state)
         assert upper_gap == pytest.approx(1.0 / 18.0, abs=1e-12)
         assert lower_gap == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("lam", [-1.0, 9.0, -2.0, 10.0])
+    def test_refuses_spectrum_outside_advanced_window(self, lam):
+        # eps 0.5, n = 1: the step-1 barriers are l' = -1 and u' = 9, and the window is open
+        state = replace(initial_barrier_state(1, 0.5), eigenvalues=np.array([lam]))
+        with pytest.raises(BarrierInvariantError, match="window"):
+            barrier_gaps(state)
 
     def test_gaps_positive_along_run(self, rng):
         frame = random_isotropic_frame(rng, 3, 7)
@@ -415,7 +422,7 @@ class TestOracleEquivalence:
         weights = np.exp(rng.uniform(0.0, math.log(100.0), n * (n - 1) // 2))
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         g = WeightedGraph(n, [(i, j, float(w)) for (i, j), w in zip(pairs, weights)])
-        frame, _ = isotropic_reduce(edge_frame(g))
+        frame = isotropic_reduce(edge_frame(g))
         assert frame.incidence is not None
         self.assert_run_matches_oracle(frame, 0.5)
 
@@ -503,7 +510,7 @@ class TestRankOneStep:
 
     def test_missing_lapack_symbol_takes_full_eigh(self, monkeypatch):
         monkeypatch.setattr(linalg, "_dlaed9", lambda: None)
-        frame, _ = isotropic_reduce(edge_frame(complete_graph(48, 1)))
+        frame = isotropic_reduce(edge_frame(complete_graph(48, 1)))
         history = []
         sparsify_frame(frame, 0.5, history=history)
         assert all(record["eigensolve"] == "full" for record in history)
@@ -527,11 +534,11 @@ class TestRankOneStep:
         monkeypatch.setattr(bss, "_UPDATE_MIN_ORDER", 1)  # every case takes the update
         eps = 0.7 if "0.7" in case else 0.5
         if case.startswith("whitened"):
-            frame, _ = isotropic_reduce(Frame(np.random.default_rng(1).standard_normal((600, 40))))
+            frame = isotropic_reduce(Frame(np.random.default_rng(1).standard_normal((600, 40))))
         else:
             n = int(case.split()[0][1:])
             heavy = int(case.split(" K")[-1]) if "1e12" in case else 0
-            frame, _ = isotropic_reduce(edge_frame(complete_graph(n, 1, heavy=heavy)))
+            frame = isotropic_reduce(edge_frame(complete_graph(n, 1, heavy=heavy)))
         history = []
         sparsify_frame(frame, eps, history=history)
         choices, weights = barrier_loop_oracle(frame, eps)

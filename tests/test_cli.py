@@ -11,6 +11,7 @@ from rforge import formats
 from rforge.cli import EXIT_CERTIFICATION, EXIT_INPUT, EXIT_OK, build_parser, main, run
 from rforge.embed import JohnDecomposition, embed_l1
 from rforge.graphs import WeightedGraph, sparsify_graph
+from rforge.restricted import ri_select
 
 from oracles import pairwise_l1_distances, read_weights
 
@@ -240,6 +241,21 @@ class TestRun:
         assert report["results"]["p_quality_lower_bound"] <= 1.5 + 1e-9
         assert report["results"]["probes"] >= 500
 
+    @pytest.mark.parametrize(
+        "n, p, q",
+        [
+            (5, 400, 800),  # the standard probes' 400-energies overflow
+            (200, 150, 300),  # the path weight (n-1)^(p-1)/eps overflows
+            (200, 2, 150),  # the ramp's 150-energy overflows
+        ],
+    )
+    def test_cycle_demo_overflow_exit_code(self, n, p, q):
+        status, report = cli("cycle-demo", "--n", n, "--p", p, "--q", q, "--eps", 0.5)
+        assert status == EXIT_INPUT
+        assert report["status"] == "input-error" and "float64" in report["error"]
+        text = json.dumps(report)
+        assert "NaN" not in text and "Infinity" not in text
+
     def test_sparsify_frame_writes_certificate(self, tmp_path, rng):
         vectors = rng.standard_normal((12, 3))
         src = tmp_path / "frame.mat"
@@ -448,11 +464,17 @@ class TestRun:
         assert report["error"] == f"{src}:2: non-finite value 'inf'"
 
     def test_ri_select_non_square_exit_code(self, tmp_path, rng):
+        t = rng.standard_normal((4, 6))
         src = tmp_path / "op.mat"
-        formats.write_matrix(src, rng.standard_normal((4, 6)))
+        formats.write_matrix(src, t)
         status, report = cli("ri-select", src, "--eps", 0.8)
-        assert status == EXIT_INPUT
-        assert "must be square" in report["error"]
+        assert status == EXIT_OK
+        assert report["sizes"] == {"rows": 4, "columns": 6}
+        result = ri_select(t, 0.8)
+        res = report["results"]
+        assert res["selected"] == result.selected and len(result.selected) >= 1
+        assert res["gram_min_eigenvalue"] == result.certificate.measured_min
+        assert res["certified_floor"] == result.certificate.low == pytest.approx(0.2**2 * np.sum(t * t) / 6)
 
     def test_verify_edgeless_reference(self, tmp_path):
         src = tmp_path / "empty.edges"

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import tracemalloc
+import warnings
 import numpy as np
 import pytest
 import scipy.linalg
@@ -254,7 +255,7 @@ class TestFactoredScoring:
         "name", ["weighted K12", "sparse random", "two components", "isolated vertex", "heavy cluster"]
     )
     def test_factored_run_matches_dense_run(self, rng, name):
-        frame, _ = isotropic_reduce(edge_frame(factored_test_graphs(rng)[name]))
+        frame = isotropic_reduce(edge_frame(factored_test_graphs(rng)[name]))
         factored, dense = [], []
         weights = sparsify_frame(frame, 0.5, history=factored)
         dense_frame = Frame(frame.rows(), isotropy_certified=True)
@@ -363,6 +364,13 @@ class TestSparsifyGraph:
             scaled = sparsify_graph(WeightedGraph(g.n, [(i, k, w * 4.0**j) for i, k, w in g.edges]), 0.5)
             assert [e[:2] for e in scaled.edges] == [e[:2] for e in h.edges]
             assert [e[2] for e in scaled.edges] == [e[2] * 4.0**j for e in h.edges]
+
+    def test_overflowing_output_weights_raise(self):
+        # every input weight is finite; lifted onto [1, theta^2] at eps 0.9 some pass float64's top
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no overflow RuntimeWarning escapes
+            with pytest.raises(ValueError, match="overflow float64 at the input's scale"):
+                sparsify_graph(complete_graph(24, 1e307), 0.9)
 
     def test_random_graphs_certified(self, rng):
         for density in (0.3, 1.0):
