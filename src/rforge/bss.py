@@ -13,11 +13,10 @@ slack and steps with weight 1/alpha, where alpha is the chosen vector's
 upper-barrier score.
 
 The state keeps the running sum's eigendecomposition A = U diag(lam) U^T.
-A step adds one term, A + t x x^T, and from order 24 up (_UPDATE_MIN_ORDER,
-the measured crossover) it updates (lam, U) in place of eigendecomposing
-the sum again: a rank-one update in the current eigenbasis, whose roots
-and vectors come from LAPACK's secular solver dlaed9
-(``linalg._rank_one_update``).  Either way the new pairs pass eigh's own
+A step adds one term, A + t x x^T, and updates (lam, U) in place of
+eigendecomposing the sum again: a rank-one update in the current
+eigenbasis, whose roots and vectors come from LAPACK's secular solver
+dlaed9 (``linalg._rank_one_update``).  The new pairs must pass eigh's own
 checks against the explicitly accumulated A (reconstruction and
 orthonormality, both to 1e-10); an update that fails them, whose roots do
 not interlace, or that finds no dlaed9 in numpy gives way to the full
@@ -55,7 +54,7 @@ returned ``SparseWeights`` carries that certificate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -68,7 +67,6 @@ from .linalg import (
     certify_spectrum,
     eigh,
     isotropic_reduce,
-    lift_certificate,
     symmetrize,
 )
 
@@ -86,9 +84,6 @@ _SANDWICH_TOL = 1e-8
 # from the incidence gather before it is scored from its row instead.
 _GATHER_RTOL = 1e-10
 _MACHINE_EPS = np.finfo(float).eps
-# Order from which a step updates its eigendecomposition instead of
-# recomputing it; below it the full eigh was faster (see CHANGES.md).
-_UPDATE_MIN_ORDER = 24
 
 
 def check_eps(eps: float) -> float:
@@ -154,7 +149,7 @@ class SparseWeights:
     support: np.ndarray
     weights: np.ndarray
     source_size: int
-    certificate: Certificate  # the sandwich as sparsify_frame measured it
+    certificate: Certificate  # the sandwich as sparsify_frame measured it (embed_lp_even: lifted onto [1, 1+eps*p/4])
 
     def __post_init__(self):
         self.support = np.asarray(self.support, dtype=np.intp)
@@ -335,13 +330,12 @@ def select_and_step(
     least max(slack) - 1e-12 * max(1, max|lower_scores|, max|upper_scores|),
     so rounding noise between exactly tied candidates never decides.
     Returns the advanced state, the chosen index, and the step weight
-    t = 1/upper_score.  From order _UPDATE_MIN_ORDER up, the new eigenpairs
-    are a rank-one update of the state's, kept only if they pass eigh's
-    reconstruction and orthonormality checks against the accumulated A;
-    otherwise, and below that order, they come from the full validated
-    eigh.  The new state's invariants (eigenvalue window, exact
-    upper-potential conservation, lower-potential monotonicity) are
-    verified eagerly; a violation raises BarrierInvariantError.
+    t = 1/upper_score.  The new eigenpairs are a rank-one update of the
+    state's, or the full validated eigh's where the update fails eigh's
+    reconstruction and orthonormality checks against the accumulated A.
+    The new state's invariants (eigenvalue window, exact upper-potential
+    conservation, lower-potential monotonicity) are verified eagerly; a
+    violation raises BarrierInvariantError.
     """
     slack = lower_scores - upper_scores
     magnitude = max(1.0, float(np.max(np.abs(lower_scores))), float(np.max(np.abs(upper_scores))))
@@ -355,9 +349,7 @@ def select_and_step(
     t = 1.0 / float(upper_scores[chosen])
     xj = frame.rows(chosen)
     new_a = state.A + t * np.outer(xj, xj)
-    decomp = None
-    if state.order >= _UPDATE_MIN_ORDER:
-        decomp = _rank_one_update(state.eigenvalues, state.eigenvectors, xj, t)
+    decomp = _rank_one_update(state.eigenvalues, state.eigenvectors, xj, t)
     if decomp is not None and _residual_failure(new_a, decomp) is None:
         eigensolve = "update"
     else:
@@ -494,12 +486,13 @@ def _certified(work: Frame, support: np.ndarray, s: np.ndarray, size: int, eps: 
 def lift_to_unit(sparse: SparseWeights, eps: float, high: float, row_weights: np.ndarray, *, what: str):
     """Weights s_i w_i / (1-eps)^2 on ``sparse``'s support, w the ``row_weights`` (squared row scales).
 
-    The lift moves the sandwich's lower constant to exactly 1; the certificate is lifted alike onto
-    [1, high], at the sandwich tolerance times the lift.  Returns (weights, certificate).  A weight
-    that float64 cannot hold raises ValueError.
+    The one lift of every sandwich layer (graph, L1, John, even-p): it moves the lower constant to exactly
+    1 and certifies ``sparse``'s extremes times the lift on [1, high], at the sandwich tolerance times the
+    lift, keeping range_dim.  Returns (weights, certificate).  A weight float64 cannot hold raises ValueError.
     """
-    lift = 1.0 / (1.0 - eps) ** 2
-    cert = lift_certificate(sparse.certificate, lift, 1.0, high, tol=_SANDWICH_TOL * lift, what=what)
+    lift, measured = 1.0 / (1.0 - eps) ** 2, sparse.certificate
+    extremes = [measured.measured_min * lift, measured.measured_max * lift]
+    lifted = certify_spectrum(extremes, 1.0, high, tol=_SANDWICH_TOL * lift, what=what)
     with np.errstate(over="ignore"):
         weights = sparse.weights * lift * row_weights[sparse.support]
     if not np.all(np.isfinite(weights)):
@@ -507,4 +500,4 @@ def lift_to_unit(sparse: SparseWeights, eps: float, high: float, row_weights: np
             f"{what} sparsifier's weights overflow float64 at the input's scale "
             f"(largest input weight {np.max(row_weights):.3g} times up to {np.max(sparse.weights) * lift:.3g})"
         )
-    return weights, cert
+    return weights, replace(lifted, range_dim=measured.range_dim)

@@ -69,7 +69,7 @@ def _run_sparsify_graph(args: argparse.Namespace) -> dict:
             "output_support_ordered": h.ordered_support_size,
             "quality_min": cert.measured_min,
             "quality_max": cert.measured_max,
-            "quality_ceiling": _theta(eps) ** 2,
+            "quality_ceiling": cert.high,
             "range_dim": cert.range_dim,
             "twice_ramanujan_benchmark": 1.0 + 4.0 / math.sqrt(avg_degree) if avg_degree > 0 else None,
         },
@@ -160,15 +160,16 @@ def _run_embed_lp(args: argparse.Namespace) -> dict:
     eps = check_eps(args.eps)
     p = args.p
     basis = formats.read_matrix(args.input)
-    selected, weights = embed_lp_even(basis, p, eps)
+    lp = embed_lp_even(basis, p, eps)
     if args.output:
-        formats.write_weights(args.output, selected, weights, {"p": p, "eps": eps, "selected": selected.tolist()})
+        sidecar = {"p": p, "eps": eps, "selected": lp.support.tolist()}
+        formats.write_weights(args.output, lp.support, lp.weights, sidecar)
     n = basis.shape[0]
     half = p // 2
     eps0 = barrier_eps_for_ratio(1.0 + eps * p / 4.0)
     samples = np.random.default_rng(args.seed).standard_normal((200, n)) @ basis
     norms = np.sum(np.abs(samples) ** p, axis=1) ** (1 / p)
-    embedded = np.sum(np.abs(apply_lp_embedding(samples, selected, weights, p)) ** p, axis=1) ** (1 / p)
+    embedded = np.sum(np.abs(apply_lp_embedding(samples, lp.support, lp.weights, p)) ** p, axis=1) ** (1 / p)
     nonzero = norms > 0.0
     worst = float(np.max(embedded[nonzero] / norms[nonzero], initial=1.0))
     return {
@@ -182,9 +183,13 @@ def _run_embed_lp(args: argparse.Namespace) -> dict:
             "support_bound": support_bound(math.comb(n + half - 1, half), eps0),
         },
         "results": {
-            "selected_count": len(selected),
+            "selected_count": len(lp.support),
             "sampled_distortion_max": worst,
-            "distortion_ceiling": (1.0 + eps * p / 4.0) ** (1.0 / p),
+            # certified bounds on ||x||_{p,s} / ||x||_p over the whole subspace
+            "distortion_min": lp.certificate.measured_min ** (1.0 / p),
+            "distortion_max": lp.certificate.measured_max ** (1.0 / p),
+            "distortion_ceiling": lp.certificate.high ** (1.0 / p),
+            "range_dim": lp.certificate.range_dim,
         },
     }
 
@@ -231,8 +236,9 @@ def _run_cycle_demo(args: argparse.Namespace) -> dict:
     n, p, q, eps = args.n, args.p, args.q, args.eps
     g, h, witnesses = cycle_counterexample(n, p, eps)
     probes = nonzero_energy_probes(np.vstack([witnesses, standard_probes(n, seed=args.seed)]), g, p)
-    low_p, _ = energy_ratio_range(g, h, p, probes)
-    p_quality = quality_lower_bound(g, h, p, probes)
+    low_p, high_p = energy_ratio_range(g, h, p, probes)
+    # low_p is 0 only where every path term of a probe's p-energy underflows
+    p_quality = high_p / low_p if low_p > 0.0 else math.inf
     # Raises unless the ramp's q-energy, at least (n-1)^q, is finite; then so is the floor's power.
     q_bound = quality_lower_bound(g, h, q, witnesses)
     return {
@@ -271,7 +277,7 @@ def run(args: argparse.Namespace) -> tuple[int, dict]:
         report["input2"] = args.input2
     try:
         body = _RUNNERS[args.command](args)
-    except (formats.ParseError, FileNotFoundError, ValueError, KeyError) as exc:
+    except (formats.ParseError, FileNotFoundError, ValueError) as exc:
         report["status"] = "input-error"
         report["error"] = str(exc)
         status = EXIT_INPUT

@@ -24,9 +24,9 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .bss import check_eps, lift_to_unit, sparsify_frame, support_bound
+from .bss import SparseWeights, check_eps, lift_to_unit, sparsify_frame
 from .errors import CertificationError
-from .linalg import Certificate, Frame, certify_spectrum, eigh, isotropic_reduce, lift_certificate, symmetrize
+from .linalg import Certificate, Frame, certify_spectrum, eigh, isotropic_reduce, symmetrize
 
 _JOHN_IDENTITY_TOL = 1e-8
 _JOHN_CENTER_TOL = 1e-8
@@ -107,21 +107,17 @@ def approximate_john(jd: JohnDecomposition, eps: float) -> JohnDecomposition:
     scaled = jd.points * np.sqrt(jd.weights)[:, None]
     frame = Frame(scaled, isotropy_certified=True)
     sparse = sparsify_frame(frame, eps0)
-    support = sparse.support
-    if support.size > support_bound(jd.dim, eps0):
-        raise CertificationError("support exceeded its bound; barrier iteration misbehaved")
-    s = sparse.weights * (1.0 / (1.0 - eps0) ** 2)
-    pts = jd.points[support]
-    wts = jd.weights[support]
+    weights, _ = lift_to_unit(sparse, eps0, 1.0 + eps / 4.0, jd.weights, what="John reweighting")
+    pts = jd.points[sparse.support]
 
-    total = symmetrize((pts * (s * wts)[:, None]).T @ pts)
+    total = symmetrize((pts * weights[:, None]).T @ pts)
     decomp = eigh(total)
     certify_spectrum(decomp.values, 1.0 - eps / 4.0, 1.0 + eps / 4.0, tol=1e-9, what="reweighted sum")
     inv_sqrt = (decomp.vectors / np.sqrt(decomp.values)) @ decomp.vectors.T
     mapped = pts @ inv_sqrt
     norms = np.linalg.norm(mapped, axis=1)
     directions = mapped / norms[:, None]
-    half_weights = 0.5 * s * wts * norms**2
+    half_weights = 0.5 * weights * norms**2
 
     points_out = np.vstack([directions, -directions])
     weights_out = np.concatenate([half_weights, half_weights])
@@ -264,23 +260,24 @@ def _whitened(cuts: CutDecomposition) -> Frame:
     return frame
 
 
-def embed_lp_even(basis: np.ndarray, p: int, eps: float) -> tuple[np.ndarray, np.ndarray]:
+def embed_lp_even(basis: np.ndarray, p: int, eps: float) -> SparseWeights:
     """Coordinate selection preserving p-norms on a subspace, p even >= 4.
 
     ``basis`` holds n linearly independent vectors (rows) spanning a
     subspace X of R^m.  Every coordinatewise product of p/2 basis vectors
     is collected into a lifted subspace Y of dimension d <= C(n+p/2-1, p/2);
     selecting coordinates that preserve squared sums on Y within a factor
-    1 + eps*p/4 preserves p-norms on X within 1 + eps.  Returns the selected
-    coordinate indices and their weights; applying
-    x -> (s_i^(1/p) * x_i) for selected i realizes the embedding.
+    1 + eps*p/4 preserves p-norms on X within 1 + eps.  Returns the
+    selected coordinates (``support``, out of m) and their ``weights`` s;
+    applying x -> (s_i^(1/p) * x_i) for selected i realizes the embedding.
 
     The basis is first scaled by the power of two that puts its largest
     entry in [0.5, 1), so the monomials neither overflow nor underflow;
     X and Y keep their spans.  The monomial rows go to ``sparsify_frame``,
     which whitens them onto Y with ``isotropic_reduce``'s SVD.  The
-    quadratic certificate on Y covers every vector of X, not just sampled
-    ones.  It is the frame sparsifier's own certificate scaled by the lift.
+    ``certificate`` is its sandwich lifted onto [1, 1 + eps*p/4]; as x^(p/2)
+    lies in Y and ||x||_p^p = ||x^(p/2)||_2^2, the p-th roots of its extremes
+    bound ||x||_{p,s} / ||x||_p for every x in X, not just sampled ones.
     """
     if p % 2 != 0 or p < 4:
         raise ValueError(f"exponent must be an even integer >= 4, got {p}")
@@ -302,9 +299,8 @@ def embed_lp_even(basis: np.ndarray, p: int, eps: float) -> tuple[np.ndarray, np
     )  # (m, number of monomials)
     eps0 = barrier_eps_for_ratio(1.0 + eps * p / 4.0)
     sparse = sparsify_frame(Frame(monomials), eps0)
-    lift = 1.0 / (1.0 - eps0) ** 2
-    lift_certificate(sparse.certificate, lift, 1.0, 1.0 + eps * p / 4.0, tol=1e-8, what="lifted-space")
-    return sparse.support, sparse.weights * lift
+    weights, cert = lift_to_unit(sparse, eps0, 1.0 + eps * p / 4.0, np.ones(m), what="lifted-space")
+    return SparseWeights(sparse.support, weights, m, cert)
 
 
 def apply_lp_embedding(x: np.ndarray, selected, weights, p: int) -> np.ndarray:

@@ -422,8 +422,3 @@ def certify_spectrum(values, low: float, high: float, *, tol: float, what: str) 
         )
     return Certificate(float(low), float(high), lo, hi, int(lam.size))
 
-
-def lift_certificate(cert: Certificate, scale: float, low: float, high: float, *, tol: float, what: str) -> Certificate:
-    """Certificate of ``cert``'s measured extremes times ``scale`` against [low, high]; keeps its range_dim."""
-    lifted = certify_spectrum([cert.measured_min * scale, cert.measured_max * scale], low, high, tol=tol, what=what)
-    return replace(lifted, range_dim=cert.range_dim)

@@ -199,7 +199,8 @@ def test_criterion_6_even_p_embedding():
     rng = np.random.default_rng(611)
     basis = rng.standard_normal((2, 20))
     eps, p = 0.5, 4
-    selected, weights = embed_lp_even(basis, p, eps)
+    lp = embed_lp_even(basis, p, eps)
+    selected, weights = lp.support, lp.weights
     # independent certificate: orthonormalize the monomial lift by SVD
     import scipy.linalg
 

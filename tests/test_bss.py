@@ -530,8 +530,7 @@ class TestRankOneStep:
             "whitened 600x40 Gaussian frame",
         ],
     )
-    def test_loop_matches_full_eigh_oracle(self, monkeypatch, case):
-        monkeypatch.setattr(bss, "_UPDATE_MIN_ORDER", 1)  # every case takes the update
+    def test_loop_matches_full_eigh_oracle(self, case):
         eps = 0.7 if "0.7" in case else 0.5
         if case.startswith("whitened"):
             frame = isotropic_reduce(Frame(np.random.default_rng(1).standard_normal((600, 40))))

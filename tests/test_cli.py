@@ -419,6 +419,23 @@ class TestRun:
                 worst = max(worst, sum(w * x[i] ** 4 for i, w in weights.items()) ** 0.25 / norm)
         assert report["results"]["sampled_distortion_max"] == pytest.approx(worst, rel=1e-12)
 
+    def test_embed_lp_certified_distortion_brackets_written_embedding(self, tmp_path, rng):
+        basis = rng.standard_normal((3, 300))  # past the support bound 238, so the barrier loop runs
+        src = tmp_path / "basis.mat"
+        formats.write_matrix(src, basis)
+        status, report = cli("embed-lp", src, "--p", 4, "--eps", 0.9, "-o", tmp_path / "lp.tsv")
+        assert status == EXIT_OK
+        res = report["results"]
+        assert res["selected_count"] < 300 and res["range_dim"] == 6
+        assert 1.0 - 1e-12 <= res["distortion_min"] <= res["distortion_max"] <= res["distortion_ceiling"]
+        assert res["distortion_ceiling"] == 1.9**0.25
+        weights = read_weights(tmp_path / "lp.tsv")
+        idx, w = np.array(list(weights)), np.array(list(weights.values()))
+        x = rng.standard_normal((20000, 3)) @ basis
+        ratios = (np.sum(w * x[:, idx] ** 4, axis=1) / np.sum(x**4, axis=1)) ** 0.25
+        assert ratios.min() >= res["distortion_min"] * (1.0 - 1e-12)
+        assert ratios.max() <= res["distortion_max"] * (1.0 + 1e-12)
+
     def test_john_approx_report(self, tmp_path):
         points = np.vstack([np.eye(3), -np.eye(3)])
         weights = np.full(6, 0.5)
@@ -492,6 +509,16 @@ class TestRun:
         res = json.loads(path.read_text())["results"]
         assert res["range_dim"] == 4
         assert "spectral_gap_ratio" not in res
+
+    def test_runner_key_error_propagates(self, tmp_path, monkeypatch):
+        # no bad-input path raises KeyError, so one is a fault in the runner, not an input error
+        def broken(args):
+            raise KeyError("results")
+
+        monkeypatch.setitem(rforge.cli._RUNNERS, "verify", broken)
+        src = write_single_edge(tmp_path / "g.edges")
+        with pytest.raises(KeyError, match="results"):
+            cli("verify", src, src)
 
     def test_reports_deterministic(self, tmp_path, rng):
         vectors = rng.standard_normal((10, 3))

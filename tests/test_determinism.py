@@ -1,11 +1,11 @@
 """Results must not depend on the BLAS thread count at these sizes.
 
 Each case runs in a fresh interpreter, because OpenBLAS reads its thread
-count once, when numpy is first imported.  K20 takes the full eigh at every
-barrier step and K64 the rank-one update; ``rforge ri-select`` runs on a
-120 x 120 operator.  Larger inputs are not covered: at K100 the selected
-edges still agree, but weights differ in the last few bits between 1 and 2
-threads (see README).
+count once, when numpy is first imported.  K20 runs with dlaed9 hidden, so
+it takes the full eigh at every barrier step, and K64 the rank-one update;
+``rforge ri-select`` runs on a 120 x 120 operator.  Larger inputs are not
+covered: at K100 the selected edges still agree, but weights differ in the
+last few bits between 1 and 2 threads (see README).
 """
 
 import json
@@ -24,10 +24,11 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 SCRIPT = """
 import sys
 import numpy as np
-from rforge import JohnDecomposition, WeightedGraph, approximate_john, sparsify_graph
+from rforge import JohnDecomposition, WeightedGraph, approximate_john, linalg, sparsify_graph
 from rforge.cli import main
 
-# K20 is below bss._UPDATE_MIN_ORDER, so its steps take the full eigh.
+# Without dlaed9, K20's steps take the full eigh.
+dlaed9, linalg._dlaed9 = linalg._dlaed9, lambda: None
 rng = np.random.default_rng(20)
 n = 20
 edges = [(i, j, float(w)) for (i, j), w in zip(
@@ -38,6 +39,7 @@ history = []
 h = sparsify_graph(WeightedGraph(n, edges), 0.5, history=history)
 print(repr(h.edges))
 print(len(history) > 0 and all(record["eigensolve"] == "full" for record in history))
+linalg._dlaed9 = dlaed9
 
 rows = []
 for _ in range(8):
@@ -48,7 +50,7 @@ out = approximate_john(JohnDecomposition(6, points, np.full(len(points), 1.0 / 1
 print(repr(out.points.tolist()))
 print(repr(out.weights.tolist()))
 
-# K64 is past bss._UPDATE_MIN_ORDER, so its steps take the rank-one update.
+# K64's steps take the rank-one update.
 rng = np.random.default_rng(64)
 n = 64
 edges = [(i, j, float(w)) for (i, j), w in zip(

@@ -264,7 +264,8 @@ class TestEmbedL1:
 class TestEmbedLpEven:
     def test_one_dimensional_subspace(self, rng):
         basis = rng.standard_normal((1, 12))
-        selected, weights = embed_lp_even(basis, 4, 0.5)
+        lp = embed_lp_even(basis, 4, 0.5)
+        selected, weights = lp.support, lp.weights
         x = 2.7 * basis[0]
         embedded = apply_lp_embedding(x, selected, weights, 4)
         ratio = lp_norm(embedded, 4) / lp_norm(x, 4)
@@ -275,14 +276,15 @@ class TestEmbedLpEven:
 
     def test_dimension_bound(self, rng):
         basis = rng.standard_normal((2, 20))
-        selected, weights = embed_lp_even(basis, 4, 0.5)
+        selected = embed_lp_even(basis, 4, 0.5).support
         # lift dimension is at most C(3, 2) = 3
         assert len(selected) <= support_bound(math.comb(3, 2), barrier_eps_for_ratio(1.5))
 
     def test_sampled_distortion(self, rng):
         basis = rng.standard_normal((2, 20))
         eps = 0.5
-        selected, weights = embed_lp_even(basis, 4, eps)
+        lp = embed_lp_even(basis, 4, eps)
+        selected, weights = lp.support, lp.weights
         worst = 1.0
         for _ in range(200):
             coeffs = rng.standard_normal(2)
@@ -299,14 +301,14 @@ class TestEmbedLpEven:
     )
     def test_scaled_basis_selects_alike(self, scale):
         basis = np.random.default_rng(0).standard_normal((2, 200))
-        selected, weights = embed_lp_even(basis, 4, 0.9)
-        assert len(selected) < 200  # the barrier loop ran
-        scaled_selected, scaled_weights = embed_lp_even(basis * scale, 4, 0.9)
-        assert np.array_equal(scaled_selected, selected)
+        lp = embed_lp_even(basis, 4, 0.9)
+        assert len(lp.support) < 200  # the barrier loop ran
+        scaled = embed_lp_even(basis * scale, 4, 0.9)
+        assert np.array_equal(scaled.support, lp.support)
         if np.frexp(scale)[0] == 0.5:  # a power of two
-            assert np.array_equal(scaled_weights, weights)
+            assert np.array_equal(scaled.weights, lp.weights)
         else:
-            assert np.allclose(scaled_weights, weights, rtol=1e-13, atol=0.0)
+            assert np.allclose(scaled.weights, lp.weights, rtol=1e-13, atol=0.0)
 
     def test_argument_validation(self, rng):
         basis = rng.standard_normal((2, 8))
@@ -333,11 +335,20 @@ class TestEmbedLpEven:
         )
         lift_basis = scipy.linalg.orth(monomials, rcond=1e-14)
         assert lift_basis.shape[1] == lift_dim
-        selected, weights = embed_lp_even(basis, p, eps)
-        rows = lift_basis[selected]
-        lam = np.linalg.eigvalsh((rows * np.asarray(weights)[:, None]).T @ rows)
+        lp = embed_lp_even(basis, p, eps)
+        rows = lift_basis[lp.support]
+        lam = np.linalg.eigvalsh((rows * lp.weights[:, None]).T @ rows)
         assert lam[0] >= 1.0 - 1e-8
         assert lam[-1] <= 1.0 + eps * p / 4.0 + 1e-8
+        # the returned certificate is this spectrum, measured on the sparsifier's own whitening
+        cert = lp.certificate
+        assert (cert.low, cert.high, cert.range_dim) == (1.0, 1.0 + eps * p / 4.0, lift_dim)
+        assert cert.measured_min == pytest.approx(lam[0], rel=0.0, abs=1e-12)
+        assert cert.measured_max == pytest.approx(lam[-1], rel=0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n, p, eps", [(3, 4, 0.5), (2, 6, 0.4)])
+    def test_certificate_is_the_independent_lift_spectrum(self, rng, n, p, eps):
+        self.check_lifted_certificate(rng.standard_normal((n, 60)), p, eps, lift_dim=math.comb(n + p // 2 - 1, p // 2))
 
     def test_rank_cut_disjoint_supports(self, rng):
         # u0 * u1 vanishes identically, so the lift has rank 2 of 3
@@ -357,7 +368,8 @@ class TestEmbedLpEven:
     def test_higher_exponent(self, rng):
         basis = rng.standard_normal((2, 24))
         eps = 0.4
-        selected, weights = embed_lp_even(basis, 6, eps)
+        lp = embed_lp_even(basis, 6, eps)
+        selected, weights = lp.support, lp.weights
         for _ in range(50):
             x = rng.standard_normal(2) @ basis
             ratio = lp_norm(apply_lp_embedding(x, selected, weights, 6), 6) / lp_norm(x, 6)
