@@ -18,9 +18,10 @@ negative margin (the lowest index among exact ties).  All of this is
 asserted at runtime; violations raise SelectionInvariantError instead of
 silently returning a weak subset.
 
-No step decomposes anything: with G = P^T P for the selected images P,
+No step decomposes anything: with G = P^T P for the selected columns P,
 (P P^T - b I)^{-1} = -(I - P (G - b I)^{-1} P^T) / b puts each step on i x m
-arrays at O(n m + i^2 m), and the certificate is the one eigensolve.
+rows of T^T T, formed once, at O(m^2 + i^2 m), and the certificate is the
+one eigensolve.
 """
 
 from __future__ import annotations
@@ -81,17 +82,6 @@ def ri_barrier(i: int, t_hs_sq: float, t_op_sq: float, m: int, eps: float) -> fl
     return (1.0 - eps) / m * (t_hs_sq - (i / eps) * t_op_sq)
 
 
-def operator_norms(t: np.ndarray) -> tuple[float, float]:
-    """Squared Hilbert-Schmidt and operator norms of T.
-
-    ||T||^2 is the top eigenvalue of the smaller of T^T T and T T^T, which
-    costs a fraction of a singular value decomposition.
-    """
-    t = np.asarray(t, dtype=float)
-    small = t.T @ t if t.shape[1] <= t.shape[0] else t @ t.T
-    return float(np.sum(t * t)), float(np.linalg.eigvalsh(small)[-1])
-
-
 def ri_select(t: np.ndarray, eps: float, *, history: list | None = None) -> RiSelection:
     """Select k = floor(eps^2 ||T||_HS^2/||T||^2) well-conditioned columns of T.
 
@@ -112,12 +102,12 @@ def ri_select(t: np.ndarray, eps: float, *, history: list | None = None) -> RiSe
     caller's scale.
 
     The running sum A = P P^T of the selected columns P = [y_s] is never
-    formed: the rows <y_s, .> and <T^* y_s, .> of each new s, one
-    matrix-vector product each, give G = P^T P and F^T F for F = T^* P, and
-    with w_j = (G - b I)^{-1} P^T y_j the resolvent R = (A - b I)^{-1} gives
-    y_j^T R y_j = (<P^T y_j, w_j> - ||y_j||^2) / b and b^2 ||T^* R y_j||^2 =
-    ||T^* y_j||^2 - 2 <F^T T^* y_j, w_j> + w_j^T F^T F w_j, so a step costs
-    O(n m + i^2 m).  A Cholesky factor of G - b I shows that A has exactly
+    formed: T^T T is, once, and its rows <y_s, .> give G = P^T P, while one
+    matrix-vector product with it per step adds the row <T^* y_s, T^* .>
+    that gives F^T F for F = T^* P.  With w_j = (G - b I)^{-1} P^T y_j, the
+    resolvent R = (A - b I)^{-1} gives y_j^T R y_j = (<P^T y_j, w_j> -
+    ||y_j||^2) / b and b^2 ||T^* R y_j||^2 = ||T^* y_j||^2 - 2 <F^T T^* y_j,
+    w_j> + w_j^T F^T F w_j, so a step costs O(m^2 + i^2 m).  A Cholesky factor of G - b I shows that A has exactly
     i eigenvalues above b, and the trace potential is recomputed from each
     new G.  Among candidates whose margin is within 1e-12 * max(1, |lhs|,
     |rhs|) of the best (the scale taken at the best one), the lowest index
@@ -139,8 +129,10 @@ def ri_select(t: np.ndarray, eps: float, *, history: list | None = None) -> RiSe
     _, exponent = np.frexp(np.max(np.abs(t)))
     exponent = int(exponent)
     t = np.ldexp(t, -exponent)  # exact: max|t| now in [0.5, 1)
-    m = t.shape[1]
-    hs_sq, op_sq = operator_norms(t)
+    p, m = t.shape
+    pulled = t.T @ t  # column j is T^* y_j; exactly symmetric
+    hs_sq = float(np.sum(t * t))
+    op_sq = float(np.linalg.eigvalsh(pulled if m <= p else t @ t.T)[-1])
     stable_rank = hs_sq / op_sq
     k = selection_size(hs_sq, op_sq, eps)
     if k == 0:
@@ -151,14 +143,9 @@ def ri_select(t: np.ndarray, eps: float, *, history: list | None = None) -> RiSe
         )
         return RiSelection([], np.zeros((0, 0)), None, stable_rank)
 
-    images = t  # column j is y_j
-    pulled = t.T @ t  # column j is T^* y_j
-    image_sq = np.einsum("ij,ij->j", images, images)
+    image_sq = np.diagonal(pulled)
     pulled_sq = np.einsum("ij,ij->j", pulled, pulled)
-    image_total = float(image_sq.sum())
-    # Row s holds <y_s, y_j> and <T^* y_s, T^* y_j> for the s-th selection.
-    cross, pulled_cross = np.empty((k, m)), np.empty((k, m))
-    cross_sq = np.empty((k, k))  # cross @ cross.T
+    pulled_cross = np.empty((k, m))  # row s holds <T^* y_s, T^* y_j>
     gram = np.zeros((0, 0))
     potential = -hs_sq / ri_barrier(0, hs_sq, op_sq, m, eps)  # exactly -m/(1-eps)
     floor_level = -m / (1.0 - eps)
@@ -166,7 +153,7 @@ def ri_select(t: np.ndarray, eps: float, *, history: list | None = None) -> RiSe
 
     for i in range(1, k + 1):
         b_i = ri_barrier(i, hs_sq, op_sq, m, eps)
-        rows, prows = cross[: i - 1], pulled_cross[: i - 1]
+        rows, prows = pulled[selected], pulled_cross[: i - 1]  # P^T Y and F^T T^* Y
         pulled_gram = prows[:, selected]  # F^T F
         # R y_j = -(y_j - P w_j) / b with w_j = (G - b I)^{-1} P^T y_j.
         w = _shifted_inverse(gram, b_i, i) @ rows
@@ -197,14 +184,12 @@ def ri_select(t: np.ndarray, eps: float, *, history: list | None = None) -> RiSe
         _check_kernel_mass(gram, pulled_gram, i, hs_sq, op_sq)
         selected.append(chosen)
 
-        cross[i - 1] = images[:, chosen] @ images
-        pulled_cross[i - 1] = pulled[:, chosen] @ pulled
-        cross_sq[i - 1, :i] = cross_sq[:i, i - 1] = cross[:i] @ cross[i - 1]
-        gram = symmetrize(cross[:i, selected])
+        pulled_cross[i - 1] = pulled[chosen] @ pulled
+        gram = pulled[np.ix_(selected, selected)]
         # The potential sum_j y_j^T R y_j at b_i, recomputed from the new Gram
         # matrix: (tr((G - b I)^{-1} P^T Y Y^T P) - sum_j ||y_j||^2) / b.
         shifted_inv = _shifted_inverse(gram, b_i, i)
-        new_potential = (float(np.sum(shifted_inv * cross_sq[:i, :i])) - image_total) / b_i
+        new_potential = (float(np.sum(shifted_inv * pulled_cross[:i, selected])) - hs_sq) / b_i
         if not new_potential < potential + _POTENTIAL_DECREASE_RTOL * abs(potential):
             raise SelectionInvariantError(
                 f"trace potential failed to decrease at step {i}: "
@@ -229,7 +214,7 @@ def ri_select(t: np.ndarray, eps: float, *, history: list | None = None) -> RiSe
 
     if len(set(selected)) != len(selected):
         raise SelectionInvariantError(f"selected indices repeat: {selected}")
-    picked = images[:, selected]
+    picked = t[:, selected]
     gram = symmetrize(picked.T @ picked)
     floor = (1.0 - eps) ** 2 * hs_sq / m
     cert = certify_spectrum(eigh(gram).values, floor, np.inf, tol=_GRAM_FLOOR_TOL, what="selected Gram matrix")

@@ -241,6 +241,16 @@ class TestRun:
         assert report["results"]["p_quality_lower_bound"] <= 1.5 + 1e-9
         assert report["results"]["probes"] >= 500
 
+    def test_cycle_demo_probe_underflow(self):
+        # seed 4 draws a probe whose p-energy on h underflows to 0 while g
+        # keeps its closing edge; that probe is dropped, not reported as a ratio 0
+        status, report = cli("cycle-demo", "--n", 3, "--p", 300, "--q", 301, "--eps", 0.5, "--seed", 4)
+        assert status == EXIT_OK
+        results = report["results"]
+        assert results["p_quality_lower_bound"] == pytest.approx(1.5, rel=1e-12)
+        assert results["optimal_scaling"] == pytest.approx(2.0 / 3.0, rel=1e-12)
+        assert results["probes"] == 500
+
     @pytest.mark.parametrize(
         "n, p, q",
         [

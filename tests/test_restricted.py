@@ -9,7 +9,6 @@ from rforge.linalg import eigh
 from rforge.restricted import (
     _check_kernel_mass,
     _shifted_inverse,
-    operator_norms,
     ri_barrier,
     ri_select,
     selection_size,
@@ -126,7 +125,8 @@ class TestRiSelect:
         q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
         for rotated, s in ((False, np.eye(8)), (True, q.T)):
             _, exponent = np.frexp(np.max(np.abs(s)))
-            k = selection_size(*operator_norms(np.ldexp(s, -int(exponent))), eps)
+            scaled = np.ldexp(s, -int(exponent))
+            k = selection_size(float(np.sum(scaled * scaled)), float(np.linalg.eigvalsh(scaled.T @ scaled)[-1]), eps)
             assert k == 2 or (rotated and eps == 0.5 and k == 1)
             sigma, gram, *_ = ri_select(s, eps)
             assert sigma == list(range(k))
@@ -252,12 +252,13 @@ class TestEigenvalueCounts:
 
 class TestOperatorNorms:
     def test_matches_singular_values(self, rng):
+        # the stable rank ||T||_HS^2 / ||T||^2 against the singular values,
+        # for square, wide and tall T
         for shape in ((7, 7), (5, 11), (11, 5)):
             t = rng.standard_normal(shape)
-            hs, op = operator_norms(t)
             sv = np.linalg.svd(t, compute_uv=False)
-            assert hs == pytest.approx(float(np.sum(sv**2)), rel=1e-12)
-            assert op == pytest.approx(float(sv[0] ** 2), rel=1e-12)
+            stable_rank = ri_select(t, 0.9).stable_rank
+            assert stable_rank == pytest.approx(float(np.sum(sv**2) / sv[0] ** 2), rel=1e-12)
 
 
 class TestScaleInvariance:
@@ -316,6 +317,8 @@ class TestDenseOracle:
         q2, _ = np.linalg.qr(rng.standard_normal((150, 150)))
         yield np.eye(150), (q1 * np.geomspace(1.0, 1e-6, 150)) @ q2.T, 0.8
         yield np.eye(400), rng.standard_normal((60, 400)), 0.8
+        # a tall operator: ||T||^2 from T^T T with more rows than columns
+        yield np.eye(40), rng.standard_normal((120, 40)), 0.8
 
     def test_selection_and_history_match(self, rng):
         for x, t, eps in self.instances(rng):
