@@ -227,7 +227,7 @@ def embed_l1(points: np.ndarray, eps: float) -> EmbeddedPoints:
     the frame's form is d(i, j) and the reweighted one ||z_i - z_j||_1, and
     the certified extremes bound every pair's distortion with no pair measured.
     Coincident points get an edgeless graph's certificate; cuts too light to
-    whiten raise CertificationError, as edges do.
+    whiten raise CertificationError.
     """
     check_eps(eps)
     cuts = cut_decompose(points)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .bss import _theta, check_eps, lift_to_unit, sparsify_frame
 from .errors import CertificationError
-from .linalg import Certificate, Frame, Incidence, _edge_gram, eigh, isotropic_reduce
+from .linalg import Certificate, Frame, Incidence, _edge_gram, _unit_scaled, eigh, isotropic_reduce
 
 
 class WeightedGraph:
@@ -120,9 +120,8 @@ def sparsify_graph(g: WeightedGraph, eps: float, *, history: list | None = None)
     them), reweighted so the generalized Rayleigh quotients of (L_H, L_G)
     on the range of L_G lie in [1, ((1+eps)/(1-eps))^2].  Vertices with no
     surviving edge are kept; the Laplacian kernel is preserved.  The edge
-    frame is whitened before any barrier step, and a graph whose range
-    whitening cannot resolve (edge weights spanning about 1e16) raises
-    CertificationError then.
+    frame is whitened by vertex elimination before any barrier step, which
+    resolves any weight range down to underflow (``_whitened``).
 
     H's ``certificate`` is the frame sparsifier's, lifted onto that interval:
     the extreme quotients and ``range_dim`` that ``verify_quality(g, H)``
@@ -150,8 +149,8 @@ def _whitened(g: WeightedGraph, roots: np.ndarray) -> Frame:
     r = g.n - int(np.count_nonzero(roots == np.arange(g.n)))
     if frame.ambient_dim != r:
         raise CertificationError(
-            f"whitening resolved {frame.ambient_dim} of the Laplacian's {r} range directions "
-            "above the float64 rank floor; the edge weights span too wide a range to certify"
+            f"whitening resolved {frame.ambient_dim} of the Laplacian's {r} range directions; a weight or "
+            "fill term underflowed to 0, so the edge weights span too wide a range to certify"
         )
     return frame
 
@@ -189,12 +188,11 @@ def verify_quality(g: WeightedGraph, h: WeightedGraph) -> QualityReport:
     span the kernel of both Laplacians, so the range of L_G has dimension
     r = n - (number of components).  g's edge frame is whitened as
     ``sparsify_graph`` whitens it, so its basis W has W^T L_G W = I on r
-    columns (the isotropy check of the whitened frame verifies it), and the
+    columns in whitening's units (the isotropy check verifies it), and the
     generalized Rayleigh quotients of (L_H, L_G) there are the eigenvalues
-    of W^T L_H W, formed edge by edge and taken with the validated ``eigh``.
-    A range that whitening cannot resolve raises CertificationError.  The
-    independent references are the tests' scipy and mpmath pencils and the
-    benchmark's scipy checks.
+    of W^T L_H W, formed edge by edge from h's weights in the same units
+    and taken with the validated ``eigh``.  The independent references are
+    the tests' scipy and mpmath pencils and the benchmark's scipy checks.
     """
     if g.n != h.n:
         raise ValueError(f"vertex counts differ: {g.n} vs {h.n}")
@@ -215,5 +213,5 @@ def verify_quality(g: WeightedGraph, h: WeightedGraph) -> QualityReport:
     if g.edge_count == 0:
         return QualityReport(1.0, 1.0, 0)
     basis = _whitened(g, roots).incidence.basis
-    quotients = eigh(_edge_gram(h.heads, h.tails, h.weights, basis)).values
+    quotients = eigh(_edge_gram(h.heads, h.tails, _unit_scaled(h.weights, g.weights), basis)).values
     return QualityReport(float(quotients[-1]), float(quotients[0]), basis.shape[1])

@@ -9,9 +9,8 @@ every builder carries.  Resolvents are never formed or solved against;
 callers apply them in the eigenbasis that eigh returns.
 
 An edge frame stores no rows, only its ``Incidence`` factor (endpoints,
-weights and a per-vertex basis).  Whitening composes the basis with the
-whitening map, so callers work with per-vertex quantities and build a
-row only where they read it.
+weights and a per-vertex basis), so callers work with per-vertex
+quantities and build a row only where they read it.
 
 Matrices are plain float64 ``numpy`` arrays and are required to be stored
 exactly symmetric (``M[i, j] == M[j, i]`` bitwise).  All functions are pure;
@@ -27,12 +26,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CertificationError, EigenConvergenceError, RforgeError, ZeroFrameError
+from .errors import CertificationError, EigenConvergenceError, ZeroFrameError
 
 # Max-entry tolerance under which a frame counts as a decomposition of the identity.
 ISOTROPY_TOL = 1e-8
 _MACHINE_EPS = np.finfo(float).eps
-_RANK_RTOL = _MACHINE_EPS  # whitening's rank cut, relative, per dimension
 
 _RECONSTRUCT_TOL = 1e-10
 _ORTHONORMAL_TOL = 1e-10
@@ -64,9 +62,8 @@ class Incidence:
     """Edge factor of a frame: row e is sqrt(w_e) * (basis[heads[e]] - basis[tails[e]]).
 
     ``basis`` has one row per vertex and one column per frame dimension;
-    ``heads`` and ``tails`` index its rows and ``weights`` holds w.  An edge
-    frame starts with the identity basis, and whitening composes it with
-    the whitening map.
+    ``heads`` and ``tails`` index its rows and ``weights`` holds w >= 0.  An
+    edge frame starts with the identity basis, which whitening replaces.
     """
 
     heads: np.ndarray
@@ -82,8 +79,8 @@ class Incidence:
         m = self.weights.shape
         if self.weights.ndim != 1 or self.heads.shape != m or self.tails.shape != m:
             raise ValueError("incidence heads, tails and weights must be 1-D of equal length")
-        if not np.all((self.weights > 0.0) & np.isfinite(self.weights)):
-            raise ValueError("incidence weights must be positive and finite")
+        if not np.all((self.weights >= 0.0) & np.isfinite(self.weights)):
+            raise ValueError("incidence weights must be nonnegative and finite")
         ends = np.concatenate([self.heads, self.tails])
         if ends.size and not (ends.min() >= 0 and ends.max() < self.basis.shape[0]):
             raise ValueError(f"incidence endpoints must lie in [0, {self.basis.shape[0]})")
@@ -143,11 +140,10 @@ class Frame:
         return (inc.basis[inc.heads[idx]] - inc.basis[inc.tails[idx]]) * np.sqrt(inc.weights[idx])[..., None]
 
     def nonzero(self) -> np.ndarray:
-        """Ascending indices of the nonzero vectors; an edge's is zero when its endpoint rows are equal."""
+        """Ascending indices of the nonzero vectors; an edge's, by weight and endpoints (basis rows are distinct)."""
         if self.incidence is None:
             return np.flatnonzero(np.any(self.vectors != 0.0, axis=1))
-        _, label = np.unique(self.incidence.basis + 0.0, axis=0, return_inverse=True)  # -0.0 is 0.0
-        return np.flatnonzero(label.ravel()[self.incidence.heads] != label.ravel()[self.incidence.tails])
+        return np.flatnonzero((self.incidence.heads != self.incidence.tails) & (self.incidence.weights > 0.0))
 
     def gram(self) -> np.ndarray:
         """Sum of outer products of the frame vectors, exactly symmetric."""
@@ -339,53 +335,59 @@ def _rank_one_update(
 def isotropic_reduce(frame: Frame) -> Frame:
     """Whiten a frame to an exact decomposition of the identity on its span.
 
-    The frame is first scaled by the power of two that puts its largest
-    entry in [0.5, 1), and the incidence basis absorbs that power: nothing
-    overflows or underflows, and a frame times 2^j whitens to the same
-    vectors bit for bit.  The returned frame is isotropy-certified.
+    The result is isotropy-certified; a frame times 2^j whitens to the same
+    vectors bit for bit.  A dense frame X, its largest entry moved into
+    [0.5, 1), is whitened by its thin SVD X = U Sigma V^T to U's first r
+    columns, r the number of singular values above n eps_mach times the
+    largest (a Gram matrix would square that floor); rows of zero vectors
+    are set to exactly zero, so ``Frame.nonzero`` skips LAPACK's rounding.
 
-    A dense frame X is whitened by its thin SVD, X = U Sigma V^T: the
-    reduced frame is U's first r columns, r the number of singular values
-    above n times the machine epsilon times the largest.  The SVD works on
-    X itself, so a direction survives down to n * eps_mach relative in
-    singular value; a Gram matrix would square that floor.  Rows of zero
-    vectors are set to exactly zero, so that ``Frame.nonzero`` does not
-    count the rounding LAPACK leaves there.
-
-    An edge frame is whitened without rows in O(n^3): A = sum_i x_i (x) x_i
-    is B^T L B for its factor, and eigenvalues of A below n eps_mach times
-    the largest are discarded.  Its basis becomes B W_c, W_c = V_r
-    Lambda_r^(-1/2) times one symmetric correction that makes the reduced
-    Gram matrix the identity to machine precision.  Its power of two bounds
-    sqrt(w_max) * max|B|: weights times 4^j whiten alike.
+    An edge frame needs the identity basis (ValueError otherwise); its
+    weights move into the units where the largest lies in [0.5, 1), and the
+    result keeps them there.  The Laplacian L = M D M^T is factored by
+    eliminating vertices in weight form, lightest weighted degree first (so
+    heavy rows stay O(w^-1/2) and do not cancel): the pivot d_k is the sum
+    of k's current weights, the fill is a_ij += a_ik (a_jk / d_k), and a zero
+    pivot grounds one vertex per component.  W = M^-T D^-1/2 on the positive
+    pivots comes from back substitution over the nonnegative multipliers.
+    Nothing is subtracted (Demmel-Koev, Numer. Math. 98, 2004), so W^T L W = I
+    to O(n eps_mach) however wide the weights.  Row k is the last row nonzero
+    in column k and a grounded row is zero, so rows are distinct.  A weight
+    or fill term that underflows to 0 can ground an extra vertex.
     """
     inc = frame.incidence
     if inc is None:
-        _, exponent = np.frexp(np.max(np.abs(frame.vectors)))
-        scaled = np.ldexp(frame.vectors, -exponent)  # exact: max entry now in [0.5, 1)
-        left, sigma, _ = np.linalg.svd(scaled, full_matrices=False)
+        left, sigma, _ = np.linalg.svd(_unit_scaled(frame.vectors, np.abs(frame.vectors)), full_matrices=False)
         if not sigma[0] > 0.0:
             raise ZeroFrameError("frame has no positive-energy direction; all vectors are zero")
-        r = int(np.count_nonzero(sigma > frame.ambient_dim * _RANK_RTOL * sigma[0]))
+        r = int(np.count_nonzero(sigma > frame.ambient_dim * _MACHINE_EPS * sigma[0]))
         reduced = left[:, :r]
         reduced[~np.any(frame.vectors != 0.0, axis=1)] = 0.0
         return Frame(reduced, isotropy_certified=True)
-    _, exponent = np.frexp(np.sqrt(np.max(inc.weights)) * np.max(np.abs(inc.basis)))
-    scaled_weights = np.ldexp(inc.weights, -2 * exponent)
-    decomp = eigh(_edge_gram(inc.heads, inc.tails, scaled_weights, inc.basis))
-    lam = decomp.values
-    if lam[0] <= 0.0:
-        raise ZeroFrameError("frame has no positive-energy direction; all vectors are zero")
-    r = int(np.count_nonzero(lam > frame.ambient_dim * _RANK_RTOL * lam[0]))
-    whiten = decomp.vectors[:, :r] / np.sqrt(lam[:r])
-    # One Newton-style correction of the reduced Gram matrix; without it the
-    # certificate can drift when the discarded/kept eigenvalue gap is narrow.
-    gd = eigh(_edge_gram(inc.heads, inc.tails, scaled_weights, inc.basis @ whiten))
-    if gd.values[-1] <= 0.0:
-        raise RforgeError("reduced frame lost rank during whitening")
-    inv_sqrt = (gd.vectors / np.sqrt(gd.values)) @ gd.vectors.T
-    basis = inc.basis @ np.ldexp(whiten @ inv_sqrt, -exponent)
-    return Frame(incidence=replace(inc, basis=basis), isotropy_certified=True)
+    if not np.array_equal(inc.basis, np.eye(inc.basis.shape[0])):
+        raise ValueError("edge whitening needs the identity incidence basis")
+    weights, n = _unit_scaled(inc.weights, inc.weights), inc.basis.shape[0]
+    a = np.bincount(inc.heads * n + inc.tails, weights=weights, minlength=n * n).reshape(n, n)
+    a += a.T
+    order = np.argsort(a.sum(axis=1), kind="stable")
+    a = a[np.ix_(order, order)]
+    pivots = np.empty(n)
+    for k in range(n):  # row k's tail becomes the multipliers a_jk / d_k
+        pivots[k] = d = a[k, k + 1 :].sum()
+        if d > 0.0:
+            a[k, k + 1 :] = a[k + 1 :, k] / d
+            a[k + 1 :, k + 1 :] += np.outer(a[k + 1 :, k], a[k, k + 1 :])
+    inverse = np.eye(n)  # M^-T, by back substitution over the nonnegative multipliers
+    for k in range(n - 2, -1, -1):
+        inverse[k, k + 1 :] = a[k, k + 1 :] @ inverse[k + 1 :, k + 1 :]
+    kept = pivots > 0.0
+    basis = (inverse[:, kept] / np.sqrt(pivots[kept]))[np.argsort(order)]  # C-contiguous rows, input order
+    return Frame(incidence=replace(inc, weights=weights, basis=basis), isotropy_certified=True)
+
+
+def _unit_scaled(values: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """``values`` times the power of two that puts max(reference) in [0.5, 1): whitening's units."""
+    return np.ldexp(values, -np.frexp(np.max(reference))[1])
 
 
 @dataclass(frozen=True)

@@ -128,13 +128,20 @@ class TestIsotropicReduce:
         reduced = isotropic_reduce(frame)
         inc = reduced.incidence
         assert reduced.vectors is None and inc.basis.shape == (3, 2)
-        assert np.array_equal(inc.heads, heads) and np.array_equal(inc.weights, weights)
-        rebuilt = np.sqrt(weights)[:, None] * (inc.basis[heads] - inc.basis[tails])
+        # whitening's units: the largest weight, 9, moves into [0.5, 1) by 2^-4
+        assert np.array_equal(inc.heads, heads) and np.array_equal(inc.weights, weights / 16.0)
+        rebuilt = np.sqrt(inc.weights)[:, None] * (inc.basis[heads] - inc.basis[tails])
         assert np.array_equal(reduced.rows(), rebuilt)
         assert np.max(np.abs(rebuilt @ whitening_lift(rebuilt, vectors).T - vectors)) <= 1e-9
         dense = isotropic_reduce(Frame(vectors))
         assert dense.incidence is None
-        assert np.max(np.abs(rebuilt - dense.vectors)) <= 1e-14
+        # the two whitenings differ by a rotation of the reduced space
+        assert np.max(np.abs(rebuilt @ rebuilt.T - dense.vectors @ dense.vectors.T)) <= 1e-14
+
+    def test_edge_whitening_needs_identity_basis(self):
+        heads, tails, weights = np.array([0, 1]), np.array([1, 2]), np.array([4.0, 1.0])
+        with pytest.raises(ValueError, match="identity incidence basis"):
+            isotropic_reduce(Frame(incidence=Incidence(heads, tails, weights, 2.0 * np.eye(3))))
 
 
 class TestFrame:
