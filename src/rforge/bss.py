@@ -436,9 +436,10 @@ def sparsify_frame(
     Frames that are not isotropy-certified are whitened onto their span
     first (``isotropic_reduce``); the guarantee then holds on the span,
     which for a dense frame keeps every direction whose singular value
-    exceeds n * eps_mach times the largest, and ``certificate.range_dim``
-    is its dimension.  As in the barrier result, the smallest eigenvalue
-    of the weighted sum is (1-eps)^2.
+    exceeds n * eps_mach times the largest, and for an edge frame is the
+    Laplacian's whole range (whitening raises CertificationError when it
+    cannot resolve it); ``certificate.range_dim`` is its dimension.  As in
+    the barrier result, the smallest eigenvalue of the weighted sum is (1-eps)^2.
 
     When the frame has at most ceil(r/eps^2) nonzero vectors (r the
     whitened dimension), every nonzero vector gets weight exactly

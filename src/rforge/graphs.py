@@ -24,7 +24,7 @@ import numpy as np
 
 from .bss import _theta, check_eps, lift_to_unit, sparsify_frame
 from .errors import CertificationError
-from .linalg import Certificate, Frame, Incidence, _edge_gram, _unit_scaled, eigh, isotropic_reduce
+from .linalg import Certificate, Frame, Incidence, _components, _edge_gram, _unit_scaled, eigh, isotropic_reduce
 
 
 class WeightedGraph:
@@ -119,9 +119,10 @@ def sparsify_graph(g: WeightedGraph, eps: float, *, history: list | None = None)
     The output H keeps a subset of g's edges (at most ceil(n/eps^2) of
     them), reweighted so the generalized Rayleigh quotients of (L_H, L_G)
     on the range of L_G lie in [1, ((1+eps)/(1-eps))^2].  Vertices with no
-    surviving edge are kept; the Laplacian kernel is preserved.  The edge
-    frame is whitened by vertex elimination before any barrier step, which
-    resolves any weight range down to underflow (``_whitened``).
+    surviving edge are kept; the Laplacian kernel is preserved.  This is
+    ``sparsify_frame(edge_frame(g), eps)`` and the lift onto that interval;
+    whitening (``isotropic_reduce``) raises CertificationError before any
+    barrier step unless it resolves the whole range of L_G.
 
     H's ``certificate`` is the frame sparsifier's, lifted onto that interval:
     the extreme quotients and ``range_dim`` that ``verify_quality(g, H)``
@@ -133,42 +134,11 @@ def sparsify_graph(g: WeightedGraph, eps: float, *, history: list | None = None)
         h = WeightedGraph(g.n)
         h.certificate = Certificate(1.0, theta_sq, 1.0, 1.0, 0)
         return h
-    sparse = sparsify_frame(_whitened(g, _components(g)), eps, history=history)
+    sparse = sparsify_frame(edge_frame(g), eps, history=history)
     weights, cert = lift_to_unit(sparse, eps, theta_sq, g.weights, what="Laplacian pencil")
     h = WeightedGraph.from_arrays(g.n, g.heads[sparse.support], g.tails[sparse.support], weights)
     h.certificate = cert
     return h
-
-
-def _whitened(g: WeightedGraph, roots: np.ndarray) -> Frame:
-    """g's whitened edge frame; CertificationError unless it spans L_G's range.
-
-    ``roots`` labels g's components, so the range has dimension n - (number of components).
-    """
-    frame = isotropic_reduce(edge_frame(g))
-    r = g.n - int(np.count_nonzero(roots == np.arange(g.n)))
-    if frame.ambient_dim != r:
-        raise CertificationError(
-            f"whitening resolved {frame.ambient_dim} of the Laplacian's {r} range directions; a weight or "
-            "fill term underflowed to 0, so the edge weights span too wide a range to certify"
-        )
-    return frame
-
-
-def _components(g: WeightedGraph) -> np.ndarray:
-    """Lowest vertex of each vertex's connected component, in O(log n) rounds over the edge arrays.
-
-    A round hooks each root onto the lowest adjacent root, then jumps every vertex to its root.
-    """
-    label = np.arange(g.n)
-    while True:
-        head_roots, tail_roots = label[g.heads], label[g.tails]
-        if np.array_equal(head_roots, tail_roots):
-            return label
-        np.minimum.at(label, head_roots, tail_roots)
-        np.minimum.at(label, tail_roots, head_roots)
-        while not np.array_equal(label, label[label]):
-            label = label[label]
 
 
 def _missing_pair(g: WeightedGraph, h: WeightedGraph) -> tuple[int, int] | None:
@@ -188,7 +158,7 @@ def verify_quality(g: WeightedGraph, h: WeightedGraph) -> QualityReport:
     span the kernel of both Laplacians, so the range of L_G has dimension
     r = n - (number of components).  g's edge frame is whitened as
     ``sparsify_graph`` whitens it, so its basis W has W^T L_G W = I on r
-    columns in whitening's units (the isotropy check verifies it), and the
+    columns in whitening's units (CertificationError otherwise), and the
     generalized Rayleigh quotients of (L_H, L_G) there are the eigenvalues
     of W^T L_H W, formed edge by edge from h's weights in the same units
     and taken with the validated ``eigh``.  The independent references are
@@ -202,8 +172,8 @@ def verify_quality(g: WeightedGraph, h: WeightedGraph) -> QualityReport:
             f"candidate edge {witness} is not in the reference graph's support"
         )
     # h's edges are g's, so its components refine g's; they must coincide.
-    roots = _components(g)
-    split = np.flatnonzero(_components(h) != roots)
+    roots = _components(g.n, g.heads, g.tails)
+    split = np.flatnonzero(_components(h.n, h.heads, h.tails) != roots)
     if split.size:
         v = int(split[0])
         raise CertificationError(
@@ -212,6 +182,6 @@ def verify_quality(g: WeightedGraph, h: WeightedGraph) -> QualityReport:
         )
     if g.edge_count == 0:
         return QualityReport(1.0, 1.0, 0)
-    basis = _whitened(g, roots).incidence.basis
+    basis = isotropic_reduce(edge_frame(g)).incidence.basis
     quotients = eigh(_edge_gram(h.heads, h.tails, _unit_scaled(h.weights, g.weights), basis)).values
     return QualityReport(float(quotients[-1]), float(quotients[0]), basis.shape[1])

@@ -350,10 +350,15 @@ def isotropic_reduce(frame: Frame) -> Frame:
     of k's current weights, the fill is a_ij += a_ik (a_jk / d_k), and a zero
     pivot grounds one vertex per component.  W = M^-T D^-1/2 on the positive
     pivots comes from back substitution over the nonnegative multipliers.
-    Nothing is subtracted (Demmel-Koev, Numer. Math. 98, 2004), so W^T L W = I
-    to O(n eps_mach) however wide the weights.  Row k is the last row nonzero
-    in column k and a grounded row is zero, so rows are distinct.  A weight
-    or fill term that underflows to 0 can ground an extra vertex.
+    Nothing is subtracted (Demmel-Koev, Numer. Math. 98, 2004).  Row k is the
+    last row nonzero in column k and a grounded row is zero, so rows are
+    distinct.  W must span L's whole range: when a weight or fill term
+    underflows to 0 and grounds more vertices than the positive-weight
+    edges have components, CertificationError is raised.
+
+    Either result must pass ``Frame``'s isotropy check, or CertificationError
+    names the residual (two clusters of weight H joined by a unit edge miss I
+    by about 4 eps_mach sqrt(H)), so a returned frame covers the whole span.
     """
     inc = frame.incidence
     if inc is None:
@@ -363,26 +368,50 @@ def isotropic_reduce(frame: Frame) -> Frame:
         r = int(np.count_nonzero(sigma > frame.ambient_dim * _MACHINE_EPS * sigma[0]))
         reduced = left[:, :r]
         reduced[~np.any(frame.vectors != 0.0, axis=1)] = 0.0
-        return Frame(reduced, isotropy_certified=True)
-    if not np.array_equal(inc.basis, np.eye(inc.basis.shape[0])):
-        raise ValueError("edge whitening needs the identity incidence basis")
-    weights, n = _unit_scaled(inc.weights, inc.weights), inc.basis.shape[0]
-    a = np.bincount(inc.heads * n + inc.tails, weights=weights, minlength=n * n).reshape(n, n)
-    a += a.T
-    order = np.argsort(a.sum(axis=1), kind="stable")
-    a = a[np.ix_(order, order)]
-    pivots = np.empty(n)
-    for k in range(n):  # row k's tail becomes the multipliers a_jk / d_k
-        pivots[k] = d = a[k, k + 1 :].sum()
-        if d > 0.0:
-            a[k, k + 1 :] = a[k + 1 :, k] / d
-            a[k + 1 :, k + 1 :] += np.outer(a[k + 1 :, k], a[k, k + 1 :])
-    inverse = np.eye(n)  # M^-T, by back substitution over the nonnegative multipliers
-    for k in range(n - 2, -1, -1):
-        inverse[k, k + 1 :] = a[k, k + 1 :] @ inverse[k + 1 :, k + 1 :]
-    kept = pivots > 0.0
-    basis = (inverse[:, kept] / np.sqrt(pivots[kept]))[np.argsort(order)]  # C-contiguous rows, input order
-    return Frame(incidence=replace(inc, weights=weights, basis=basis), isotropy_certified=True)
+        whitened = Frame(reduced)
+    else:
+        if not np.array_equal(inc.basis, np.eye(inc.basis.shape[0])):
+            raise ValueError("edge whitening needs the identity incidence basis")
+        weights, n = _unit_scaled(inc.weights, inc.weights), inc.basis.shape[0]
+        a = np.bincount(inc.heads * n + inc.tails, weights=weights, minlength=n * n).reshape(n, n)
+        a += a.T
+        order = np.argsort(a.sum(axis=1), kind="stable")
+        a = a[np.ix_(order, order)]
+        pivots = np.empty(n)
+        for k in range(n):  # row k's tail becomes the multipliers a_jk / d_k
+            pivots[k] = d = a[k, k + 1 :].sum()
+            if d > 0.0:
+                a[k, k + 1 :] = a[k + 1 :, k] / d
+                a[k + 1 :, k + 1 :] += np.outer(a[k + 1 :, k], a[k, k + 1 :])
+        inverse = np.eye(n)  # M^-T, by back substitution over the nonnegative multipliers
+        for k in range(n - 2, -1, -1):
+            inverse[k, k + 1 :] = a[k, k + 1 :] @ inverse[k + 1 :, k + 1 :]
+        kept, live = pivots > 0.0, inc.weights > 0.0
+        r = n - int(np.count_nonzero(_components(n, inc.heads[live], inc.tails[live]) == np.arange(n)))
+        if np.count_nonzero(kept) != r:
+            raise CertificationError(
+                f"whitening resolved {np.count_nonzero(kept)} of the Laplacian's {r} range directions; a weight "
+                "or fill term underflowed to 0, so the edge weights span too wide a range to certify"
+            )
+        basis = (inverse[:, kept] / np.sqrt(pivots[kept]))[np.argsort(order)]  # C-contiguous rows, input order
+        whitened = Frame(incidence=replace(inc, weights=weights, basis=basis))
+    try:
+        return replace(whitened, isotropy_certified=True)
+    except ValueError as exc:  # the shapes passed above, so only the isotropy check can fail here
+        raise CertificationError(f"whitening missed the identity: {exc}") from exc
+
+
+def _components(n: int, heads: np.ndarray, tails: np.ndarray) -> np.ndarray:
+    """Lowest vertex of each vertex's component; each of O(log n) rounds hooks roots onto roots, then jumps."""
+    label = np.arange(n)
+    while True:
+        head_roots, tail_roots = label[heads], label[tails]
+        if np.array_equal(head_roots, tail_roots):
+            return label
+        np.minimum.at(label, head_roots, tail_roots)
+        np.minimum.at(label, tail_roots, head_roots)
+        while not np.array_equal(label, label[label]):
+            label = label[label]
 
 
 def _unit_scaled(values: np.ndarray, reference: np.ndarray) -> np.ndarray:

@@ -202,6 +202,19 @@ class TestRun:
         assert report["status"] == "certification-failure"
         assert "disconnects vertices 0 and 4" in report["error"]
 
+    @pytest.mark.parametrize("k, heavy", [(8, 1e15), (16, 1e14)])
+    def test_dumbbell_whitening_miss_exit_code(self, tmp_path, k, heavy):
+        # two K_k clusters of weight ``heavy`` joined by one unit edge: whitening misses isotropy
+        cluster = [(i, j, heavy) for i in range(k) for j in range(i + 1, k)]
+        path = str(tmp_path / "g.edges")
+        bridged = cluster + [(k - 1, k, 1.0)] + [(k + i, k + j, w) for i, j, w in cluster]
+        formats.write_graph(path, WeightedGraph(2 * k, bridged))
+        for argv in (("sparsify-graph", path, "--eps", 0.5), ("verify", path, path)):
+            status, report = cli(*argv)
+            assert status == EXIT_CERTIFICATION
+            assert report["status"] == "certification-failure"
+            assert "identity residual" in report["error"]
+
     def test_parse_error_exit_code(self, tmp_path):
         path = tmp_path / "broken.edges"
         path.write_text("not a header\n")

@@ -7,16 +7,16 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import rforge.bss
 from rforge import formats
 from rforge.bss import sparsify_frame, support_bound
 from rforge.cli import build_parser, run
 from rforge.errors import CertificationError
-from rforge.linalg import Certificate, Frame, isotropic_reduce
+from rforge.linalg import Certificate, Frame, _components, isotropic_reduce
 
 from oracles import adjacency, components_union_find, laplacian, pencil_mpmath, weighted_graph_loop_check
 from rforge.graphs import (
     WeightedGraph,
-    _components,
     edge_frame,
     sparsify_graph,
     verify_quality,
@@ -48,6 +48,12 @@ def heavy_cluster_graph(n, size, heavy):
     return WeightedGraph(
         n, [(i, j, heavy if j < size else 1.0) for i, j in itertools.combinations(range(n), 2)]
     )
+
+
+def dumbbell_graph(k, heavy):
+    """Two K_k clusters of weight ``heavy`` on {0..k-1} and {k..2k-1}, joined by the unit edge (k-1, k)."""
+    cluster = [(i, j, heavy) for i, j in itertools.combinations(range(k), 2)]
+    return WeightedGraph(2 * k, cluster + [(k - 1, k, 1.0)] + [(k + i, k + j, w) for i, j, w in cluster])
 
 
 def factored_test_graphs(rng):
@@ -139,9 +145,9 @@ class TestArrayGraph:
             n = int(rng.integers(1, 40))
             pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 2.0 / n]
             g = WeightedGraph(n, [(i, j, 1.0) for i, j in rng.permutation(pairs).tolist()] if pairs else [])
-            assert _components(g).tolist() == components_union_find(n, g.edges)
+            assert _components(g.n, g.heads, g.tails).tolist() == components_union_find(n, g.edges)
         path = WeightedGraph(64, [(j, j + 1, 1.0) for j in range(63)][::-1])
-        assert _components(path).tolist() == [0] * 64
+        assert _components(path.n, path.heads, path.tails).tolist() == [0] * 64
 
     def test_edges_are_python_numbers(self):
         g = WeightedGraph(4, [(np.int64(0), 2, np.float64(4.0)), (1, 3, 0.25)])
@@ -357,6 +363,22 @@ class TestSparsifyGraph:
         with pytest.raises(CertificationError, match="resolved 1 of the Laplacian's 3 range"):
             verify_quality(g, g)
 
+    def test_underflowing_path_raises_on_every_edge_frame_path(self):
+        # 1e-30 next to 1e300 underflows in whitening's units: the frame path must refuse as the graph path does
+        frame = edge_frame(WeightedGraph(3, [(0, 1, 1e300), (1, 2, 1e-30)]))
+        for whiten in (isotropic_reduce, lambda f: sparsify_frame(f, 0.5)):
+            with pytest.raises(CertificationError, match="resolved 1 of the Laplacian's 2 range"):
+                whiten(frame)
+
+    @pytest.mark.parametrize("k, heavy", [(8, 1e15), (16, 1e14)])
+    def test_dumbbell_whitening_miss_raises(self, k, heavy):
+        # whitening misses the 1e-8 isotropy check here (residual 2.1e-8 and 1.6e-8): a refusal, not bad input
+        g = dumbbell_graph(k, heavy)
+        with pytest.raises(CertificationError, match="identity residual"):
+            sparsify_graph(g, 0.5)
+        with pytest.raises(CertificationError, match="identity residual"):
+            verify_quality(g, g)
+
     def test_power_of_four_weight_scaling(self, rng):
         g = log_weighted(rng, 16, list(itertools.combinations(range(16), 2)))
         h = sparsify_graph(g, 0.5)
@@ -447,6 +469,19 @@ class TestVerifyQuality:
         # where the pencil's minimum is 1); vertex elimination subtracts nothing
         pytest.importorskip("mpmath")
         self.assert_matches_mpmath(heavy_cluster_graph(n, 4, heavy))
+
+    @pytest.mark.parametrize("heavy", [1e4, 1e8, 1e12])
+    def test_dumbbells_match_mpmath_pencil(self, heavy, monkeypatch):
+        # the gather's rounding bound fails on the 120 edges of the cluster without the ground
+        # vertex, so every step scores them from their rows (bss._edge_scores' fallback)
+        pytest.importorskip("mpmath")
+        scored = []
+        row_scores = rforge.bss._row_scores
+        monkeypatch.setattr(
+            rforge.bss, "_row_scores", lambda rows, *a: scored.append(len(rows)) or row_scores(rows, *a)
+        )
+        self.assert_matches_mpmath(dumbbell_graph(16, heavy))
+        assert sum(scored) > 0
 
     def test_heavy_triangle_matches_mpmath_pencil(self):
         pytest.importorskip("mpmath")
