@@ -62,6 +62,7 @@ from .errors import BarrierInvariantError, CertificationError
 from .linalg import (
     Certificate,
     Frame,
+    _one_blas_thread,
     _rank_one_update,
     _residual_failure,
     certify_spectrum,
@@ -417,6 +418,7 @@ def _run_barrier(frame: Frame, eps: float, steps: int, history: list | None):
     return state, totals
 
 
+@_one_blas_thread
 def sparsify_frame(
     frame: Frame,
     eps: float,

@@ -4,7 +4,9 @@ Every command reads the text formats of :mod:`rforge.formats`, dispatches
 to one library operation, and writes a JSON report with the input sizes,
 the derived barrier parameters, the support counts, and the certified
 bounds.  Field order is fixed, so reports are byte-identical across runs
-on the same platform (apart from the wall-clock entry).  Exit status is 0
+on the same platform (apart from the wall-clock entry).  A command runs
+with numpy's OpenBLAS on one thread, and its report's ``blas_threads`` is
+the count it ran at (null where the count cannot be read).  Exit status is 0
 on success, 1 when a certificate or invariant fails, and 2 for bad input.
 
 ``embed-lp`` and ``cycle-demo`` take --seed, the seed of their sampled
@@ -14,6 +16,7 @@ vectors and probes; no other command draws random numbers.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -33,7 +36,7 @@ from .embed import (
 )
 from .errors import RforgeError
 from .graphs import sparsify_graph, verify_quality
-from .linalg import Frame
+from .linalg import Frame, _blas_threads, _one_blas_thread
 from .nonlinear import (
     DEFAULT_PROBE_SEED,
     cycle_counterexample,
@@ -269,6 +272,7 @@ _RUNNERS = {
 }
 
 
+@_one_blas_thread
 def run(args: argparse.Namespace) -> tuple[int, dict]:
     """Dispatch one command parsed by ``build_parser``; returns (exit_status, report)."""
     started = time.perf_counter()
@@ -289,6 +293,7 @@ def run(args: argparse.Namespace) -> tuple[int, dict]:
         report.update(body)
         report["status"] = "ok"
         status = EXIT_OK
+    report["blas_threads"] = _blas_threads()
     report["wall_clock_s"] = round(time.perf_counter() - started, 6)
     return status, report
 
@@ -302,8 +307,9 @@ def _write_report(report: dict, path: str | None) -> None:
         print(text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The ``rforge`` parser; each command declares only the flags its runner reads."""
+    """The ``rforge`` parser, built once per process; each command declares only the flags its runner reads."""
     parser = argparse.ArgumentParser(
         prog="rforge",
         description="Deterministic spectral sparsification toolkit",

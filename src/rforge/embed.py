@@ -26,7 +26,7 @@ import numpy as np
 
 from .bss import SparseWeights, check_eps, lift_to_unit, sparsify_frame
 from .errors import CertificationError
-from .linalg import Certificate, Frame, certify_spectrum, eigh, isotropic_reduce, symmetrize
+from .linalg import Certificate, Frame, _one_blas_thread, certify_spectrum, eigh, isotropic_reduce, symmetrize
 
 _JOHN_IDENTITY_TOL = 1e-8
 _JOHN_CENTER_TOL = 1e-8
@@ -87,6 +87,7 @@ class JohnDecomposition:
             raise ValueError(f"point norm deviates from 1 by {worst:.3e}")
 
 
+@_one_blas_thread
 def approximate_john(jd: JohnDecomposition, eps: float) -> JohnDecomposition:
     """Thin a John decomposition to O(n/eps0^2) mirror-symmetric points.
 
@@ -211,6 +212,7 @@ class EmbeddedPoints:
         return self.points.shape[1]
 
 
+@_one_blas_thread
 def embed_l1(points: np.ndarray, eps: float) -> EmbeddedPoints:
     """Low-dimensional L1 embedding of a finite point set.
 
@@ -260,6 +262,7 @@ def _whitened(cuts: CutDecomposition) -> Frame:
     return frame
 
 
+@_one_blas_thread
 def embed_lp_even(basis: np.ndarray, p: int, eps: float) -> SparseWeights:
     """Coordinate selection preserving p-norms on a subspace, p even >= 4.
 

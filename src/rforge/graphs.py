@@ -24,7 +24,17 @@ import numpy as np
 
 from .bss import _theta, check_eps, lift_to_unit, sparsify_frame
 from .errors import CertificationError
-from .linalg import Certificate, Frame, Incidence, _components, _edge_gram, _unit_scaled, eigh, isotropic_reduce
+from .linalg import (
+    Certificate,
+    Frame,
+    Incidence,
+    _components,
+    _edge_gram,
+    _one_blas_thread,
+    _unit_scaled,
+    eigh,
+    isotropic_reduce,
+)
 
 
 class WeightedGraph:
@@ -113,6 +123,7 @@ def edge_frame(g: WeightedGraph) -> Frame:
     return Frame(incidence=Incidence(g.heads, g.tails, g.weights, np.eye(g.n)))
 
 
+@_one_blas_thread
 def sparsify_graph(g: WeightedGraph, eps: float, *, history: list | None = None) -> WeightedGraph:
     """Reweighted subgraph whose Laplacian form sandwiches the input's.
 
@@ -149,6 +160,7 @@ def _missing_pair(g: WeightedGraph, h: WeightedGraph) -> tuple[int, int] | None:
     return divmod(int(extra.min()), n) if extra.size else None
 
 
+@_one_blas_thread
 def verify_quality(g: WeightedGraph, h: WeightedGraph) -> QualityReport:
     """Certify h's quadratic form against g's on the range of g's Laplacian.
 

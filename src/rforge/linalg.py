@@ -14,7 +14,8 @@ quantities and build a row only where they read it.
 
 Matrices are plain float64 ``numpy`` arrays and are required to be stored
 exactly symmetric (``M[i, j] == M[j, i]`` bitwise).  All functions are pure;
-nothing here mutates its arguments.
+nothing here mutates its arguments.  The one process-wide setting touched
+is numpy's OpenBLAS thread count, which ``_one_blas_thread`` sets and restores.
 """
 
 from __future__ import annotations
@@ -235,6 +236,50 @@ def eigh(m: np.ndarray) -> EigenDecomposition:
     if failure is not None:
         raise _eigh_failure(m, failure)
     return decomp
+
+
+@functools.cache
+def _blas_thread_controls():
+    """(get, set) of numpy's bundled OpenBLAS thread count; None where numpy exports neither (numpy 1.x, Windows)."""
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+def _blas_threads() -> int | None:
+    """The thread count numpy's OpenBLAS runs at now; None when it cannot be read."""
+    controls = _blas_thread_controls()
+    return None if controls is None else controls[0]()
+
+
+def _one_blas_thread(fn):
+    """Run ``fn`` with numpy's OpenBLAS on one thread and give the caller's count back when it returns or raises.
+
+    The engine makes thousands of small eigensolves and products: a second
+    thread changes their summation order, and so the last bits of results,
+    and concurrent processes collapse when their threads outnumber the cores.
+    The count is process-global.  Nothing is done when it is already 1 (a
+    nested call) or cannot be read.
+    """
+
+    @functools.wraps(fn)
+    def pinned(*args, **kwargs):
+        caller = _blas_threads()
+        if caller in (None, 1):
+            return fn(*args, **kwargs)
+        set_threads = _blas_thread_controls()[1]
+        set_threads(1)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            set_threads(caller)
+
+    return pinned
 
 
 @functools.cache

@@ -35,7 +35,7 @@ import numpy as np
 
 from .bss import check_eps
 from .errors import SelectionInvariantError
-from .linalg import Certificate, certify_spectrum, eigh, symmetrize
+from .linalg import Certificate, _one_blas_thread, certify_spectrum, eigh, symmetrize
 
 _MU_TOL = 1e-9
 _MARGIN_SLACK = 1e-12
@@ -82,6 +82,7 @@ def ri_barrier(i: int, t_hs_sq: float, t_op_sq: float, m: int, eps: float) -> fl
     return (1.0 - eps) / m * (t_hs_sq - (i / eps) * t_op_sq)
 
 
+@_one_blas_thread
 def ri_select(t: np.ndarray, eps: float, *, history: list | None = None) -> RiSelection:
     """Select k = floor(eps^2 ||T||_HS^2/||T||^2) well-conditioned columns of T.
 

@@ -342,7 +342,7 @@ class TestRun:
             status, report = cli("ri-select", src, "--eps", eps, "-o", tmp_path / "sel.tsv")
             assert status == EXIT_OK
             assert list(report) == [
-                "command", "input", "sizes", "eps", "derived", "results", "status", "wall_clock_s"
+                "command", "input", "sizes", "eps", "derived", "results", "status", "blas_threads", "wall_clock_s"
             ]
             assert list(report["derived"]) == ["stable_rank", "selection_size"]
             assert list(report["results"]) == ["selected", "gram_min_eigenvalue", "certified_floor"]

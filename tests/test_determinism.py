@@ -1,11 +1,14 @@
-"""Results must not depend on the BLAS thread count at these sizes.
+"""Results must not depend on the caller's BLAS thread count.
 
-Each case runs in a fresh interpreter, because OpenBLAS reads its thread
-count once, when numpy is first imported.  K20 runs with dlaed9 hidden, so
-it takes the full eigh at every barrier step, and K64 the rank-one update;
-``rforge ri-select`` runs on a 120 x 120 operator.  Larger inputs are not
-covered: at K100 the selected edges still agree, but weights differ in the
-last few bits between 1 and 2 threads (see README).
+Each public engine call runs numpy's OpenBLAS on one thread and gives the
+caller's count back when it returns (``linalg._one_blas_thread``).  The
+end-to-end cases run in a fresh interpreter at ``OPENBLAS_NUM_THREADS`` 1
+and 2, because OpenBLAS reads that variable once, when numpy is first
+imported: K20 with dlaed9 hidden, so it takes the full eigh at every barrier
+step; John thinning; K128, which takes the rank-one update at every step;
+and ``rforge ri-select`` on a 300 x 300 operator.  Without the pin, K128's
+certificate and the operator's ``stable_rank`` differ in their last bits
+between the two counts.  The unit tests below change the count in process.
 """
 
 import json
@@ -15,9 +18,25 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 from test_cli import strip_timing
 
-from rforge import formats
+import rforge.graphs
+from rforge import (
+    Frame,
+    JohnDecomposition,
+    WeightedGraph,
+    approximate_john,
+    embed_l1,
+    embed_lp_even,
+    formats,
+    linalg,
+    ri_select,
+    sparsify_frame,
+    sparsify_graph,
+    verify_quality,
+)
+from rforge.cli import build_parser, run
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -50,9 +69,9 @@ out = approximate_john(JohnDecomposition(6, points, np.full(len(points), 1.0 / 1
 print(repr(out.points.tolist()))
 print(repr(out.weights.tolist()))
 
-# K64's steps take the rank-one update.
-rng = np.random.default_rng(64)
-n = 64
+# K128's steps take the rank-one update.
+rng = np.random.default_rng(128)
+n = 128
 edges = [(i, j, float(w)) for (i, j), w in zip(
     [(i, j) for i in range(n) for j in range(i + 1, n)],
     np.exp(rng.uniform(0.0, np.log(100.0), n * (n - 1) // 2)),
@@ -60,6 +79,7 @@ edges = [(i, j, float(w)) for (i, j), w in zip(
 history = []
 h = sparsify_graph(WeightedGraph(n, edges), 0.5, history=history)
 print(repr(h.edges))
+print(repr(h.certificate))
 print(sum(record["eigensolve"] == "update" for record in history))
 
 operator, report = sys.argv[1:]
@@ -81,13 +101,81 @@ def run_with_threads(threads, operator, report):
 
 def test_outputs_identical_with_one_and_two_threads(tmp_path):
     operator = tmp_path / "op.mat"
-    formats.write_matrix(operator, np.random.default_rng(120).standard_normal((120, 120)))
+    formats.write_matrix(operator, np.random.default_rng(7).standard_normal((300, 300)))
     single = run_with_threads(1, operator, tmp_path / "ri-1.json")
-    assert single.count("\n") == 6
+    assert single.count("\n") == 7
     assert single.splitlines()[1] == "True"  # K20 took the full eigh at every step
-    assert int(single.splitlines()[-1]) > 0  # the update path ran
+    assert int(single.splitlines()[-1]) == 508  # K128 took the update at every step
     assert run_with_threads(2, operator, tmp_path / "ri-2.json") == single
 
     reports = [strip_timing(json.loads((tmp_path / f"ri-{n}.json").read_text())) for n in (1, 2)]
     assert reports[0]["status"] == "ok" and len(reports[0]["results"]["selected"]) >= 10
     assert json.dumps(reports[0]) == json.dumps(reports[1])
+
+
+@pytest.fixture
+def two_threads():
+    """numpy's OpenBLAS at 2 threads for one test; yields the count's getter."""
+    controls = linalg._blas_thread_controls()
+    if controls is None:
+        pytest.skip("numpy exports no OpenBLAS thread-count symbols")
+    get, put = controls
+    before = get()
+    put(2)
+    try:
+        if get() != 2:
+            pytest.skip("OpenBLAS would not run at 2 threads")
+        yield get
+    finally:
+        put(before)
+
+
+def test_caller_count_comes_back_after_return_and_raise(two_threads, rng):
+    seen = []
+
+    @linalg._one_blas_thread
+    def fails():
+        seen.append(linalg._blas_threads())
+        raise RuntimeError("inside")
+
+    with pytest.raises(RuntimeError, match="inside"):
+        fails()
+    assert seen == [1] and two_threads() == 2
+    with pytest.raises(ValueError):
+        ri_select(np.ones((3, 3)), 1.5)
+    assert two_threads() == 2
+
+    weights = sparsify_frame(Frame(rng.standard_normal((30, 4))), 0.5)
+    assert weights.support.size > 0 and two_threads() == 2
+    status, report = run(build_parser().parse_args(["cycle-demo", "--n", "5", "--p", "2", "--q", "4", "--eps", "0.5"]))
+    assert status == 0 and report["blas_threads"] == 1 and two_threads() == 2
+
+
+def test_nested_call_does_not_give_the_count_back_early(two_threads, monkeypatch):
+    inner, after_inner = rforge.graphs.sparsify_frame, []
+
+    def watched(*args, **kwargs):
+        out = inner(*args, **kwargs)
+        after_inner.append(linalg._blas_threads())
+        return out
+
+    monkeypatch.setattr(rforge.graphs, "sparsify_frame", watched)
+    g = WeightedGraph(6, [(i, j, 1.0 + i + j) for i in range(6) for j in range(i + 1, 6)])
+    sparsify_graph(g, 0.5)
+    assert after_inner == [1] and two_threads() == 2
+
+
+def test_every_pinned_call_runs_without_the_symbols(monkeypatch, rng):
+    monkeypatch.setattr(linalg, "_blas_thread_controls", lambda: None)
+    g = WeightedGraph(6, [(i, j, 1.0 + i + j) for i in range(6) for j in range(i + 1, 6)])
+    h = sparsify_graph(g, 0.5)
+    assert verify_quality(g, h).range_dim == 5
+    assert sparsify_frame(Frame(rng.standard_normal((30, 4))), 0.5).support.size > 0
+    assert len(ri_select(rng.standard_normal((12, 12)), 0.8).selected) > 0
+    assert embed_l1(rng.integers(0, 10, (6, 2)).astype(float), 0.5).k > 0
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    points = np.vstack([q.T, -q.T])
+    assert approximate_john(JohnDecomposition(3, points, np.full(6, 0.5)), 0.8).size > 0
+    assert embed_lp_even(rng.standard_normal((2, 12)), 4, 0.5).support.size > 0
+    status, report = run(build_parser().parse_args(["cycle-demo", "--n", "5", "--p", "2", "--q", "4", "--eps", "0.5"]))
+    assert status == 0 and report["blas_threads"] is None
