@@ -78,7 +78,7 @@ _LOWER_CAP_TOL = 1e-8
 _SCORE_SUM_TOL = 1e-8
 _FEASIBILITY_SLACK = 1e-9
 # Slacks this close to the best one (relative to the score magnitudes) tie;
-# the lowest tied index wins.
+# the lowest tied index wins.  restricted's selection ties by the same rule.
 _TIE_RTOL = 1e-12
 _SANDWICH_TOL = 1e-8
 # Largest rounding error, relative to the upper score, that an edge may carry
@@ -197,8 +197,8 @@ def barrier_gaps(state: BarrierState) -> tuple[float, float]:
     (BarrierInvariantError in both cases).
     """
     du, dl = _reciprocal_gaps(state, state.eigenvalues, "before")
-    upper_gap = state.upper_potential - float(np.sum(du))
-    lower_gap = float(np.sum(dl)) - state.lower_potential
+    upper_gap = state.upper_potential - float(du.sum())
+    lower_gap = float(dl.sum()) - state.lower_potential
     if not upper_gap > 0.0:
         raise BarrierInvariantError(f"upper barrier gap must be positive, got {upper_gap:.3e}")
     if not lower_gap > 0.0:
@@ -275,13 +275,15 @@ def _edge_scores(frame, state, du, dl, upper_gap, lower_gap):
     v = inc.basis @ state.eigenvectors
     c_up = du + du * du / upper_gap
     c_lo = dl * dl / lower_gap - dl
-    heads, tails, w = inc.heads, inc.tails, inc.weights
-    pairs = heads * v.shape[0] + tails  # flat index of M[heads, tails]
+    w = inc.weights
 
     def gather(c):
-        m = (v * c) @ v.T
-        d = np.diagonal(m)
-        return w * (d.take(heads) + d.take(tails) - 2.0 * m.take(pairs))
+        got = ((v * c) @ v.T).take(inc._gather)  # M[h, h], M[t, t] and M[h, t] of every edge
+        scores = got[0]
+        scores += got[1]
+        scores -= 2.0 * got[2]
+        scores *= w
+        return scores
 
     upper_scores, lower_scores = gather(c_up), gather(c_lo)
     # Rounding in the gather is at most about r * eps_mach * w_e times the
@@ -291,9 +293,9 @@ def _edge_scores(frame, state, du, dl, upper_gap, lower_gap):
     # score twice over, no edge can reach it and none is tested.
     reach = (v * v) @ (c_up + np.abs(c_lo))
     rounding = v.shape[1] * _MACHINE_EPS
-    if 2.0 * rounding * np.max(w) * np.max(reach) <= 0.5 * _GATHER_RTOL * np.min(upper_scores):
+    if 2.0 * rounding * inc._max_weight * reach.max() <= 0.5 * _GATHER_RTOL * upper_scores.min():
         return upper_scores, lower_scores
-    error = rounding * w * (reach.take(heads) + reach.take(tails))
+    error = rounding * w * (reach.take(inc.heads) + reach.take(inc.tails))
     loose = np.flatnonzero(~(error <= _GATHER_RTOL * upper_scores))
     if loose.size:
         upper_scores[loose], lower_scores[loose] = _row_scores(
@@ -339,7 +341,7 @@ def select_and_step(
     violation raises BarrierInvariantError.
     """
     slack = lower_scores - upper_scores
-    magnitude = max(1.0, float(np.max(np.abs(lower_scores))), float(np.max(np.abs(upper_scores))))
+    magnitude = max(1.0, float(np.abs(lower_scores).max()), float(np.abs(upper_scores).max()))
     tol = _TIE_RTOL * magnitude
     chosen = int(np.argmax(slack >= slack.max() - tol))
     if slack[chosen] < -_FEASIBILITY_SLACK:
@@ -349,7 +351,7 @@ def select_and_step(
         )
     t = 1.0 / float(upper_scores[chosen])
     xj = frame.rows(chosen)
-    new_a = state.A + t * np.outer(xj, xj)
+    new_a = state.A + t * (xj[:, None] * xj)  # exactly symmetric, as the full eigh requires
     decomp = _rank_one_update(state.eigenvalues, state.eigenvectors, xj, t)
     if decomp is not None and _residual_failure(new_a, decomp) is None:
         eigensolve = "update"
@@ -357,7 +359,7 @@ def select_and_step(
         decomp, eigensolve = eigh(new_a), "full"
     lam = decomp.values
     du, dl = _reciprocal_gaps(state, lam, "at")
-    upper_potential, lower_potential = float(np.sum(du)), float(np.sum(dl))
+    upper_potential, lower_potential = float(du.sum()), float(dl.sum())
     target = state.eps / state.theta
     if abs(upper_potential - target) > _UPPER_CONSERVATION_RTOL * target:
         raise BarrierInvariantError(

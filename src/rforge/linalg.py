@@ -23,7 +23,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -64,13 +64,19 @@ class Incidence:
 
     ``basis`` has one row per vertex and one column per frame dimension;
     ``heads`` and ``tails`` index its rows and ``weights`` holds w >= 0.  An
-    edge frame starts with the identity basis, which whitening replaces.
+    edge frame starts with the identity basis, which whitening replaces with
+    ``replace``, so the fields are never changed in place.  Construction also
+    keeps, for the barrier step's gathers, the flat indices of M[h, h],
+    M[t, t] and M[h, t] in any n x n matrix M over the vertices, and the
+    largest weight.
     """
 
     heads: np.ndarray
     tails: np.ndarray
     weights: np.ndarray
     basis: np.ndarray
+    _gather: np.ndarray = field(init=False, repr=False, compare=False)
+    _max_weight: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.basis, self.weights = (np.asarray(a, dtype=float) for a in (self.basis, self.weights))
@@ -83,8 +89,11 @@ class Incidence:
         if not np.all((self.weights >= 0.0) & np.isfinite(self.weights)):
             raise ValueError("incidence weights must be nonnegative and finite")
         ends = np.concatenate([self.heads, self.tails])
-        if ends.size and not (ends.min() >= 0 and ends.max() < self.basis.shape[0]):
-            raise ValueError(f"incidence endpoints must lie in [0, {self.basis.shape[0]})")
+        n = self.basis.shape[0]
+        if ends.size and not (ends.min() >= 0 and ends.max() < n):
+            raise ValueError(f"incidence endpoints must lie in [0, {n})")
+        self._gather = np.stack([self.heads * (n + 1), self.tails * (n + 1), self.heads * n + self.tails])
+        self._max_weight = float(self.weights.max(initial=0.0))
 
 
 @dataclass
@@ -201,15 +210,15 @@ def _residual_failure(m: np.ndarray, decomp: EigenDecomposition) -> str | None:
     max-entry norm and the eigenvectors must be orthonormal to 1e-10; a NaN
     residual fails.
     """
-    scale = 1.0 + float(np.max(np.abs(m)))
+    scale = 1.0 + float(np.abs(m).max())
     residual = decomp.reconstruct()
     residual -= m
-    recon_err = float(np.max(np.abs(residual, out=residual)))
+    recon_err = float(np.abs(residual, out=residual).max())
     if not recon_err <= _RECONSTRUCT_TOL * scale:
         return f"reconstruction residual {recon_err:.3e}"
     gram = decomp.vectors.T @ decomp.vectors
     gram.ravel()[:: m.shape[0] + 1] -= 1.0
-    ortho_err = float(np.max(np.abs(gram, out=gram)))
+    ortho_err = float(np.abs(gram, out=gram).max())
     if not ortho_err <= _ORTHONORMAL_TOL:
         return f"orthonormality residual {ortho_err:.3e}"
     return None
@@ -296,18 +305,31 @@ def _dlaed9():
 def _secular_roots(d: np.ndarray, z: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray] | None:
     """Eigenvalues (descending) and unit eigenvectors (columns) of diag(d) + t z z^T, d descending and distinct.
 
-    dlaed9 takes the poles ascending and z of unit norm; None when it is missing or fails.
+    dlaed9 takes the poles ascending and z of unit norm; None when it is missing or fails.  Each call
+    makes one float64 buffer, for S, the workspace, the poles, z, the roots and rho, and one int64
+    array for K, KSTART and INFO; the returned vectors are a view of that call's buffer.
     """
     solve = _dlaed9()
     if solve is None:
         return None
-    k, norm, at = d.size, float(np.linalg.norm(z)), ctypes.byref
-    poles, w = d[::-1].astype(float), z[::-1].astype(float) / norm  # contiguous float64 buffers for Fortran
-    roots, work, s = np.empty(k), np.empty((k, k)), np.empty((k, k))
-    size, first, info, rho = ctypes.c_int64(k), ctypes.c_int64(1), ctypes.c_int64(0), ctypes.c_double(t * norm * norm)
-    solve(at(size), at(first), at(size), at(size), roots.ctypes.data, work.ctypes.data, at(size), at(rho),
-          poles.ctypes.data, w.ctypes.data, s.ctypes.data, at(size), at(info))  # K, KSTART..KSTOP, N, ..., INFO
-    return (roots[::-1].copy(), s[::-1, ::-1].T) if info.value == 0 else None  # s's row j is root j's vector
+    k, norm = d.size, math.sqrt(float(z @ z))
+    kk = k * k
+    buf = np.empty(2 * kk + 3 * k + 1)  # S, work, poles, z, roots, rho, one after another
+    s = buf[:kk].reshape(k, k)
+    poles, w, roots = buf[2 * kk : -1].reshape(3, k)
+    poles[:] = d[::-1]  # ascending, as dlaed9 wants them
+    np.divide(z[::-1], norm, out=w)
+    buf[-1] = t * norm * norm
+    ints = np.array([k, 1, 0], dtype=np.int64)  # K (also KSTOP, N, LDQ and LDS), KSTART, INFO
+    at, ints_at = buf.ctypes.data, ints.ctypes.data
+    size, first, info = (ints_at + 8 * i for i in range(3))
+    s_at, work_at, poles_at, w_at, roots_at, rho_at = (
+        at + 8 * offset for offset in (0, kk, 2 * kk, 2 * kk + k, 2 * kk + 2 * k, 2 * kk + 3 * k)
+    )
+    solve(size, first, size, size, roots_at, work_at, size, rho_at, poles_at, w_at, s_at, size, info)
+    if ints[2] != 0:
+        return None
+    return roots[::-1].copy(), s[::-1, ::-1].T  # s's row j is root j's vector
 
 
 def _rank_one_update(
@@ -365,7 +387,7 @@ def _rank_one_update(
     if solved is None:
         return None
     mu, q = solved
-    if not ((mu - dk).min() >= 0.0 and (dk.size == 1 or (dk[:-1] - mu[1:]).min() >= 0.0)):
+    if not ((mu >= dk).all() and (dk[:-1] >= mu[1:]).all()):  # NaN fails too
         return None
     if keep.size == d.size:
         return EigenDecomposition(mu, u @ q)

@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bss import check_eps
+from .bss import _TIE_RTOL, check_eps
 from .errors import SelectionInvariantError
 from .linalg import Certificate, _one_blas_thread, certify_spectrum, eigh, symmetrize
 
@@ -42,9 +42,8 @@ _MARGIN_SLACK = 1e-12
 _POTENTIAL_DECREASE_RTOL = 1e-9
 _BARRIER_SEPARATION_RTOL = 1e-12
 _GRAM_FLOOR_TOL = 1e-8
-# Margins this close to the best one (relative to the best candidate's lhs and
-# rhs) tie; the lowest tied index wins.
-_TIE_RTOL = 1e-12
+# Margins within bss's _TIE_RTOL of the best one (relative to the best
+# candidate's lhs and rhs) tie; the lowest tied index wins.
 
 
 class RiSelection(NamedTuple):

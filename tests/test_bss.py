@@ -474,6 +474,19 @@ class TestRankOneStep:
         assert len(history) == 252
         assert all(record["eigensolve"] == "update" for record in history)
 
+    @pytest.mark.parametrize("case", ["K64", "whitened 600x40 Gaussian frame"])
+    def test_running_sum_stays_exactly_symmetric(self, case):
+        if case == "K64":
+            frame = isotropic_reduce(edge_frame(complete_graph(64, 1)))
+        else:
+            frame = isotropic_reduce(Frame(np.random.default_rng(1).standard_normal((600, 40))))
+        state = initial_barrier_state(frame.ambient_dim, 0.5)
+        for _ in range(support_bound(frame.ambient_dim, 0.5)):
+            scores = candidate_scores(state, frame, *barrier_gaps(state))
+            state, _, _ = select_and_step(state, frame, *scores)
+            assert np.array_equal(state.A, state.A.T)
+            assert state.eigensolve == "update"
+
     @pytest.mark.parametrize("fault", ["shifted", "scaled"])
     def test_bad_roots_fall_back_to_full_eigh(self, monkeypatch, fault):
         g = complete_graph(48, 2)

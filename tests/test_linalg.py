@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -169,6 +171,17 @@ class TestFrame:
         with pytest.raises(ValueError, match="endpoints"):
             Incidence(heads, np.array([1, 3]), np.array([4.0, 1.0]), np.eye(3))
 
+    def test_gather_index_follows_the_incidence(self, rng):
+        heads, tails = np.triu_indices(16, 1)
+        weights = np.exp(rng.uniform(0.0, np.log(100.0), heads.size))
+        inc = isotropic_reduce(Frame(incidence=Incidence(heads, tails, weights, np.eye(16)))).incidence
+        m = symmetrize(rng.standard_normal((16, 16)))
+        for inc in (inc, replace(inc, weights=2.0 * inc.weights), replace(inc, heads=inc.tails, tails=inc.heads)):
+            h, t, n = inc.heads, inc.tails, inc.basis.shape[0]
+            assert np.array_equal(inc._gather, [h * (n + 1), t * (n + 1), h * n + t])
+            assert np.array_equal(m.take(inc._gather), [m[h, h], m[t, t], m[h, t]])
+            assert inc._max_weight == inc.weights.max()
+
 
 class TestCertifySpectrum:
     def test_returns_extremes_and_margin(self):
@@ -267,6 +280,21 @@ class TestRankOneUpdate:
         out = assert_update_matches(d, np.eye(n), z, 1.0)
         assert d[3] in out.values
         assert np.count_nonzero(out.values == d[3]) == 1
+
+    @pytest.mark.skipif(linalg._dlaed9() is None, reason="numpy exports no dlaed9")
+    def test_secular_roots_do_not_share_memory_between_calls(self, rng):
+        calls = []
+        for _ in range(2):
+            d = np.arange(16.0, 0.0, -1.0) + rng.uniform(0.0, 0.5, 16)
+            z, t = rng.standard_normal(16), float(rng.uniform(0.1, 2.0))
+            roots, vectors = linalg._secular_roots(d, z, t)
+            calls.append((d, z, t, roots, vectors, roots.copy(), vectors.copy()))
+        for d, z, t, roots, vectors, roots_then, vectors_then in calls:
+            assert np.array_equal(roots, roots_then) and np.array_equal(vectors, vectors_then)
+            values, reference = np.linalg.eigh(np.diag(d) + t * np.outer(z, z))
+            np.testing.assert_allclose(roots, values[::-1], rtol=1e-13)
+            reference = reference[:, ::-1] * np.sign(np.sum(vectors * reference[:, ::-1], axis=0))
+            np.testing.assert_allclose(vectors, reference, atol=1e-12)
 
     def test_refuses_a_nonpositive_weight(self, rng):
         assert linalg._rank_one_update(np.ones(3), np.eye(3), np.ones(3), 0.0) is None
