@@ -54,7 +54,7 @@ returned ``SparseWeights`` carries that certificate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -65,6 +65,7 @@ from .linalg import (
     _one_blas_thread,
     _rank_one_update,
     _residual_failure,
+    _SecularWorkspace,
     certify_spectrum,
     eigh,
     isotropic_reduce,
@@ -105,6 +106,8 @@ class BarrierState:
     how the step that made this state found them: "update" or "full".  The
     barrier positions ``upper`` = theta*(n/eps + step) and ``lower`` =
     -n/eps + step follow from eps, step and the order n, and are not stored.
+    The states of one run share one dlaed9 workspace, freed with the run, so
+    two steps from states of one run must not run at once in two threads.
     """
 
     step: int
@@ -115,6 +118,7 @@ class BarrierState:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     eigensolve: str = "full"
+    _workspace: _SecularWorkspace | None = field(default=None, repr=False, compare=False)
 
     @property
     def order(self) -> int:
@@ -182,6 +186,7 @@ def initial_barrier_state(n: int, eps: float) -> BarrierState:
         lower_potential=eps,
         eigenvalues=np.zeros(n),
         eigenvectors=np.eye(n),
+        _workspace=_SecularWorkspace(n),
     )
 
 
@@ -352,7 +357,7 @@ def select_and_step(
     t = 1.0 / float(upper_scores[chosen])
     xj = frame.rows(chosen)
     new_a = state.A + t * (xj[:, None] * xj)  # exactly symmetric, as the full eigh requires
-    decomp = _rank_one_update(state.eigenvalues, state.eigenvectors, xj, t)
+    decomp = _rank_one_update(state.eigenvalues, state.eigenvectors, xj, t, state._workspace)
     if decomp is not None and _residual_failure(new_a, decomp) is None:
         eigensolve = "update"
     else:
@@ -385,6 +390,7 @@ def select_and_step(
         eigenvalues=lam,
         eigenvectors=decomp.vectors,
         eigensolve=eigensolve,
+        _workspace=state._workspace,
     )
     return new_state, chosen, t
 

@@ -39,9 +39,9 @@ from .graphs import sparsify_graph, verify_quality
 from .linalg import Frame, _blas_threads, _one_blas_thread
 from .nonlinear import (
     DEFAULT_PROBE_SEED,
+    _energies,
+    _nonzero_energies,
     cycle_counterexample,
-    energy_ratio_range,
-    nonzero_energy_probes,
     quality_lower_bound,
     standard_probes,
 )
@@ -240,8 +240,10 @@ def _run_cycle_demo(args: argparse.Namespace) -> dict:
     g, h, witnesses = cycle_counterexample(n, p, eps)
     # h is a path on g's edges, so a positive h-energy makes g's positive too;
     # a non-constant probe has zero h-energy only where its path terms underflow.
-    probes = nonzero_energy_probes(np.vstack([witnesses, standard_probes(n, seed=args.seed)]), h, p)
-    low_p, high_p = energy_ratio_range(g, h, p, probes)
+    # energy_ratio_range over the probes, with h's energies taken once
+    probes, h_energies = _nonzero_energies(np.vstack([witnesses, standard_probes(n, seed=args.seed)]), h, p)
+    ratios = h_energies / _energies(g, probes, p)
+    low_p, high_p = float(ratios.min()), float(ratios.max())
     # Raises unless the ramp's q-energy, at least (n-1)^q, is finite; then so is the floor's power.
     q_bound = quality_lower_bound(g, h, q, witnesses)
     return {

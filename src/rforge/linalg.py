@@ -35,6 +35,8 @@ _MACHINE_EPS = np.finfo(float).eps
 
 _RECONSTRUCT_TOL = 1e-10
 _ORTHONORMAL_TOL = 1e-10
+# Vertices per panel of edge whitening's blocked elimination and back substitution.
+_PANEL = 32
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
@@ -302,38 +304,55 @@ def _dlaed9():
     return solve
 
 
-def _secular_roots(d: np.ndarray, z: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray] | None:
+class _SecularWorkspace:
+    """dlaed9's buffer, int64 scalars and argument tuple, for every order k <= n.
+
+    The float64 buffer holds S and dlaed9's workspace Q (n x n each, leading dimension n), then the
+    roots, poles and z (n each) and rho; the int64 array holds K (also KSTOP), N (also LDQ and LDS),
+    KSTART and INFO.  N stays n and only K changes between calls (dlaed9 takes any K <= N), so the
+    addresses in ``args`` hold for every call.
+    """
+
+    def __init__(self, n: int):
+        nn = n * n
+        self.order, self.buf, self.ints = n, np.empty(2 * nn + 3 * n + 1), np.array([n, n, 1, 0], dtype=np.int64)
+        size, order, first, info = (self.ints.ctypes.data + 8 * i for i in range(4))
+        s_at, work_at, roots_at, poles_at, w_at, rho_at = (
+            self.buf.ctypes.data + 8 * offset for offset in (0, nn, 2 * nn, 2 * nn + n, 2 * nn + 2 * n, 2 * nn + 3 * n)
+        )
+        self.args = (size, first, size, order, roots_at, work_at, order, rho_at, poles_at, w_at, s_at, order, info)
+
+
+def _secular_roots(
+    d: np.ndarray, z: np.ndarray, t: float, workspace: _SecularWorkspace | None = None
+) -> tuple[np.ndarray, np.ndarray] | None:
     """Eigenvalues (descending) and unit eigenvectors (columns) of diag(d) + t z z^T, d descending and distinct.
 
-    dlaed9 takes the poles ascending and z of unit norm; None when it is missing or fails.  Each call
-    makes one float64 buffer, for S, the workspace, the poles, z, the roots and rho, and one int64
-    array for K, KSTART and INFO; the returned vectors are a view of that call's buffer.
+    dlaed9 takes the poles ascending and z of unit norm; None when it is missing or fails.  A call
+    runs in ``workspace`` (which a barrier run keeps for all its steps) when its order is at least
+    d.size, else in one of its own; the returned vectors are a view of that workspace, valid until
+    its next call.
     """
     solve = _dlaed9()
     if solve is None:
         return None
     k, norm = d.size, math.sqrt(float(z @ z))
-    kk = k * k
-    buf = np.empty(2 * kk + 3 * k + 1)  # S, work, poles, z, roots, rho, one after another
-    s = buf[:kk].reshape(k, k)
-    poles, w, roots = buf[2 * kk : -1].reshape(3, k)
+    ws = workspace if workspace is not None and workspace.order >= k else _SecularWorkspace(k)
+    n, buf, ints = ws.order, ws.buf, ws.ints
+    ints[0] = k
+    s = buf[: n * n].reshape(n, n)[:k, :k]
+    roots, poles, w = buf[2 * n * n : -1].reshape(3, n)[:, :k]
     poles[:] = d[::-1]  # ascending, as dlaed9 wants them
     np.divide(z[::-1], norm, out=w)
     buf[-1] = t * norm * norm
-    ints = np.array([k, 1, 0], dtype=np.int64)  # K (also KSTOP, N, LDQ and LDS), KSTART, INFO
-    at, ints_at = buf.ctypes.data, ints.ctypes.data
-    size, first, info = (ints_at + 8 * i for i in range(3))
-    s_at, work_at, poles_at, w_at, roots_at, rho_at = (
-        at + 8 * offset for offset in (0, kk, 2 * kk, 2 * kk + k, 2 * kk + 2 * k, 2 * kk + 3 * k)
-    )
-    solve(size, first, size, size, roots_at, work_at, size, rho_at, poles_at, w_at, s_at, size, info)
-    if ints[2] != 0:
+    solve(*ws.args)
+    if ints[3] != 0:
         return None
     return roots[::-1].copy(), s[::-1, ::-1].T  # s's row j is root j's vector
 
 
 def _rank_one_update(
-    values: np.ndarray, vectors: np.ndarray, x: np.ndarray, t: float
+    values: np.ndarray, vectors: np.ndarray, x: np.ndarray, t: float, workspace: _SecularWorkspace | None = None
 ) -> EigenDecomposition | None:
     """Eigenpairs of A + t x x^T, t > 0, from A = U diag(d) U^T; None when the roots fail.
 
@@ -348,7 +367,8 @@ def _rank_one_update(
       most the run's spread.  Components with t |z| |z_j| <= tol are then
       dropped, as in LAPACK's dlaed2.  Dropped pairs carry over unchanged.
     - Roots and vectors.  The k remaining d are distinct, and LAPACK's
-      dlaed9 solves diag(d) + t z z^T on them (``_secular_roots``).  Its
+      dlaed9 solves diag(d) + t z z^T on them (``_secular_roots``, in
+      ``workspace`` when one is given).  Its
       dlaed4 finds each root as an offset from the nearer pole, so a root
       next to a pole keeps its relative accuracy (R.-C. Li, LAPACK Working
       Note 89); the vectors Q_ji = zhat_j / (d_j - mu_i), from the zhat for
@@ -383,7 +403,7 @@ def _rank_one_update(
     if keep.size == 0:
         return EigenDecomposition(d.copy(), u.copy())
     dk, zk = (d, z) if keep.size == d.size else (d[keep], z[keep])
-    solved = _secular_roots(dk, zk, t)
+    solved = _secular_roots(dk, zk, t, workspace)
     if solved is None:
         return None
     mu, q = solved
@@ -399,6 +419,7 @@ def _rank_one_update(
     return EigenDecomposition(d[order], u[:, order])
 
 
+@_one_blas_thread
 def isotropic_reduce(frame: Frame) -> Frame:
     """Whiten a frame to an exact decomposition of the identity on its span.
 
@@ -417,7 +438,13 @@ def isotropic_reduce(frame: Frame) -> Frame:
     of k's current weights, the fill is a_ij += a_ik (a_jk / d_k), and a zero
     pivot grounds one vertex per component.  W = M^-T D^-1/2 on the positive
     pivots comes from back substitution over the nonnegative multipliers.
-    Nothing is subtracted (Demmel-Koev, Numer. Math. 98, 2004).  Row k is the
+    Nothing is subtracted (Demmel-Koev, Numer. Math. 98, 2004).  Both run by
+    panels of 32 vertices: within a panel, each vertex's row and column take
+    the panel's earlier eliminations by two products before its pivot, and
+    the trailing matrix then takes the whole panel by one product; the back
+    substitution takes the rows below a panel by one product, then the
+    panel's own rows from the bottom up.  The terms are the one-at-a-time
+    elimination's, summed in another order.  Row k is the
     last row nonzero in column k and a grounded row is zero, so rows are
     distinct.  W must span L's whole range: when a weight or fill term
     underflows to 0 and grounds more vertices than the positive-weight
@@ -444,15 +471,23 @@ def isotropic_reduce(frame: Frame) -> Frame:
         a += a.T
         order = np.argsort(a.sum(axis=1), kind="stable")
         a = a[np.ix_(order, order)]
-        pivots = np.empty(n)
-        for k in range(n):  # row k's tail becomes the multipliers a_jk / d_k
-            pivots[k] = d = a[k, k + 1 :].sum()
-            if d > 0.0:
-                a[k, k + 1 :] = a[k + 1 :, k] / d
-                a[k + 1 :, k + 1 :] += np.outer(a[k + 1 :, k], a[k, k + 1 :])
+        pivots, panels = np.empty(n), range(0, n, _PANEL)
+        for p0 in panels:
+            p1 = min(p0 + _PANEL, n)
+            for k in range(p0, p1):  # row k's tail becomes the multipliers a_jk / d_k
+                if k > p0:  # the panel's earlier eliminations reach row and column k
+                    a[k, k + 1 :] += a[k, p0:k] @ a[p0:k, k + 1 :]
+                    a[k + 1 :, k] += a[k + 1 :, p0:k] @ a[p0:k, k]
+                pivots[k] = d = a[k, k + 1 :].sum()
+                if d > 0.0:
+                    a[k, k + 1 :] = a[k + 1 :, k] / d
+            a[p1:, p1:] += a[p1:, p0:p1] @ a[p0:p1, p1:]  # a grounded row is zero and adds nothing
         inverse = np.eye(n)  # M^-T, by back substitution over the nonnegative multipliers
-        for k in range(n - 2, -1, -1):
-            inverse[k, k + 1 :] = a[k, k + 1 :] @ inverse[k + 1 :, k + 1 :]
+        for q0 in reversed(panels):
+            q1 = min(q0 + _PANEL, n)
+            inverse[q0:q1, q1:] = a[q0:q1, q1:] @ inverse[q1:, q1:]
+            for k in range(q1 - 2, q0 - 1, -1):
+                inverse[k, k + 1 :] += a[k, k + 1 : q1] @ inverse[k + 1 : q1, k + 1 :]
         kept, live = pivots > 0.0, inc.weights > 0.0
         r = n - int(np.count_nonzero(_components(n, inc.heads[live], inc.tails[live]) == np.arange(n)))
         if np.count_nonzero(kept) != r:

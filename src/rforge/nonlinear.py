@@ -29,11 +29,17 @@ def nonzero_energy_probes(candidates, g: WeightedGraph, p: float) -> np.ndarray:
     Configurations whose energy vanishes on the graph under test would make
     the quality ratio undefined, so they are dropped.
     """
+    return _nonzero_energies(candidates, g, p)[0]
+
+
+def _nonzero_energies(candidates, g: WeightedGraph, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """``nonzero_energy_probes``' rows and their p-energies on g."""
     x = np.asarray(candidates, dtype=float)
-    kept = x[_energies(g, x, p) > 0.0]
-    if not kept.shape[0]:
+    energies = _energies(g, x, p)
+    kept = energies > 0.0
+    if not kept.any():
         raise ValueError("every candidate probe has zero energy on the reference graph")
-    return kept
+    return x[kept], energies[kept]
 
 
 def standard_probes(n: int, *, seed: int = DEFAULT_PROBE_SEED) -> np.ndarray:

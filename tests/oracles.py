@@ -302,6 +302,36 @@ def pencil_mpmath(g, h) -> tuple[float, float]:
         return float(min(values)), float(max(values))
 
 
+def weight_form_elimination_oracle(g) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edge whitening of a ``WeightedGraph``, one vertex at a time: (basis, order, pivots).
+
+    The scalar form of ``isotropic_reduce``'s edge branch, in the same units
+    (weights times the power of two that puts the largest in [0.5, 1)) and
+    the same light-first order: each vertex's pivot is the sum of its current
+    weights, its multipliers divide its column by the pivot, and the trailing
+    matrix takes one rank-one update; the back substitution builds one row of
+    M^-T per vertex.  ``order`` is the elimination order and ``pivots`` follow
+    it; ``basis`` has a row per input vertex and a column per positive pivot.
+    """
+    n = g.n
+    weights = np.ldexp(g.weights, -np.frexp(np.max(g.weights))[1])
+    a = np.zeros((n, n))
+    a[g.heads, g.tails] = a[g.tails, g.heads] = weights  # edges are distinct pairs
+    order = np.argsort(a.sum(axis=1), kind="stable")
+    a = a[np.ix_(order, order)]
+    pivots = np.empty(n)
+    for k in range(n):
+        pivots[k] = d = a[k, k + 1 :].sum()
+        if d > 0.0:
+            a[k, k + 1 :] = a[k + 1 :, k] / d
+            a[k + 1 :, k + 1 :] += np.outer(a[k + 1 :, k], a[k, k + 1 :])
+    inverse = np.eye(n)
+    for k in range(n - 2, -1, -1):
+        inverse[k, k + 1 :] = a[k, k + 1 :] @ inverse[k + 1 :, k + 1 :]
+    kept = pivots > 0.0
+    return (inverse[:, kept] / np.sqrt(pivots[kept]))[np.argsort(order)], order, pivots
+
+
 def power_energy_double_sum(n: int, edges, x, p: float) -> float:
     """Sum of w * |x_i - x_j|^p over ordered pairs, via the full matrix."""
     g = np.zeros((n, n))

@@ -12,9 +12,16 @@ from rforge import formats
 from rforge.bss import sparsify_frame, support_bound
 from rforge.cli import build_parser, run
 from rforge.errors import CertificationError
-from rforge.linalg import Certificate, Frame, _components, isotropic_reduce
+from rforge.linalg import ISOTROPY_TOL, Certificate, Frame, _components, isotropic_reduce
 
-from oracles import adjacency, components_union_find, laplacian, pencil_mpmath, weighted_graph_loop_check
+from oracles import (
+    adjacency,
+    components_union_find,
+    laplacian,
+    pencil_mpmath,
+    weight_form_elimination_oracle,
+    weighted_graph_loop_check,
+)
 from rforge.graphs import (
     WeightedGraph,
     edge_frame,
@@ -54,6 +61,48 @@ def dumbbell_graph(k, heavy):
     """Two K_k clusters of weight ``heavy`` on {0..k-1} and {k..2k-1}, joined by the unit edge (k-1, k)."""
     cluster = [(i, j, heavy) for i, j in itertools.combinations(range(k), 2)]
     return WeightedGraph(2 * k, cluster + [(k - 1, k, 1.0)] + [(k + i, k + j, w) for i, j, w in cluster])
+
+
+def connected_block(rng, size, level):
+    """A path on range(size) plus each other pair with probability 0.3, weights level * U[1, 2]."""
+    pairs = [(i, j) for i, j in itertools.combinations(range(size), 2) if j == i + 1 or rng.random() < 0.3]
+    return [(i, j, level * float(rng.uniform(1.0, 2.0))) for i, j in pairs]
+
+
+PANEL_CASES = ["zero pivot inside a panel", "zero pivot as a panel's last vertex", "1e12 cluster across a panel edge"]
+
+
+def panel_graph(n, case):
+    """A graph on n vertices, relabelled at random, whose light-first elimination order puts a zero pivot
+    or a heavy cluster at chosen places relative to whitening's 32-vertex panels.
+
+    Returns the graph and, in elimination positions, the zero pivots (components' last vertices) or the
+    heavy cluster; the weight levels between blocks fix those positions, and the tests check them.
+    """
+    rng = np.random.default_rng(n)
+    if case == "zero pivot inside a panel":  # components end at positions 19, (49,) n - 1
+        sizes = [20, n - 20] if n < 64 else [20, 30, n - 50]
+        edges, start = [], 0
+        for level, size in enumerate(sizes):
+            edges += [(start + i, start + j, w) for i, j, w in connected_block(rng, size, 1e3**level)]
+            start += size
+        where = list(np.cumsum(sizes) - 1)
+    elif case == "zero pivot as a panel's last vertex" and n <= 32:
+        edges, where = connected_block(rng, n, 1.0), [n - 1]
+    elif case == "zero pivot as a panel's last vertex":
+        # 8 leaves of weight 10 go first, then a K24 with weights in [1, 2] (degrees 23-46) ends its
+        # component at position 31; the leaves' centre (degree 80) is 32, and a heavy block follows
+        edges = [(i, 32, 10.0) for i in range(8)]
+        edges += [(8 + i, 8 + j, float(rng.uniform(1.0, 2.0))) for i, j in itertools.combinations(range(24), 2)]
+        edges += [(33 + i, 33 + j, w) for i, j, w in connected_block(rng, n - 33, 1e3)]
+        where = sorted({31, 32, n - 1})
+    else:  # a 1e12 clique on the last max(4, n - 28) positions, across 31|32 (and 63|64) for n > 32
+        size = max(4, n - 28)
+        weights = {(i, j): w for i, j, w in connected_block(rng, n, 1.0)}
+        weights.update({pair: 1e12 for pair in itertools.combinations(range(n - size, n), 2)})
+        edges, where = [(i, j, w) for (i, j), w in weights.items()], list(range(n - size, n))
+    label = rng.permutation(n)
+    return WeightedGraph(n, [(min(label[i], label[j]), max(label[i], label[j]), w) for i, j, w in edges]), where
 
 
 def factored_test_graphs(rng):
@@ -517,3 +566,70 @@ class TestVerifyQuality:
             assert report.range_dim == basis.shape[1]
             assert report.min_quotient == pytest.approx(pencil[0], rel=1e-12)
             assert report.max_quotient == pytest.approx(pencil[-1], rel=1e-12)
+
+
+class TestEdgeWhiteningPanels:
+    """Edge whitening eliminates by 32-vertex panels; its results must not depend on where a panel ends."""
+
+    @staticmethod
+    def checked_oracle(g, case, where):
+        basis, order, pivots = weight_form_elimination_oracle(g)
+        if case == PANEL_CASES[2]:
+            heavy = {v for i, j, w in g.edges if w == 1e12 for v in (i, j)}
+            assert [k for k, v in enumerate(order) if v in heavy] == where
+        else:
+            assert list(np.flatnonzero(pivots == 0.0)) == where
+        return basis
+
+    @pytest.mark.parametrize("case", PANEL_CASES)
+    @pytest.mark.parametrize("n", [31, 32, 33, 65, 97])
+    def test_matches_the_scalar_elimination(self, n, case):
+        g, where = panel_graph(n, case)
+        basis = self.checked_oracle(g, case, where)
+        frame = isotropic_reduce(edge_frame(g))
+        assert frame.isotropy_certified and frame.ambient_dim == basis.shape[1]
+        np.testing.assert_allclose(frame.incidence.basis, basis, rtol=1e-14, atol=0.0)
+        for j in (-200, -50, 50, 200):  # weights times 4^j whiten to the same basis, bit for bit
+            scaled = WeightedGraph.from_arrays(n, g.heads, g.tails, g.weights * 4.0**j)
+            assert np.array_equal(isotropic_reduce(edge_frame(scaled)).incidence.basis, frame.incidence.basis)
+
+    @pytest.mark.parametrize(
+        "n, case", [(n, case) for n in (31, 32, 33) for case in PANEL_CASES] + [(65, PANEL_CASES[2])]
+    )
+    def test_matches_mpmath_pencil(self, n, case):
+        # each component's pencil in 60 digits; n = 97 meets only the oracle, as its pencil takes about 7 s
+        pytest.importorskip("mpmath")
+        g, _ = panel_graph(n, case)
+        factors = np.random.default_rng(n + 1).uniform(1.0, 2.0, g.edge_count)
+        h = WeightedGraph.from_arrays(n, g.heads, g.tails, g.weights * factors)
+        label = np.array(components_union_find(n, g.edges))
+        pencils = []
+        for root in np.unique(label):
+            members = np.flatnonzero(label == root)
+            local = {v: k for k, v in enumerate(members)}
+            pencils.append(
+                pencil_mpmath(
+                    *(WeightedGraph(members.size, [(local[i], local[j], w) for i, j, w in x.edges if i in local])
+                      for x in (g, h))
+                )
+            )
+        report = verify_quality(g, h)
+        assert report.range_dim == n - np.unique(label).size
+        assert report.min_quotient == pytest.approx(min(low for low, _ in pencils), rel=1e-9)
+        assert report.max_quotient == pytest.approx(max(high for _, high in pencils), rel=1e-9)
+
+    @pytest.mark.parametrize("k", range(4, 44, 4))
+    def test_dumbbells_verify_or_refuse(self, k):
+        # K_k-K_k joined by a unit edge: whitening either misses the 1e-8 isotropy check and refuses, or passes
+        # it; the check bounds the max entry of W^T L W - I, so the quotients of (L_G, L_G) lie within
+        # range_dim * 1e-8 of 1 (observed up to 2.7e-8, above 1e-8, on some that pass)
+        for heavy in [1e10, 3e10, 1e11, 3e11, 1e12, 3e12, 1e13, 3e13, 1e14, 3e14, 1e15]:
+            g = dumbbell_graph(k, heavy)
+            try:
+                report = verify_quality(g, g)
+            except CertificationError as exc:
+                assert "identity residual" in str(exc)
+                continue
+            assert report.range_dim == 2 * k - 1
+            spread = max(1.0 - report.min_quotient, report.max_quotient - 1.0)
+            assert spread <= report.range_dim * ISOTROPY_TOL
