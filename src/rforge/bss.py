@@ -120,6 +120,10 @@ class BarrierState:
     eigensolve: str = "full"
     _workspace: _SecularWorkspace | None = field(default=None, repr=False, compare=False)
 
+    def __post_init__(self):
+        if self._workspace is None:  # a run's first state makes the workspace its later states share
+            object.__setattr__(self, "_workspace", _SecularWorkspace(self.order))
+
     @property
     def order(self) -> int:
         return self.A.shape[0]
@@ -186,7 +190,6 @@ def initial_barrier_state(n: int, eps: float) -> BarrierState:
         lower_potential=eps,
         eigenvalues=np.zeros(n),
         eigenvectors=np.eye(n),
-        _workspace=_SecularWorkspace(n),
     )
 
 

@@ -29,7 +29,6 @@ from .linalg import (
     Frame,
     Incidence,
     _components,
-    _edge_gram,
     _one_blas_thread,
     _unit_scaled,
     eigh,
@@ -172,9 +171,10 @@ def verify_quality(g: WeightedGraph, h: WeightedGraph) -> QualityReport:
     ``sparsify_graph`` whitens it, so its basis W has W^T L_G W = I on r
     columns in whitening's units (CertificationError otherwise), and the
     generalized Rayleigh quotients of (L_H, L_G) there are the eigenvalues
-    of W^T L_H W, formed edge by edge from h's weights in the same units
-    and taken with the validated ``eigh``.  The independent references are
-    the tests' scipy and mpmath pencils and the benchmark's scipy checks.
+    of W^T L_H W: the Gram of h's edge frame on W, with h's weights in the
+    same units, formed as every frame's Gram is (``Frame.gram``) and taken
+    with the validated ``eigh``.  The independent references are the
+    tests' scipy and mpmath pencils and the benchmark's scipy checks.
     """
     if g.n != h.n:
         raise ValueError(f"vertex counts differ: {g.n} vs {h.n}")
@@ -195,5 +195,6 @@ def verify_quality(g: WeightedGraph, h: WeightedGraph) -> QualityReport:
     if g.edge_count == 0:
         return QualityReport(1.0, 1.0, 0)
     basis = isotropic_reduce(edge_frame(g)).incidence.basis
-    quotients = eigh(_edge_gram(h.heads, h.tails, _unit_scaled(h.weights, g.weights), basis)).values
+    pencil = Frame(incidence=Incidence(h.heads, h.tails, _unit_scaled(h.weights, g.weights), basis))
+    quotients = eigh(pencil.gram()).values
     return QualityReport(float(quotients[-1]), float(quotients[0]), basis.shape[1])

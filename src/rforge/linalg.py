@@ -37,6 +37,8 @@ _RECONSTRUCT_TOL = 1e-10
 _ORTHONORMAL_TOL = 1e-10
 # Vertices per panel of edge whitening's blocked elimination and back substitution.
 _PANEL = 32
+# Frame rows per chunk of ``Frame.gram``.
+_GRAM_CHUNK = 256
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
@@ -158,31 +160,18 @@ class Frame:
         return np.flatnonzero((self.incidence.heads != self.incidence.tails) & (self.incidence.weights > 0.0))
 
     def gram(self) -> np.ndarray:
-        """Sum of outer products of the frame vectors, exactly symmetric."""
-        if self.incidence is None:
-            return symmetrize(self.vectors.T @ self.vectors)
-        inc = self.incidence
-        return _edge_gram(inc.heads, inc.tails, inc.weights, inc.basis)
+        """Sum of outer products of the frame vectors, exactly symmetric.
 
-
-def _edge_gram(heads: np.ndarray, tails: np.ndarray, weights: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Sum over edges e of w_e d_e d_e^T, d_e = basis[heads[e]] - basis[tails[e]], in O(m r + n r^2).
-
-    This is basis^T L basis for the weighted Laplacian L on the basis rows.
-    Row i of L basis is formed as sum_j w_ij (basis[i] - basis[j]) over the
-    edges at vertex i, walked in one sort of the half-edges by endpoint:
-    differencing before weighting keeps each edge's error relative to its
-    own term, where multiplying by L loses about eps_mach * lambda_1 / lambda_r
-    (1e-6 for a 1e12-weight cluster).
-    """
-    src, dst = np.concatenate([heads, tails]), np.concatenate([tails, heads])
-    order = np.lexsort((dst, src))
-    dst, half_weights = dst[order], np.concatenate([weights, weights])[order]
-    bounds = np.searchsorted(src[order], np.arange(basis.shape[0] + 1))
-    pulled = np.empty_like(basis)
-    for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
-        pulled[i] = half_weights[a:b] @ (basis[i] - basis[dst[a:b]])
-    return symmetrize(basis.T @ pulled)
+        Rows are built and summed ``_GRAM_CHUNK`` at a time, so an edge frame
+        never holds all of its rows at once.  An edge row is differenced
+        before it is weighted, so each term keeps its own relative error,
+        where multiplying by the Laplacian loses about eps_mach * lambda_1 / lambda_r.
+        """
+        total = np.zeros((self.ambient_dim, self.ambient_dim))
+        for s in range(0, self.size, _GRAM_CHUNK):
+            rows = self.rows(slice(s, s + _GRAM_CHUNK))
+            total += rows.T @ rows
+        return symmetrize(total)
 
 
 @dataclass
@@ -324,35 +313,33 @@ class _SecularWorkspace:
 
 
 def _secular_roots(
-    d: np.ndarray, z: np.ndarray, t: float, workspace: _SecularWorkspace | None = None
+    d: np.ndarray, z: np.ndarray, t: float, workspace: _SecularWorkspace
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """Eigenvalues (descending) and unit eigenvectors (columns) of diag(d) + t z z^T, d descending and distinct.
 
     dlaed9 takes the poles ascending and z of unit norm; None when it is missing or fails.  A call
-    runs in ``workspace`` (which a barrier run keeps for all its steps) when its order is at least
-    d.size, else in one of its own; the returned vectors are a view of that workspace, valid until
-    its next call.
+    runs in ``workspace``, of order at least d.size, which a barrier run keeps for all its steps; the
+    returned vectors are a view of it, valid until its next call.
     """
     solve = _dlaed9()
     if solve is None:
         return None
     k, norm = d.size, math.sqrt(float(z @ z))
-    ws = workspace if workspace is not None and workspace.order >= k else _SecularWorkspace(k)
-    n, buf, ints = ws.order, ws.buf, ws.ints
+    n, buf, ints = workspace.order, workspace.buf, workspace.ints
     ints[0] = k
     s = buf[: n * n].reshape(n, n)[:k, :k]
     roots, poles, w = buf[2 * n * n : -1].reshape(3, n)[:, :k]
     poles[:] = d[::-1]  # ascending, as dlaed9 wants them
     np.divide(z[::-1], norm, out=w)
     buf[-1] = t * norm * norm
-    solve(*ws.args)
+    solve(*workspace.args)
     if ints[3] != 0:
         return None
     return roots[::-1].copy(), s[::-1, ::-1].T  # s's row j is root j's vector
 
 
 def _rank_one_update(
-    values: np.ndarray, vectors: np.ndarray, x: np.ndarray, t: float, workspace: _SecularWorkspace | None = None
+    values: np.ndarray, vectors: np.ndarray, x: np.ndarray, t: float, workspace: _SecularWorkspace
 ) -> EigenDecomposition | None:
     """Eigenpairs of A + t x x^T, t > 0, from A = U diag(d) U^T; None when the roots fail.
 
@@ -368,10 +355,10 @@ def _rank_one_update(
       dropped, as in LAPACK's dlaed2.  Dropped pairs carry over unchanged.
     - Roots and vectors.  The k remaining d are distinct, and LAPACK's
       dlaed9 solves diag(d) + t z z^T on them (``_secular_roots``, in
-      ``workspace`` when one is given).  Its
-      dlaed4 finds each root as an offset from the nearer pole, so a root
-      next to a pole keeps its relative accuracy (R.-C. Li, LAPACK Working
-      Note 89); the vectors Q_ji = zhat_j / (d_j - mu_i), from the zhat for
+      ``workspace``).  Its dlaed4 finds each root as an offset from the
+      nearer pole, so a root next to a pole keeps its relative accuracy
+      (R.-C. Li, LAPACK Working Note 89); the vectors Q_ji = zhat_j /
+      (d_j - mu_i), from the zhat for
       which d and mu are exact, are orthogonal to working precision (Gu and
       Eisenstat, SIAM J. Matrix Anal. Appl. 15, 1994).  The new eigenvectors
       are U Q.  The roots must interlace d, mu_1 >= d_1 >= ... >= mu_k >= d_k
@@ -448,11 +435,14 @@ def isotropic_reduce(frame: Frame) -> Frame:
     last row nonzero in column k and a grounded row is zero, so rows are
     distinct.  W must span L's whole range: when a weight or fill term
     underflows to 0 and grounds more vertices than the positive-weight
-    edges have components, CertificationError is raised.
+    edges have components, CertificationError is raised.  W is then refined
+    once against its own Gram W^T L W, formed edge by edge (``Frame.gram``):
+    W <- W C^-T, C its Cholesky factor (CertificationError when it has none),
+    which keeps W's rows distinct and its grounded rows zero.
 
     Either result must pass ``Frame``'s isotropy check, or CertificationError
-    names the residual (two clusters of weight H joined by a unit edge miss I
-    by about 4 eps_mach sqrt(H)), so a returned frame covers the whole span.
+    names the residual (two K16 clusters of weight 1e16 joined by a unit edge
+    miss I by 3.8e-8), so a returned frame covers the whole span.
     """
     inc = frame.incidence
     if inc is None:
@@ -495,8 +485,13 @@ def isotropic_reduce(frame: Frame) -> Frame:
                 f"whitening resolved {np.count_nonzero(kept)} of the Laplacian's {r} range directions; a weight "
                 "or fill term underflowed to 0, so the edge weights span too wide a range to certify"
             )
-        basis = (inverse[:, kept] / np.sqrt(pivots[kept]))[np.argsort(order)]  # C-contiguous rows, input order
-        whitened = Frame(incidence=replace(inc, weights=weights, basis=basis))
+        eliminated = replace(inc, weights=weights, basis=(inverse[:, kept] / np.sqrt(pivots[kept]))[np.argsort(order)])
+        try:  # one refinement, W <- W C^-T with C C^T = W^T L W
+            factor = np.linalg.cholesky(Frame(incidence=eliminated).gram())
+        except np.linalg.LinAlgError as exc:
+            raise CertificationError(f"whitening's Laplacian Gram is not positive definite: {exc}") from exc
+        basis = np.ascontiguousarray(np.linalg.solve(factor, eliminated.basis.T).T)  # rows in input order
+        whitened = Frame(incidence=replace(eliminated, basis=basis))
     try:
         return replace(whitened, isotropy_certified=True)
     except ValueError as exc:  # the shapes passed above, so only the isotropy check can fail here

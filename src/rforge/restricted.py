@@ -139,7 +139,7 @@ def ri_select(t: np.ndarray, eps: float, *, history: list | None = None) -> RiSe
         warnings.warn(
             f"stable rank {stable_rank:.3g} is below 1/eps^2 = {1 / eps**2:.3g}; "
             "returning an empty selection",
-            stacklevel=2,
+            stacklevel=3,  # past the one-BLAS-thread wrapper, to ri_select's caller
         )
         return RiSelection([], np.zeros((0, 0)), None, stable_rank)
 

@@ -88,6 +88,15 @@ class TestBarrierState:
                 assert np.array_equal(value, before[name]), name
             state, _, _ = select_and_step(state, frame, *scores)
 
+    def test_state_built_by_hand_steps_in_a_workspace_of_its_own(self, rng):
+        frame = random_isotropic_frame(rng, 3, 7)
+        start = initial_barrier_state(3, 0.6)
+        public = [f.name for f in fields(BarrierState) if not f.name.startswith("_")]
+        state = BarrierState(**{name: getattr(start, name) for name in public})
+        assert state._workspace is not start._workspace and state._workspace.order == 3
+        stepped, _, _ = select_and_step(state, frame, *candidate_scores(state, frame, *barrier_gaps(state)))
+        assert stepped.eigensolve == "update" and stepped._workspace is state._workspace
+
     def test_frozen(self):
         state = initial_barrier_state(2, 0.5)
         for name in ("step", "A", "eigenvalues", "upper_potential", "upper", "theta"):
@@ -498,7 +507,7 @@ class TestRankOneStep:
         assert all(record["eigensolve"] == "update" for record in reference)
         solve, calls = linalg._secular_roots, []
 
-        def perturbed(d, z, t, workspace=None):
+        def perturbed(d, z, t, workspace):
             roots, vectors = solve(d, z, t, workspace)  # descending
             calls.append(None)
             if len(calls) % 4:

@@ -202,9 +202,9 @@ class TestRun:
         assert report["status"] == "certification-failure"
         assert "disconnects vertices 0 and 4" in report["error"]
 
-    @pytest.mark.parametrize("k, heavy", [(8, 1e15), (16, 1e14)])
+    @pytest.mark.parametrize("k, heavy", [(16, 1e16), (20, 1e20)])
     def test_dumbbell_whitening_miss_exit_code(self, tmp_path, k, heavy):
-        # two K_k clusters of weight ``heavy`` joined by one unit edge: whitening misses isotropy
+        # two K_k clusters of weight ``heavy`` joined by one unit edge: refined whitening misses isotropy
         cluster = [(i, j, heavy) for i in range(k) for j in range(i + 1, k)]
         path = str(tmp_path / "g.edges")
         bridged = cluster + [(k - 1, k, 1.0)] + [(k + i, k + j, w) for i, j, w in cluster]

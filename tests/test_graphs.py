@@ -12,7 +12,7 @@ from rforge import formats
 from rforge.bss import sparsify_frame, support_bound
 from rforge.cli import build_parser, run
 from rforge.errors import CertificationError
-from rforge.linalg import ISOTROPY_TOL, Certificate, Frame, _components, isotropic_reduce
+from rforge.linalg import Certificate, Frame, _components, isotropic_reduce
 
 from oracles import (
     adjacency,
@@ -419,9 +419,15 @@ class TestSparsifyGraph:
             with pytest.raises(CertificationError, match="resolved 1 of the Laplacian's 2 range"):
                 whiten(frame)
 
-    @pytest.mark.parametrize("k, heavy", [(8, 1e15), (16, 1e14)])
+    def test_gram_without_cholesky_factor_raises(self, monkeypatch):
+        # whitening refines against the Gram of its eliminated basis, so that Gram must be positive definite
+        monkeypatch.setattr(Frame, "gram", lambda frame: -np.eye(frame.ambient_dim))
+        with pytest.raises(CertificationError, match="not positive definite"):
+            isotropic_reduce(edge_frame(complete_graph(4)))
+
+    @pytest.mark.parametrize("k, heavy", [(16, 1e16), (20, 1e20)])
     def test_dumbbell_whitening_miss_raises(self, k, heavy):
-        # whitening misses the 1e-8 isotropy check here (residual 2.1e-8 and 1.6e-8): a refusal, not bad input
+        # refined whitening misses the 1e-8 isotropy check here (residual 3.8e-8 and 6.8e-6): a refusal, not bad input
         g = dumbbell_graph(k, heavy)
         with pytest.raises(CertificationError, match="identity residual"):
             sparsify_graph(g, 0.5)
@@ -532,6 +538,12 @@ class TestVerifyQuality:
         self.assert_matches_mpmath(dumbbell_graph(16, heavy))
         assert sum(scored) > 0
 
+    @pytest.mark.parametrize("k, heavy", [(8, 1e15), (8, 1e16), (8, 1e20), (16, 1e14)])
+    def test_refined_dumbbells_match_mpmath_pencil(self, k, heavy):
+        # heavy clusters joined by a light edge: these pass the 1e-8 isotropy check only after whitening's refinement
+        pytest.importorskip("mpmath")
+        self.assert_matches_mpmath(dumbbell_graph(k, heavy))
+
     def test_heavy_triangle_matches_mpmath_pencil(self):
         pytest.importorskip("mpmath")
         self.assert_matches_mpmath(WeightedGraph(3, [(0, 1, 1e16), (0, 2, 1.0), (1, 2, 1.0)]))
@@ -620,10 +632,10 @@ class TestEdgeWhiteningPanels:
 
     @pytest.mark.parametrize("k", range(4, 44, 4))
     def test_dumbbells_verify_or_refuse(self, k):
-        # K_k-K_k joined by a unit edge: whitening either misses the 1e-8 isotropy check and refuses, or passes
-        # it; the check bounds the max entry of W^T L W - I, so the quotients of (L_G, L_G) lie within
-        # range_dim * 1e-8 of 1 (observed up to 2.7e-8, above 1e-8, on some that pass)
-        for heavy in [1e10, 3e10, 1e11, 3e11, 1e12, 3e12, 1e13, 3e13, 1e14, 3e14, 1e15]:
+        # K_k-K_k joined by a unit edge: whitening either misses the 1e-8 isotropy check and refuses, or passes it
+        # after its one refinement against the per-edge Gram, and then the quotients of (L_G, L_G) are 1 to
+        # rounding (observed within 3.2e-15; 6 of the 130 cases refuse)
+        for heavy in [1e10, 3e10, 1e11, 3e11, 1e12, 3e12, 1e13, 3e13, 1e14, 3e14, 1e15, 1e16, 1e20]:
             g = dumbbell_graph(k, heavy)
             try:
                 report = verify_quality(g, g)
@@ -632,4 +644,20 @@ class TestEdgeWhiteningPanels:
                 continue
             assert report.range_dim == 2 * k - 1
             spread = max(1.0 - report.min_quotient, report.max_quotient - 1.0)
-            assert spread <= report.range_dim * ISOTROPY_TOL
+            assert spread <= 1e-12
+
+    def test_edge_gram_matches_exact_sum(self):
+        # Frame.gram of the whitened K8-K8 at 1e15 against sum_e w_e d_e d_e^T in 50 digits, from the same floats
+        mpmath = pytest.importorskip("mpmath")
+        inc = isotropic_reduce(edge_frame(dumbbell_graph(8, 1e15))).incidence
+        r = inc.basis.shape[1]
+        with mpmath.workdps(50):
+            exact = mpmath.zeros(r)
+            for i, j, w in zip(inc.heads, inc.tails, inc.weights):
+                d = [mpmath.mpf(float(a)) - mpmath.mpf(float(b)) for a, b in zip(inc.basis[i], inc.basis[j])]
+                for a in range(r):
+                    for b in range(r):
+                        exact[a, b] += mpmath.mpf(float(w)) * d[a] * d[b]
+            exact = np.array(exact.tolist(), dtype=float)
+        gram = Frame(incidence=inc).gram()
+        assert np.max(np.abs(gram - exact)) <= 1e-14

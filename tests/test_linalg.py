@@ -223,7 +223,7 @@ def random_orthogonal(rng, n):
 def assert_update_matches(d, u, x, t, rtol=1e-12):
     """The rank-one update of (d, u) by t x x^T agrees with eigh of the explicit sum."""
     m = (u * d) @ u.T + t * np.outer(x, x)
-    out = linalg._rank_one_update(d, u, x, t)
+    out = linalg._rank_one_update(d, u, x, t, linalg._SecularWorkspace(d.size))
     assert out is not None
     scale = max(1.0, np.max(np.abs(m)))
     reference = np.linalg.eigvalsh(m)[::-1]
@@ -282,12 +282,13 @@ class TestRankOneUpdate:
         assert np.count_nonzero(out.values == d[3]) == 1
 
     @pytest.mark.skipif(linalg._dlaed9() is None, reason="numpy exports no dlaed9")
-    def test_secular_roots_do_not_share_memory_between_calls(self, rng):
+    def test_secular_roots_in_two_workspaces_do_not_share_memory(self, rng):
+        # the returned vectors are a view of their workspace: a call in another one leaves them as they were
         calls = []
-        for _ in range(2):
+        for workspace in (linalg._SecularWorkspace(16), linalg._SecularWorkspace(20)):
             d = np.arange(16.0, 0.0, -1.0) + rng.uniform(0.0, 0.5, 16)
             z, t = rng.standard_normal(16), float(rng.uniform(0.1, 2.0))
-            roots, vectors = linalg._secular_roots(d, z, t)
+            roots, vectors = linalg._secular_roots(d, z, t, workspace)
             calls.append((d, z, t, roots, vectors, roots.copy(), vectors.copy()))
         for d, z, t, roots, vectors, roots_then, vectors_then in calls:
             assert np.array_equal(roots, roots_then) and np.array_equal(vectors, vectors_then)
@@ -297,10 +298,11 @@ class TestRankOneUpdate:
             np.testing.assert_allclose(vectors, reference, atol=1e-12)
 
     def test_refuses_a_nonpositive_weight(self, rng):
-        assert linalg._rank_one_update(np.ones(3), np.eye(3), np.ones(3), 0.0) is None
-        assert linalg._rank_one_update(np.ones(3), np.eye(3), np.ones(3), -1.0) is None
+        workspace = linalg._SecularWorkspace(3)
+        assert linalg._rank_one_update(np.ones(3), np.eye(3), np.ones(3), 0.0, workspace) is None
+        assert linalg._rank_one_update(np.ones(3), np.eye(3), np.ones(3), -1.0, workspace) is None
 
     def test_zero_vector_changes_nothing(self):
         d = np.array([3.0, 1.0])
-        out = linalg._rank_one_update(d, np.eye(2), np.zeros(2), 1.0)
+        out = linalg._rank_one_update(d, np.eye(2), np.zeros(2), 1.0, linalg._SecularWorkspace(2))
         assert np.array_equal(out.values, d) and np.array_equal(out.vectors, np.eye(2))

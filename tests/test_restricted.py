@@ -215,6 +215,12 @@ class TestRiSelect:
         assert result.selected == [] and result.gram.shape == (0, 0)
         assert result.certificate is None and result.stable_rank == 1.0
 
+    def test_k_zero_warning_names_the_caller(self):
+        # the warning points past ri_select's one-BLAS-thread wrapper, at the line that called it
+        with pytest.warns(UserWarning, match="stable rank") as caught:
+            ri_select(np.eye(1), 0.5)
+        assert [w.filename for w in caught] == [__file__]
+
     def test_near_identity_gives_large_selection(self, rng):
         n = 16
         t = np.eye(n) + 0.05 * rng.standard_normal((n, n))
