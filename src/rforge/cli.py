@@ -41,9 +41,9 @@ from .nonlinear import (
     DEFAULT_PROBE_SEED,
     _energies,
     _nonzero_energies,
+    _with_standard_probes,
     cycle_counterexample,
     quality_lower_bound,
-    standard_probes,
 )
 from .restricted import ri_select
 
@@ -241,7 +241,7 @@ def _run_cycle_demo(args: argparse.Namespace) -> dict:
     # h is a path on g's edges, so a positive h-energy makes g's positive too;
     # a non-constant probe has zero h-energy only where its path terms underflow.
     # energy_ratio_range over the probes, with h's energies taken once
-    probes, h_energies = _nonzero_energies(np.vstack([witnesses, standard_probes(n, seed=args.seed)]), h, p)
+    probes, h_energies = _nonzero_energies(_with_standard_probes(witnesses, seed=args.seed), h, p)
     ratios = h_energies / _energies(g, probes, p)
     low_p, high_p = float(ratios.min()), float(ratios.max())
     # Raises unless the ramp's q-energy, at least (n-1)^q, is finite; then so is the floor's power.

@@ -115,10 +115,16 @@ def write_matrix(path, matrix: np.ndarray) -> None:
 
 
 def read_matrix(path) -> np.ndarray:
-    lines = list(_content_lines(path))
-    if not lines:
+    """The matrix in ``path``, filled row by row as the file is read.
+
+    Errors are raised in this order: a bad header, a data row count other
+    than the header's (at the last line), the first malformed row, then the
+    first non-finite value.
+    """
+    lines = _content_lines(path)
+    header_no, header = next(lines, (1, None))
+    if header is None:
         raise ParseError(path, 1, "empty matrix file; expected a 'rows cols' header")
-    header_no, header = lines[0]
     parts = header.split()
     if len(parts) != 2:
         raise ParseError(path, header_no, f"expected header 'rows cols', got {header!r}")
@@ -128,24 +134,28 @@ def read_matrix(path) -> np.ndarray:
         raise ParseError(path, header_no, f"header fields {parts!r} are not integers") from None
     if rows < 1 or cols < 1:
         raise ParseError(path, header_no, f"matrix shape ({rows}, {cols}) must be positive")
-    if len(lines) - 1 != rows:
-        raise ParseError(
-            path, lines[-1][0], f"expected {rows} data rows, found {len(lines) - 1}"
-        )
     out = np.empty((rows, cols))
-    for r, (number, text) in enumerate(lines[1:]):
-        fields = text.split()
-        if len(fields) != cols:
-            raise ParseError(path, number, f"expected {cols} values, found {len(fields)}")
-        try:
-            out[r] = list(map(float, fields))
-        except ValueError:
-            raise ParseError(path, number, f"could not parse row {fields!r}") from None
-    finite = np.isfinite(out)
-    if not finite.all():  # inf, nan, or a literal past the float range such as 1e400
-        r, c = np.argwhere(~finite)[0]
-        number, text = lines[1 + r]
-        raise ParseError(path, number, f"non-finite value {text.split()[c]!r}")
+    count, number, malformed, nonfinite = 0, header_no, None, None
+    for number, text in lines:
+        if count < rows and malformed is None:  # lines past the last row or a malformed one are only counted
+            fields = text.split()
+            if len(fields) != cols:
+                malformed = ParseError(path, number, f"expected {cols} values, found {len(fields)}")
+            else:
+                try:
+                    out[count] = list(map(float, fields))
+                except ValueError:
+                    malformed = ParseError(path, number, f"could not parse row {fields!r}")
+                else:
+                    finite = np.isfinite(out[count])
+                    if nonfinite is None and not finite.all():  # inf, nan, or a literal past the float range such as 1e400
+                        nonfinite = ParseError(path, number, f"non-finite value {fields[int(np.argmin(finite))]!r}")
+        count += 1
+    if count != rows:
+        raise ParseError(path, number, f"expected {rows} data rows, found {count}")
+    for error in (malformed, nonfinite):
+        if error is not None:
+            raise error
     return out
 
 

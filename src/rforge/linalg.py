@@ -438,7 +438,8 @@ def isotropic_reduce(frame: Frame) -> Frame:
     edges have components, CertificationError is raised.  W is then refined
     once against its own Gram W^T L W, formed edge by edge (``Frame.gram``):
     W <- W C^-T, C its Cholesky factor (CertificationError when it has none),
-    which keeps W's rows distinct and its grounded rows zero.
+    by a panel triangular solve (``_right_triangular_solve``), which keeps W's
+    rows distinct and its grounded rows zero.
 
     Either result must pass ``Frame``'s isotropy check, or CertificationError
     names the residual (two K16 clusters of weight 1e16 joined by a unit edge
@@ -485,17 +486,36 @@ def isotropic_reduce(frame: Frame) -> Frame:
                 f"whitening resolved {np.count_nonzero(kept)} of the Laplacian's {r} range directions; a weight "
                 "or fill term underflowed to 0, so the edge weights span too wide a range to certify"
             )
-        eliminated = replace(inc, weights=weights, basis=(inverse[:, kept] / np.sqrt(pivots[kept]))[np.argsort(order)])
+        basis = inverse[:, kept]
+        del a, inverse  # the refinement needs neither
+        basis /= np.sqrt(pivots[kept])
+        eliminated = replace(inc, weights=weights, basis=basis[np.argsort(order)])  # rows in input order
+        del basis
         try:  # one refinement, W <- W C^-T with C C^T = W^T L W
             factor = np.linalg.cholesky(Frame(incidence=eliminated).gram())
         except np.linalg.LinAlgError as exc:
             raise CertificationError(f"whitening's Laplacian Gram is not positive definite: {exc}") from exc
-        basis = np.ascontiguousarray(np.linalg.solve(factor, eliminated.basis.T).T)  # rows in input order
-        whitened = Frame(incidence=replace(eliminated, basis=basis))
+        whitened = Frame(incidence=replace(eliminated, basis=_right_triangular_solve(eliminated.basis, factor)))
+        del eliminated, factor  # nor does the isotropy check
     try:
         return replace(whitened, isotropy_certified=True)
     except ValueError as exc:  # the shapes passed above, so only the isotropy check can fail here
         raise CertificationError(f"whitening missed the identity: {exc}") from exc
+
+
+def _right_triangular_solve(w: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """W C^-T for lower-triangular C, by panels of ``_PANEL`` columns.
+
+    X C^T = W is solved for X's columns panel by panel: one product takes the
+    earlier panels out of the right-hand side, then a solve against the
+    panel's diagonal block of C gives its columns.
+    """
+    x = np.empty_like(w)
+    for j0 in range(0, c.shape[0], _PANEL):
+        j1 = min(j0 + _PANEL, c.shape[0])
+        rhs = w[:, j0:j1] - x[:, :j0] @ c[j0:j1, :j0].T
+        x[:, j0:j1] = np.linalg.solve(c[j0:j1, j0:j1], rhs.T).T
+    return x
 
 
 def _components(n: int, heads: np.ndarray, tails: np.ndarray) -> np.ndarray:

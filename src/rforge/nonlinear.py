@@ -21,22 +21,28 @@ from .graphs import WeightedGraph, _missing_pair
 
 DEFAULT_PROBE_SEED = 0x5EED
 DEFAULT_PROBE_COUNT = 500
+# Probe rows per block of ``_energies``.
+_PROBE_BLOCK = 64
 
 
 def nonzero_energy_probes(candidates, g: WeightedGraph, p: float) -> np.ndarray:
-    """Rows of ``candidates`` with positive p-energy on g, as a (k, n) array.
+    """Rows of ``candidates`` with positive p-energy on g, as a new (k, n) array.
 
     Configurations whose energy vanishes on the graph under test would make
     the quality ratio undefined, so they are dropped.
     """
-    return _nonzero_energies(candidates, g, p)[0]
+    x = np.asarray(candidates, dtype=float)
+    probes = _nonzero_energies(x, g, p)[0]
+    return probes.copy() if probes is x else probes
 
 
 def _nonzero_energies(candidates, g: WeightedGraph, p: float) -> tuple[np.ndarray, np.ndarray]:
-    """``nonzero_energy_probes``' rows and their p-energies on g."""
+    """``nonzero_energy_probes``' rows and their p-energies on g; the candidates themselves when none is dropped."""
     x = np.asarray(candidates, dtype=float)
     energies = _energies(g, x, p)
     kept = energies > 0.0
+    if kept.all():
+        return x, energies
     if not kept.any():
         raise ValueError("every candidate probe has zero energy on the reference graph")
     return x[kept], energies[kept]
@@ -44,18 +50,53 @@ def _nonzero_energies(candidates, g: WeightedGraph, p: float) -> tuple[np.ndarra
 
 def standard_probes(n: int, *, seed: int = DEFAULT_PROBE_SEED) -> np.ndarray:
     """Reproducible standard-normal probe configurations, one per row."""
-    return np.random.default_rng(seed).standard_normal((DEFAULT_PROBE_COUNT, n))
+    return _with_standard_probes(np.empty((0, n)), seed=seed)
+
+
+def _with_standard_probes(witnesses: np.ndarray, *, seed: int) -> np.ndarray:
+    """``np.vstack([witnesses, standard_probes(n, seed=seed)])``, the probes drawn straight into it."""
+    k, n = witnesses.shape
+    candidates = np.empty((k + DEFAULT_PROBE_COUNT, n))
+    candidates[:k] = witnesses
+    np.random.default_rng(seed).standard_normal(out=candidates[k:])
+    return candidates
 
 
 def _energies(g: WeightedGraph, probes, p: float) -> np.ndarray:
-    """p-energies of every row of ``probes`` on g, as one matrix product; ValueError unless all are finite."""
+    """p-energies of every row of ``probes`` on g; ValueError unless all are finite.
+
+    Rows are taken ``_PROBE_BLOCK`` at a time into reused per-vertex and
+    per-edge buffers, so the working memory is O(_PROBE_BLOCK * (n + m))
+    whatever the number of probes; each block's energies are one
+    matrix-vector product.
+    """
     if not p > 0:
         raise ValueError(f"exponent must be positive, got {p}")
     x = np.asarray(probes, dtype=float)
     if x.ndim != 2 or x.shape[1] != g.n:
         raise ValueError(f"probes must assign one value per vertex, got shape {x.shape}")
+    (k, n), width = x.shape, min(_PROBE_BLOCK, x.shape[0])
+    energies, sums = np.empty(k), np.empty(width)
+    # (vertex or edge, probe) buffers, the layout x[:, heads] has: each block's product then sums a
+    # probe's edges in the order one product over every probe does
+    xt, diff, tail = np.zeros((n, width)), np.empty((g.edge_count, width)), np.empty((g.edge_count, width))
     with np.errstate(over="ignore"):
-        energies = 2.0 * (np.abs(x[:, g.heads] - x[:, g.tails]) ** p) @ g.weights
+        for s in range(0, k, _PROBE_BLOCK):
+            block = x[s : s + _PROBE_BLOCK]
+            b = len(block)
+            xt[:, :b] = block.T
+            xt[:, b:] = 0.0
+            np.take(xt, g.heads, axis=0, out=diff, mode="clip")  # indices are in range; "clip" skips a buffer
+            np.take(xt, g.tails, axis=0, out=tail, mode="clip")
+            # a short last block keeps the leading dimension, and two columns (numpy sums one as a dot product)
+            c = min(max(b, 2), width)
+            d = diff[:, :c]
+            d -= tail[:, :c]
+            np.abs(d, out=d)
+            d **= p  # as ``**`` does: p = 2 squares
+            d *= 2.0
+            np.matmul(d.T, g.weights, out=sums[:c])
+            energies[s : s + b] = sums[:b]
     bad = np.flatnonzero(~np.isfinite(energies))
     if bad.size:
         raise ValueError(f"{p:g}-energy of probe {bad[0]} is {energies[bad[0]]}, not a finite float64")

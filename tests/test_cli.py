@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -116,6 +117,38 @@ class TestFormats:
             getattr(formats, reader)(path)
         assert (caught.value.path, caught.value.line_number) == (str(path), line)
         assert str(caught.value) == f"{path}:{line}: {message}"
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("2 2\n1 x\n3\n4 5\n", 4, "expected 2 data rows, found 3"),  # the row count first
+            ("3 2\n1 inf\n2 nan\n", 3, "expected 3 data rows, found 2"),
+            ("2 2\n1 inf\n1 2 3\n", 3, "expected 2 values, found 3"),  # then the first malformed row
+            ("3 2\n1 2\nx 1\n1\n", 3, "could not parse row ['x', '1']"),
+            ("3 2\n1 2\n-inf 1e999\n1 nan\n", 3, "non-finite value '-inf'"),  # then the first non-finite value
+            ("2 3\n1 2 3\n4 5 1e999\n", 3, "non-finite value '1e999'"),
+        ],
+    )
+    def test_matrix_errors_keep_their_order_while_streaming(self, tmp_path, text, line, message):
+        path = tmp_path / "bad.mat"
+        path.write_text(text)
+        with pytest.raises(formats.ParseError) as caught:
+            formats.read_matrix(path)
+        assert str(caught.value) == f"{path}:{line}: {message}"
+
+    def test_read_matrix_working_memory(self, tmp_path):
+        # 300 x 300 at 17 digits: holding the list of all lines took 2.55 MiB
+        path = tmp_path / "m.mat"
+        m = np.random.default_rng(1).standard_normal((300, 300))
+        formats.write_matrix(path, m)
+        tracemalloc.start()
+        try:
+            back = formats.read_matrix(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back, m)
+        assert peak < 1.2 * 2**20
 
 
 class TestRun:
@@ -592,6 +625,31 @@ class TestMain:
             ["cycle-demo", "--n", "5", "--p", "2", "--q", "4", "--eps", "0.5"],
         ):
             assert build_parser().parse_args([*argv, "--seed", "3"]).seed == 3
+
+    def test_cycle_demo_working_memory(self, tmp_path):
+        # 502 probes (the two witnesses and 500 standard probes) of a 5,000-vertex cycle; the p-energies
+        # took 4.02 times the probe array when they were one product over every probe
+        probe_array = 502 * 5000 * 8
+        tracemalloc.start()
+        try:
+            status = main(["cycle-demo", "--n", "5000", "--p", "2", "--q", "4", "--eps", "0.5",
+                           "--report", str(tmp_path / "cycle.json")])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert status == 0
+        assert json.loads((tmp_path / "cycle.json").read_text())["results"]["probes"] == 502
+        assert peak < 1.6 * probe_array
+
+    def test_cycle_demo_reports_are_byte_identical(self, tmp_path):
+        argv = ["cycle-demo", "--n", "400", "--p", "2", "--q", "4", "--eps", "0.5", "--seed", "3", "--report"]
+        texts = []
+        for name in ("first.json", "second.json"):
+            assert main([*argv, str(tmp_path / name)]) == 0
+            lines = (tmp_path / name).read_text().splitlines(keepends=True)
+            texts.append("".join(line for line in lines if '"wall_clock_s"' not in line))
+        assert texts[0] == texts[1]
+        assert len(texts[0]) > 200
 
     def test_seed_flag_changes_probes(self, capsys):
         main(["cycle-demo", "--n", "5", "--p", "2", "--q", "4", "--eps", "0.5", "--seed", "7"])

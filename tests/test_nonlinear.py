@@ -1,9 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from rforge.errors import CertificationError
 from rforge.graphs import WeightedGraph, sparsify_graph, verify_quality
+from rforge.linalg import _one_blas_thread
 from rforge.nonlinear import (
+    _PROBE_BLOCK,
+    _energies,
+    _with_standard_probes,
     cycle_counterexample,
     energy_ratio_range,
     nonzero_energy_probes,
@@ -63,6 +69,62 @@ class TestProbes:
     def test_cycle_witnesses(self):
         _, _, witnesses = cycle_counterexample(5, 2.0, 0.5)
         assert witnesses.tolist() == [[0.0, 1.0, 2.0, 3.0, 4.0], [0.0, 1.0, 0.0, 0.0, 0.0]]
+
+    @pytest.mark.parametrize("n, seed", [(3, 0), (5, 7), (400, 1), (1001, 0x5EED)])
+    def test_in_place_draw_matches_stacked_draw(self, n, seed):
+        _, _, witnesses = cycle_counterexample(n, 2.0, 0.5)
+        stacked = np.vstack([witnesses, standard_probes(n, seed=seed)])
+        drawn = _with_standard_probes(witnesses, seed=seed)
+        assert drawn.shape == stacked.shape and drawn.tobytes() == stacked.tobytes()
+
+    @pytest.mark.parametrize("dropped", [False, True])
+    def test_nonzero_energy_probes_never_return_the_callers_array(self, dropped):
+        g = WeightedGraph(4, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 1.0)])
+        candidates = standard_probes(4)[:70].copy()
+        if dropped:
+            candidates[65] = 3.0  # constant: zero energy
+        probes = nonzero_energy_probes(candidates, g, 2.0)
+        assert len(probes) == 70 - dropped
+        assert not np.shares_memory(probes, candidates)
+        probes[0] = 0.0
+        assert candidates[0].any()
+
+
+class TestBlockedEnergies:
+    """``_energies`` takes the probes 64 rows at a time."""
+
+    def test_working_memory_is_a_few_probe_blocks(self):
+        # 502 probes of a 5,000-vertex cycle: one product over all of them held three k x m temporaries
+        g, _, witnesses = cycle_counterexample(5000, 2.0, 0.5)
+        probes = _with_standard_probes(witnesses, seed=1)
+        budget = 4 * _PROBE_BLOCK * g.edge_count * 8
+        tracemalloc.start()
+        try:
+            _energies(g, probes, 2.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert _PROBE_BLOCK == 64 and budget == 10_240_000
+        assert peak < budget
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 63, 64, 65, 66, 129, 130, 502])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0])
+    def test_matches_one_product_over_every_probe(self, rng, k, p):
+        n = 50
+        g = WeightedGraph.from_arrays(n, np.arange(n - 1), np.arange(1, n), rng.uniform(0.1, 10.0, n - 1))
+        x = rng.standard_normal((k, n))
+        whole = _one_blas_thread(lambda: 2.0 * (np.abs(x[:, g.heads] - x[:, g.tails]) ** p) @ g.weights)()
+        np.testing.assert_allclose(_one_blas_thread(_energies)(g, x, p), whole, rtol=1e-15, atol=0.0)
+
+    def test_non_finite_energy_in_a_later_block_names_its_probe(self, rng):
+        g, _, _ = cycle_counterexample(6, 2.0, 0.5)
+        x = rng.standard_normal((130, 6))
+        x[100, 2] = 1e200  # its square overflows
+        with pytest.raises(ValueError, match=r"^2-energy of probe 100 is inf, not a finite float64$"):
+            _energies(g, x, 2.0)
+        x[100, 2] = np.nan
+        with pytest.raises(ValueError, match=r"^2-energy of probe 100 is nan"):
+            _energies(g, x, 2.0)
 
 
 class TestQualityLowerBound:
