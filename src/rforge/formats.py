@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import warnings
 from pathlib import Path
 
@@ -134,7 +135,10 @@ def read_matrix(path) -> np.ndarray:
         raise ParseError(path, header_no, f"header fields {parts!r} are not integers") from None
     if rows < 1 or cols < 1:
         raise ParseError(path, header_no, f"matrix shape ({rows}, {cols}) must be positive")
-    out = np.empty((rows, cols))
+    # a row of cols values takes at least 2 * cols bytes, so no more rows are allocated than the file can
+    # hold, whatever its header claims; a file holding more than its size said (a pipe's reads 0) grows it
+    room = min(rows, (os.path.getsize(path) + 1) // (2 * cols))
+    out = np.empty((room, cols if room else 0))
     count, number, malformed, nonfinite = 0, header_no, None, None
     for number, text in lines:
         if count < rows and malformed is None:  # lines past the last row or a malformed one are only counted
@@ -142,6 +146,8 @@ def read_matrix(path) -> np.ndarray:
             if len(fields) != cols:
                 malformed = ParseError(path, number, f"expected {cols} values, found {len(fields)}")
             else:
+                if count == len(out):
+                    out = np.resize(out, (min(rows, 2 * count + 1), cols))  # keeps the rows read so far
                 try:
                     out[count] = list(map(float, fields))
                 except ValueError:

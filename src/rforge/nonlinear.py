@@ -41,10 +41,10 @@ def _nonzero_energies(candidates, g: WeightedGraph, p: float) -> tuple[np.ndarra
     x = np.asarray(candidates, dtype=float)
     energies = _energies(g, x, p)
     kept = energies > 0.0
-    if kept.all():
-        return x, energies
     if not kept.any():
         raise ValueError("every candidate probe has zero energy on the reference graph")
+    if kept.all():
+        return x, energies
     return x[kept], energies[kept]
 
 
@@ -65,38 +65,20 @@ def _with_standard_probes(witnesses: np.ndarray, *, seed: int) -> np.ndarray:
 def _energies(g: WeightedGraph, probes, p: float) -> np.ndarray:
     """p-energies of every row of ``probes`` on g; ValueError unless all are finite.
 
-    Rows are taken ``_PROBE_BLOCK`` at a time into reused per-vertex and
-    per-edge buffers, so the working memory is O(_PROBE_BLOCK * (n + m))
-    whatever the number of probes; each block's energies are one
-    matrix-vector product.
+    Rows are taken ``_PROBE_BLOCK`` at a time, one matrix-vector product per
+    block, so the working memory is O(_PROBE_BLOCK * m) whatever the number
+    of probes.
     """
     if not p > 0:
         raise ValueError(f"exponent must be positive, got {p}")
     x = np.asarray(probes, dtype=float)
     if x.ndim != 2 or x.shape[1] != g.n:
         raise ValueError(f"probes must assign one value per vertex, got shape {x.shape}")
-    (k, n), width = x.shape, min(_PROBE_BLOCK, x.shape[0])
-    energies, sums = np.empty(k), np.empty(width)
-    # (vertex or edge, probe) buffers, the layout x[:, heads] has: each block's product then sums a
-    # probe's edges in the order one product over every probe does
-    xt, diff, tail = np.zeros((n, width)), np.empty((g.edge_count, width)), np.empty((g.edge_count, width))
+    energies = np.empty(len(x))
     with np.errstate(over="ignore"):
-        for s in range(0, k, _PROBE_BLOCK):
+        for s in range(0, len(x), _PROBE_BLOCK):
             block = x[s : s + _PROBE_BLOCK]
-            b = len(block)
-            xt[:, :b] = block.T
-            xt[:, b:] = 0.0
-            np.take(xt, g.heads, axis=0, out=diff, mode="clip")  # indices are in range; "clip" skips a buffer
-            np.take(xt, g.tails, axis=0, out=tail, mode="clip")
-            # a short last block keeps the leading dimension, and two columns (numpy sums one as a dot product)
-            c = min(max(b, 2), width)
-            d = diff[:, :c]
-            d -= tail[:, :c]
-            np.abs(d, out=d)
-            d **= p  # as ``**`` does: p = 2 squares
-            d *= 2.0
-            np.matmul(d.T, g.weights, out=sums[:c])
-            energies[s : s + b] = sums[:b]
+            energies[s : s + len(block)] = 2.0 * (np.abs(block[:, g.heads] - block[:, g.tails]) ** p) @ g.weights
     bad = np.flatnonzero(~np.isfinite(energies))
     if bad.size:
         raise ValueError(f"{p:g}-energy of probe {bad[0]} is {energies[bad[0]]}, not a finite float64")

@@ -1,4 +1,6 @@
 import json
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -127,6 +129,10 @@ class TestFormats:
             ("3 2\n1 2\nx 1\n1\n", 3, "could not parse row ['x', '1']"),
             ("3 2\n1 2\n-inf 1e999\n1 nan\n", 3, "non-finite value '-inf'"),  # then the first non-finite value
             ("2 3\n1 2 3\n4 5 1e999\n", 3, "non-finite value '1e999'"),
+            # a header past what the file can hold allocates nothing of its claimed shape
+            ("1000000 1000000\n1 2\n", 2, "expected 1000000 data rows, found 1"),
+            ("99999999999999999999 1\n1\n", 2, "expected 99999999999999999999 data rows, found 1"),
+            ("1 99999999999999999999\n1 2\n", 2, "expected 99999999999999999999 values, found 2"),
         ],
     )
     def test_matrix_errors_keep_their_order_while_streaming(self, tmp_path, text, line, message):
@@ -135,6 +141,19 @@ class TestFormats:
         with pytest.raises(formats.ParseError) as caught:
             formats.read_matrix(path)
         assert str(caught.value) == f"{path}:{line}: {message}"
+
+    def test_read_matrix_from_a_pipe(self, tmp_path):
+        # a pipe's size reads 0 bytes, so the rows get room as they arrive
+        path = tmp_path / "m.fifo"
+        os.mkfifo(path)
+        m = np.random.default_rng(2).standard_normal((9, 4))
+        writer = threading.Thread(target=formats.write_matrix, args=(path, m), daemon=True)
+        writer.start()
+        try:
+            back = formats.read_matrix(path)
+        finally:
+            writer.join(timeout=10.0)
+        assert np.array_equal(back, m)
 
     def test_read_matrix_working_memory(self, tmp_path):
         # 300 x 300 at 17 digits: holding the list of all lines took 2.55 MiB
