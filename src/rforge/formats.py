@@ -64,10 +64,10 @@ def write_graph(path, g: WeightedGraph) -> None:
 
 
 def read_graph(path) -> WeightedGraph:
-    lines = list(_content_lines(path))
-    if not lines:
+    lines = _content_lines(path)
+    header_no, header = next(lines, (1, None))
+    if header is None:
         raise ParseError(path, 1, "empty graph file; expected a 'n <vertexcount>' header")
-    header_no, header = lines[0]
     parts = header.split()
     if len(parts) != 2 or parts[0] != "n":
         raise ParseError(path, header_no, f"expected header 'n <vertexcount>', got {header!r}")
@@ -80,7 +80,7 @@ def read_graph(path) -> WeightedGraph:
 
     edges: list[tuple[int, int, float]] = []
     seen: dict[tuple[int, int], int] = {}
-    for number, text in lines[1:]:
+    for number, text in lines:
         fields = text.split()
         if len(fields) != 3:
             raise ParseError(path, number, f"expected 'i<TAB>j<TAB>w', got {text!r}")
@@ -93,9 +93,7 @@ def read_graph(path) -> WeightedGraph:
             raise ParseError(path, number, f"vertex index out of range in edge ({i}, {j})")
         pair = (min(i, j), max(i, j))
         if pair in seen:
-            raise ParseError(
-                path, number, f"duplicate edge {pair} (first seen on line {seen[pair]})"
-            )
+            raise ParseError(path, number, f"duplicate edge {pair} (first seen on line {seen[pair]})")
         if not math.isfinite(w):  # inf, nan, or a literal past the float range such as 1e400
             raise ParseError(path, number, f"edge {pair} has non-finite weight {fields[2]!r}")
         if not w > 0:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .graphs import WeightedGraph, _missing_pair
+from .linalg import _one_blas_thread
 
 DEFAULT_PROBE_SEED = 0x5EED
 DEFAULT_PROBE_COUNT = 500
@@ -62,6 +63,7 @@ def _with_standard_probes(witnesses: np.ndarray, *, seed: int) -> np.ndarray:
     return candidates
 
 
+@_one_blas_thread
 def _energies(g: WeightedGraph, probes, p: float) -> np.ndarray:
     """p-energies of every row of ``probes`` on g; ValueError unless all are finite.
 

@@ -17,6 +17,7 @@ from rforge.graphs import WeightedGraph, sparsify_graph
 from rforge.restricted import ri_select
 
 from oracles import pairwise_l1_distances, read_weights
+from test_graphs import dumbbell_graph, heavy_cluster_graph
 
 
 def write_single_edge(path):
@@ -169,6 +170,20 @@ class TestFormats:
         assert np.array_equal(back, m)
         assert peak < 1.2 * 2**20
 
+    def test_read_graph_working_memory(self, tmp_path):
+        # K256 is 32,640 edges and 850 KB: holding the list of all lines took 13.4 MiB
+        path = tmp_path / "k256.edges"
+        g = complete_graph(256, np.random.default_rng(0))
+        formats.write_graph(path, g)
+        tracemalloc.start()
+        try:
+            back = formats.read_graph(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert back.edges == g.edges
+        assert peak < 10 * 2**20
+
 
 class TestRun:
     def test_sparsify_graph_single_edge(self, tmp_path):
@@ -183,10 +198,19 @@ class TestRun:
         assert h.edge_pairs() == {(0, 1)}
 
     def test_sparsify_graph_reports_the_certificate_it_whitened_for_once(self, tmp_path, monkeypatch):
-        g = complete_graph(12, np.random.default_rng(12))
+        # the heavy K4s and the dumbbells (two K_k of weight H joined by a unit edge) certify on their whole range
+        graphs = [
+            complete_graph(12, np.random.default_rng(12)),
+            complete_graph(24, np.random.default_rng(0)),
+            heavy_cluster_graph(16, 4, 1e12),
+            heavy_cluster_graph(24, 4, 1e12),
+            heavy_cluster_graph(8, 4, 1e16),
+            heavy_cluster_graph(8, 4, 1e300),
+            dumbbell_graph(16, 1e8),
+            dumbbell_graph(8, 1e15),
+        ]
         src, out = tmp_path / "g.edges", tmp_path / "h.edges"
-        formats.write_graph(src, g)
-        calls = {"isotropic_reduce": 0, "verify_quality": 0}
+        calls = {}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -195,27 +219,33 @@ class TestRun:
 
             return wrapper
 
-        for module in (rforge.graphs, rforge.bss):
-            monkeypatch.setattr(module, "isotropic_reduce", counted("isotropic_reduce", module.isotropic_reduce))
-        for module in (rforge.cli, rforge.graphs):
-            monkeypatch.setattr(module, "verify_quality", counted("verify_quality", module.verify_quality))
-        status, report = cli("sparsify-graph", src, "--eps", 0.5, "-o", out)
-        assert status == EXIT_OK
-        assert calls == {"isotropic_reduce": 1, "verify_quality": 0}
-        monkeypatch.undo()
+        for g in graphs:
+            formats.write_graph(src, g)
+            calls.update(isotropic_reduce=0, verify_quality=0)
+            for module in (rforge.graphs, rforge.bss):
+                monkeypatch.setattr(module, "isotropic_reduce", counted("isotropic_reduce", module.isotropic_reduce))
+            for module in (rforge.cli, rforge.graphs):
+                monkeypatch.setattr(module, "verify_quality", counted("verify_quality", module.verify_quality))
+            status, report = cli("sparsify-graph", src, "--eps", 0.5, "-o", out)
+            assert status == EXIT_OK
+            assert calls == {"isotropic_reduce": 1, "verify_quality": 0}
+            monkeypatch.undo()
 
-        cert = sparsify_graph(g, 0.5).certificate
-        res = report["results"]
-        assert (res["quality_min"], res["quality_max"], res["range_dim"]) == (
-            cert.measured_min,
-            cert.measured_max,
-            cert.range_dim,
-        )
-        assert res["quality_ceiling"] == cert.high
-        _, checked = cli("verify", src, out)
-        assert checked["results"]["range_dim"] == res["range_dim"] == 11
-        for key in ("quality_min", "quality_max"):
-            assert res[key] == pytest.approx(checked["results"][key], rel=1e-12)
+            cert = sparsify_graph(g, 0.5).certificate
+            res = report["results"]
+            assert (res["quality_min"], res["quality_max"], res["range_dim"]) == (
+                cert.measured_min,
+                cert.measured_max,
+                cert.range_dim,
+            )
+            assert res["quality_ceiling"] == cert.high == 9.0
+            status, checked = cli("verify", src, out)
+            assert status == EXIT_OK
+            assert checked["results"]["range_dim"] == res["range_dim"] == g.n - 1
+            for key in ("quality_min", "quality_max"):
+                assert res[key] == pytest.approx(checked["results"][key], rel=1e-12)
+            for quality in (res, checked["results"]):
+                assert 1.0 - 1e-9 <= quality["quality_min"] and quality["quality_max"] <= 9.0
 
     def test_sparsify_graph_edgeless_report(self, tmp_path):
         src = tmp_path / "empty.edges"
@@ -245,10 +275,10 @@ class TestRun:
 
     def test_verify_split_component_exit_code(self, tmp_path):
         # K8 with weight 1e14 inside {0..3}; h keeps only those heavy edges
-        edges = [(i, j, 1e14 if j < 4 else 1.0) for i in range(8) for j in range(i + 1, 8)]
+        g = heavy_cluster_graph(8, 4, 1e14)
         g_path, h_path = str(tmp_path / "g.edges"), str(tmp_path / "h.edges")
-        formats.write_graph(g_path, WeightedGraph(8, edges))
-        formats.write_graph(h_path, WeightedGraph(8, [e for e in edges if e[1] < 4]))
+        formats.write_graph(g_path, g)
+        formats.write_graph(h_path, WeightedGraph(8, [e for e in g.edges if e[1] < 4]))
         assert main(["verify", g_path, h_path, "--report", str(tmp_path / "v.json")]) == EXIT_CERTIFICATION
         report = json.loads((tmp_path / "v.json").read_text())
         assert report["status"] == "certification-failure"
@@ -257,10 +287,8 @@ class TestRun:
     @pytest.mark.parametrize("k, heavy", [(16, 1e16), (20, 1e20)])
     def test_dumbbell_whitening_miss_exit_code(self, tmp_path, k, heavy):
         # two K_k clusters of weight ``heavy`` joined by one unit edge: refined whitening misses isotropy
-        cluster = [(i, j, heavy) for i in range(k) for j in range(i + 1, k)]
         path = str(tmp_path / "g.edges")
-        bridged = cluster + [(k - 1, k, 1.0)] + [(k + i, k + j, w) for i, j, w in cluster]
-        formats.write_graph(path, WeightedGraph(2 * k, bridged))
+        formats.write_graph(path, dumbbell_graph(k, heavy))
         for argv in (("sparsify-graph", path, "--eps", 0.5), ("verify", path, path)):
             status, report = cli(*argv)
             assert status == EXIT_CERTIFICATION
@@ -268,12 +296,16 @@ class TestRun:
             assert "identity residual" in report["error"]
 
     def test_parse_error_exit_code(self, tmp_path):
-        path = tmp_path / "broken.edges"
-        path.write_text("not a header\n")
-        status, report = cli("sparsify-graph", path, "--eps", 0.5)
-        assert status == EXIT_INPUT
-        assert report["status"] == "input-error"
-        assert "broken.edges:1" in report["error"]
+        for command, name, text, where in (
+            ("sparsify-graph", "broken.edges", "not a header\n", "broken.edges:1:"),
+            ("embed-l1", "overflow.mat", "2 2\n0 1\n1e400 0\n", "overflow.mat:3:"),
+        ):
+            path = tmp_path / name
+            path.write_text(text)
+            status, report = cli(command, path, "--eps", 0.5)
+            assert status == EXIT_INPUT
+            assert report["status"] == "input-error"
+            assert where in report["error"]
 
     def test_missing_file_exit_code(self, tmp_path):
         status, report = cli("sparsify-graph", tmp_path / "nope", "--eps", 0.5)
@@ -281,10 +313,11 @@ class TestRun:
 
     def test_infinite_weight_exit_code(self, tmp_path):
         path = tmp_path / "inf.edges"
-        path.write_text("n 3\n0\t1\t1.0\n1\t2\tinf\n")
-        status, report = cli("sparsify-graph", path, "--eps", 0.5)
-        assert status == EXIT_INPUT
-        assert "non-finite" in report["error"]
+        for text in ("n 3\n0\t1\t1.0\n1\t2\tinf\n", "n 3\n0\t1\t1.0\n1\t1\tinf\n"):  # the second on a self-loop
+            path.write_text(text)
+            status, report = cli("sparsify-graph", path, "--eps", 0.5)
+            assert status == EXIT_INPUT
+            assert "non-finite" in report["error"]
 
     def test_zero_frame_exit_code(self, tmp_path):
         src = tmp_path / "zero.mat"
@@ -332,17 +365,30 @@ class TestRun:
         assert "NaN" not in text and "Infinity" not in text
 
     def test_sparsify_frame_writes_certificate(self, tmp_path, rng):
-        vectors = rng.standard_normal((12, 3))
-        src = tmp_path / "frame.mat"
-        formats.write_matrix(src, vectors)
-        out = tmp_path / "weights.tsv"
-        status, report = cli("sparsify-frame", src, "--eps", 0.6, "-o", out)
-        assert status == EXIT_OK
-        weights = read_weights(out)
-        assert 0 < len(weights) <= report["derived"]["support_bound"]
-        cert = json.loads((tmp_path / "weights.tsv.json").read_text())
-        assert cert["quadratic_ratio_min"] >= (1 - 0.6) ** 2 - 1e-8
-        assert cert["quadratic_ratio_max"] <= (1 + 0.6) ** 2 + 1e-8
+        thin = np.random.default_rng(0).standard_normal((40, 3))
+        thin[:, 2] *= 1e-10  # a Gram matrix would square this column's scale below its rank floor
+        frames = [
+            (rng.standard_normal((12, 3)), 0.6),
+            (np.random.default_rng(0).standard_normal((60, 6)), 0.5),
+            (thin, 0.5),
+        ]
+        src, out = tmp_path / "frame.mat", tmp_path / "weights.tsv"
+        for vectors, eps in frames:
+            formats.write_matrix(src, vectors)
+            status, report = cli("sparsify-frame", src, "--eps", eps, "-o", out)
+            assert status == EXIT_OK and report["status"] == "ok"
+            weights = read_weights(out)
+            assert 0 < len(weights) <= report["derived"]["support_bound"]
+            cert = json.loads((tmp_path / "weights.tsv.json").read_text())
+            assert cert["range_dim"] == vectors.shape[1]
+            assert cert["quadratic_ratio_min"] >= (1 - eps) ** 2 - 1e-8
+            assert cert["quadratic_ratio_max"] <= (1 + eps) ** 2 + 1e-8
+            # the weighted form in an orthonormal basis of the frame's span, from the written weights
+            idx, w = np.array(list(weights)), np.array(list(weights.values()))
+            q = np.linalg.qr(vectors)[0][idx]
+            lam = np.linalg.eigvalsh((q * w[:, None]).T @ q)
+            assert lam[0] >= cert["quadratic_ratio_min"] * (1 - 1e-9)
+            assert lam[-1] <= cert["quadratic_ratio_max"] * (1 + 1e-9)
 
     def test_sparsify_frame_rank_deficient(self, tmp_path, rng):
         vectors = rng.standard_normal((10, 4))
@@ -388,7 +434,12 @@ class TestRun:
 
     def test_ri_select_round_trip(self, tmp_path, rng):
         n, eps = 8, 0.8
-        for t in (np.eye(n) + 0.05 * rng.standard_normal((n, n)), 1e-3 * rng.standard_normal((n, n))):
+        operators = (
+            np.eye(n) + 0.05 * rng.standard_normal((n, n)),
+            1e-3 * rng.standard_normal((n, n)),
+            np.random.default_rng(0).standard_normal((60, 60)),
+        )
+        for t in operators:
             src = tmp_path / "op.mat"
             formats.write_matrix(src, t)
             status, report = cli("ri-select", src, "--eps", eps, "-o", tmp_path / "sel.tsv")
@@ -405,7 +456,7 @@ class TestRun:
             assert report["derived"]["stable_rank"] == pytest.approx(hs / op, rel=1e-12)
             cols = t[:, selected]
             assert res["gram_min_eigenvalue"] == pytest.approx(np.linalg.eigvalsh(cols.T @ cols)[0], rel=1e-12)
-            assert res["certified_floor"] == pytest.approx((1 - eps) ** 2 * hs / n, rel=1e-12)
+            assert res["certified_floor"] == pytest.approx((1 - eps) ** 2 * hs / t.shape[1], rel=1e-12)
             assert res["gram_min_eigenvalue"] >= res["certified_floor"]
             assert read_weights(tmp_path / "sel.tsv") == {idx: 1.0 for idx in selected}
 
@@ -440,23 +491,29 @@ class TestRun:
         assert embedded.shape == (8, res["target_dimension"])
 
     def test_embed_l1_distortions_match_oracle(self, tmp_path, rng):
-        pts = rng.standard_normal((12, 3))
-        src, out = tmp_path / "pts.mat", tmp_path / "embedded.mat"
-        formats.write_matrix(src, pts)
-        status, report = cli("embed-l1", src, "--eps", 0.5, "-o", out)
-        assert status == EXIT_OK
-        res, cert = report["results"], embed_l1(pts, 0.5).certificate
-        assert (res["distortion_min"], res["distortion_max"], res["distortion_ceiling"], res["range_dim"]) == (
-            cert.measured_min,
-            cert.measured_max,
-            cert.high,
-            cert.range_dim,
+        point_sets = (
+            rng.standard_normal((12, 3)),
+            np.random.default_rng(0).standard_normal((40, 6)),
+            np.random.default_rng(0).integers(0, 5, (24, 4)).astype(float),  # with coincident points
         )
-        direct = pairwise_l1_distances(pts)
-        mask = direct > 0
-        ratios = pairwise_l1_distances(formats.read_matrix(out))[mask] / direct[mask]
-        assert ratios.min() >= res["distortion_min"] * (1.0 - 1e-12)
-        assert ratios.max() <= res["distortion_max"] * (1.0 + 1e-12)
+        src, out = tmp_path / "pts.mat", tmp_path / "embedded.mat"
+        for pts in point_sets:
+            formats.write_matrix(src, pts)
+            status, report = cli("embed-l1", src, "--eps", 0.5, "-o", out)
+            assert status == EXIT_OK and report["status"] == "ok"
+            res, cert = report["results"], embed_l1(pts, 0.5).certificate
+            assert (res["distortion_min"], res["distortion_max"], res["distortion_ceiling"], res["range_dim"]) == (
+                cert.measured_min,
+                cert.measured_max,
+                cert.high,
+                cert.range_dim,
+            )
+            assert 1.0 - 1e-12 <= res["distortion_min"] and res["distortion_max"] <= res["distortion_ceiling"]
+            direct = pairwise_l1_distances(pts)
+            mask = direct > 0
+            ratios = pairwise_l1_distances(formats.read_matrix(out))[mask] / direct[mask]
+            assert ratios.min() >= res["distortion_min"] * (1.0 - 1e-12)
+            assert ratios.max() <= res["distortion_max"] * (1.0 + 1e-12)
 
     def test_embed_l1_unresolved_cut_span_exit_code(self, tmp_path):
         src, out = tmp_path / "pts.mat", tmp_path / "embedded.mat"
@@ -495,21 +552,28 @@ class TestRun:
         assert report["results"]["sampled_distortion_max"] == pytest.approx(worst, rel=1e-12)
 
     def test_embed_lp_certified_distortion_brackets_written_embedding(self, tmp_path, rng):
-        basis = rng.standard_normal((3, 300))  # past the support bound 238, so the barrier loop runs
+        # 3 x 300 is past the support bound 238, so the barrier loop runs; 3 x 200 keeps every coordinate
+        cases = (
+            (rng.standard_normal((3, 300)), rng),
+            (np.random.default_rng(0).standard_normal((3, 200)), np.random.default_rng(1)),
+            (np.random.default_rng(0).standard_normal((3, 300)), np.random.default_rng(1)),
+        )
         src = tmp_path / "basis.mat"
-        formats.write_matrix(src, basis)
-        status, report = cli("embed-lp", src, "--p", 4, "--eps", 0.9, "-o", tmp_path / "lp.tsv")
-        assert status == EXIT_OK
-        res = report["results"]
-        assert res["selected_count"] < 300 and res["range_dim"] == 6
-        assert 1.0 - 1e-12 <= res["distortion_min"] <= res["distortion_max"] <= res["distortion_ceiling"]
-        assert res["distortion_ceiling"] == 1.9**0.25
-        weights = read_weights(tmp_path / "lp.tsv")
-        idx, w = np.array(list(weights)), np.array(list(weights.values()))
-        x = rng.standard_normal((20000, 3)) @ basis
-        ratios = (np.sum(w * x[:, idx] ** 4, axis=1) / np.sum(x**4, axis=1)) ** 0.25
-        assert ratios.min() >= res["distortion_min"] * (1.0 - 1e-12)
-        assert ratios.max() <= res["distortion_max"] * (1.0 + 1e-12)
+        for basis, draws in cases:
+            formats.write_matrix(src, basis)
+            status, report = cli("embed-lp", src, "--p", 4, "--eps", 0.9, "-o", tmp_path / "lp.tsv")
+            assert status == EXIT_OK and report["status"] == "ok"
+            res = report["results"]
+            m = basis.shape[1]
+            assert (res["selected_count"] < m if m > 238 else res["selected_count"] == m) and res["range_dim"] == 6
+            assert 1.0 - 1e-12 <= res["distortion_min"] <= res["distortion_max"] <= res["distortion_ceiling"]
+            assert res["distortion_ceiling"] == 1.9**0.25
+            weights = read_weights(tmp_path / "lp.tsv")
+            idx, w = np.array(list(weights)), np.array(list(weights.values()))
+            x4 = np.square(np.square(draws.standard_normal((20000, 3)) @ basis))
+            ratios = (np.sum(w * x4[:, idx], axis=1) / np.sum(x4, axis=1)) ** 0.25
+            assert ratios.min() >= res["distortion_min"] * (1.0 - 1e-12)
+            assert ratios.max() <= res["distortion_max"] * (1.0 + 1e-12)
 
     def test_john_approx_report(self, tmp_path):
         points = np.vstack([np.eye(3), -np.eye(3)])
@@ -556,17 +620,17 @@ class TestRun:
         assert report["error"] == f"{src}:2: non-finite value 'inf'"
 
     def test_ri_select_non_square_exit_code(self, tmp_path, rng):
-        t = rng.standard_normal((4, 6))
         src = tmp_path / "op.mat"
-        formats.write_matrix(src, t)
-        status, report = cli("ri-select", src, "--eps", 0.8)
-        assert status == EXIT_OK
-        assert report["sizes"] == {"rows": 4, "columns": 6}
-        result = ri_select(t, 0.8)
-        res = report["results"]
-        assert res["selected"] == result.selected and len(result.selected) >= 1
-        assert res["gram_min_eigenvalue"] == result.certificate.measured_min
-        assert res["certified_floor"] == result.certificate.low == pytest.approx(0.2**2 * np.sum(t * t) / 6)
+        for t in (rng.standard_normal((4, 6)), np.random.default_rng(0).standard_normal((24, 48))):
+            formats.write_matrix(src, t)
+            status, report = cli("ri-select", src, "--eps", 0.8)
+            assert status == EXIT_OK and report["status"] == "ok"
+            assert report["sizes"] == {"rows": t.shape[0], "columns": t.shape[1]}
+            result = ri_select(t, 0.8)
+            res = report["results"]
+            assert res["selected"] == result.selected and len(result.selected) >= 1
+            assert res["gram_min_eigenvalue"] == result.certificate.measured_min >= res["certified_floor"]
+            assert res["certified_floor"] == result.certificate.low == pytest.approx(0.2**2 * np.sum(t * t) / t.shape[1])
 
     def test_verify_edgeless_reference(self, tmp_path):
         src = tmp_path / "empty.edges"
@@ -634,7 +698,11 @@ class TestMain:
 
     def test_flags_no_runner_reads_are_rejected(self, tmp_path, capsys):
         src = write_single_edge(tmp_path / "g.edges")
-        for argv in (["sparsify-graph", src, "--eps", "0.5", "--seed", "1"], ["verify", src, src, "-o", "h"]):
+        for argv in (
+            ["sparsify-graph", src, "--eps", "0.5", "--seed", "1"],
+            ["verify", src, src, "--seed", "1"],
+            ["verify", src, src, "-o", "h"],
+        ):
             with pytest.raises(SystemExit) as exc:
                 build_parser().parse_args(argv)
             assert exc.value.code == EXIT_INPUT

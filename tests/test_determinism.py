@@ -37,6 +37,7 @@ from rforge import (
     verify_quality,
 )
 from rforge.cli import build_parser, run
+from rforge.nonlinear import DEFAULT_PROBE_SEED, _energies, _with_standard_probes, cycle_counterexample
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -149,6 +150,17 @@ def test_caller_count_comes_back_after_return_and_raise(two_threads, rng):
     assert weights.support.size > 0 and two_threads() == 2
     status, report = run(build_parser().parse_args(["cycle-demo", "--n", "5", "--p", "2", "--q", "4", "--eps", "0.5"]))
     assert status == 0 and report["blas_threads"] == 1 and two_threads() == 2
+
+
+def test_p_energies_do_not_depend_on_the_thread_count(two_threads):
+    # 502 probes of a 10,000-vertex cycle: at 2 threads OpenBLAS splits a block's product between the
+    # threads, and rows 472-474 and 499 then took their last bit from another summation order
+    g, h, witnesses = cycle_counterexample(10_000, 2.0, 0.5)
+    probes = _with_standard_probes(witnesses, seed=DEFAULT_PROBE_SEED)
+    for graph in (g, h):
+        at_two = _energies(graph, probes, 2.0)
+        assert two_threads() == 2
+        assert np.array_equal(at_two, linalg._one_blas_thread(_energies)(graph, probes, 2.0))
 
 
 def test_nested_call_does_not_give_the_count_back_early(two_threads, monkeypatch):

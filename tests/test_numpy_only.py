@@ -2,7 +2,7 @@
 
 The check runs in a fresh interpreter with ``sys.modules["scipy"] = None``,
 which makes every scipy import raise ImportError, then imports rforge and
-runs the CLI commands that cover each builder and the graph certifier.
+runs every CLI command.
 """
 
 import os
@@ -33,6 +33,8 @@ formats.write_matrix("op.mat", rng.standard_normal((24, 24)))
 q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
 points = np.vstack([q.T, -q.T])
 formats.write_matrix("john.mat", np.column_stack([points, np.full(6, 0.5)]))
+formats.write_matrix("frame.mat", rng.standard_normal((30, 4)))
+formats.write_matrix("points.mat", rng.standard_normal((8, 3)))
 
 commands = [
     ["sparsify-graph", "g.edges", "--eps", "0.5", "-o", "h.edges"],
@@ -40,6 +42,9 @@ commands = [
     ["embed-lp", "basis.mat", "--p", "4", "--eps", "0.5"],
     ["ri-select", "op.mat", "--eps", "0.8", "-o", "sel.tsv"],
     ["john-approx", "john.mat", "--eps", "0.8"],
+    ["sparsify-frame", "frame.mat", "--eps", "0.5", "-o", "weights.tsv"],
+    ["embed-l1", "points.mat", "--eps", "0.5", "-o", "embedded.mat"],
+    ["cycle-demo", "--n", "5", "--p", "2", "--q", "4", "--eps", "0.5"],
 ]
 for argv in commands:
     status = main(argv + ["--report", argv[0] + ".json"])
@@ -65,4 +70,7 @@ def test_cli_runs_with_scipy_blocked(tmp_path):
         "embed-lp 0",
         "ri-select 0",
         "john-approx 0",
+        "sparsify-frame 0",
+        "embed-l1 0",
+        "cycle-demo 0",
     ]
