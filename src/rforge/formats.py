@@ -25,6 +25,7 @@ by the caller.
 
 from __future__ import annotations
 
+import array
 import json
 import math
 import os
@@ -77,9 +78,11 @@ def read_graph(path) -> WeightedGraph:
         raise ParseError(path, header_no, f"vertex count {parts[1]!r} is not an integer") from None
     if n < 1:
         raise ParseError(path, header_no, f"vertex count must be positive, got {n}")
+    if n > np.iinfo(np.intp).max:
+        raise ParseError(path, header_no, f"vertex count {n} does not fit an array index")
 
-    edges: list[tuple[int, int, float]] = []
-    seen: dict[tuple[int, int], int] = {}
+    heads, tails, weights = array.array("q"), array.array("q"), array.array("d")
+    seen: dict[int, int] = {}  # i * n + j of each pair i < j, to its line number
     for number, text in lines:
         fields = text.split()
         if len(fields) != 3:
@@ -91,19 +94,21 @@ def read_graph(path) -> WeightedGraph:
             raise ParseError(path, number, f"could not parse edge fields {fields!r}") from None
         if not (0 <= i < n and 0 <= j < n):
             raise ParseError(path, number, f"vertex index out of range in edge ({i}, {j})")
-        pair = (min(i, j), max(i, j))
-        if pair in seen:
-            raise ParseError(path, number, f"duplicate edge {pair} (first seen on line {seen[pair]})")
+        i, j = min(i, j), max(i, j)
+        if (key := i * n + j) in seen:
+            raise ParseError(path, number, f"duplicate edge {(i, j)} (first seen on line {seen[key]})")
         if not math.isfinite(w):  # inf, nan, or a literal past the float range such as 1e400
-            raise ParseError(path, number, f"edge {pair} has non-finite weight {fields[2]!r}")
+            raise ParseError(path, number, f"edge {(i, j)} has non-finite weight {fields[2]!r}")
         if not w > 0:
-            raise ParseError(path, number, f"edge {pair} has nonpositive weight {w}")
+            raise ParseError(path, number, f"edge {(i, j)} has nonpositive weight {w}")
         if i == j:
             warnings.warn(f"ignoring self-loop at vertex {i}; it has no effect", stacklevel=2)
             continue
-        seen[pair] = number
-        edges.append((pair[0], pair[1], w))
-    return WeightedGraph(n, edges)
+        seen[key] = number
+        heads.append(i)
+        tails.append(j)
+        weights.append(w)
+    return WeightedGraph.from_arrays(n, heads, tails, weights)
 
 
 def write_matrix(path, matrix: np.ndarray) -> None:

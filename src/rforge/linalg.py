@@ -13,8 +13,8 @@ weights and a per-vertex basis), so callers work with per-vertex
 quantities and build a row only where they read it.
 
 Matrices are plain float64 ``numpy`` arrays and are required to be stored
-exactly symmetric (``M[i, j] == M[j, i]`` bitwise).  All functions are pure;
-nothing here mutates its arguments.  The one process-wide setting touched
+exactly symmetric (``M[i, j] == M[j, i]`` bitwise).  The public functions
+are pure; none mutates its arguments.  The one process-wide setting touched
 is numpy's OpenBLAS thread count, which ``_one_blas_thread`` sets and restores.
 """
 
@@ -35,7 +35,7 @@ _MACHINE_EPS = np.finfo(float).eps
 
 _RECONSTRUCT_TOL = 1e-10
 _ORTHONORMAL_TOL = 1e-10
-# Vertices per panel of edge whitening's blocked elimination and back substitution.
+# Vertices per panel of edge whitening's blocked elimination, and rows per panel of ``_upper_solve``.
 _PANEL = 32
 # Frame rows per chunk of ``Frame.gram``.
 _GRAM_CHUNK = 256
@@ -239,16 +239,21 @@ def eigh(m: np.ndarray) -> EigenDecomposition:
 
 
 @functools.cache
-def _blas_thread_controls():
-    """(get, set) of numpy's bundled OpenBLAS thread count; None where numpy exports neither (numpy 1.x, Windows)."""
+def _openblas(name: str, restype, *argtypes):
+    """The function ``name`` of numpy's bundled OpenBLAS, typed; None where numpy exports none (numpy 1.x, Windows)."""
     try:
-        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        function = getattr(ctypes.CDLL(np.linalg._umath_linalg.__file__), name)
     except (AttributeError, OSError):
         return None
-    get.argtypes, get.restype = [], ctypes.c_int
-    put.argtypes, put.restype = [ctypes.c_int], None
-    return get, put
+    function.restype, function.argtypes = restype, argtypes
+    return function
+
+
+def _blas_thread_controls():
+    """(get, set) of numpy's bundled OpenBLAS thread count; None where numpy exports neither."""
+    get = _openblas("scipy_openblas_get_num_threads64_", ctypes.c_int)
+    put = _openblas("scipy_openblas_set_num_threads64_", None, ctypes.c_int)
+    return None if get is None or put is None else (get, put)
 
 
 def _blas_threads() -> int | None:
@@ -282,15 +287,9 @@ def _one_blas_thread(fn):
     return pinned
 
 
-@functools.cache
 def _dlaed9():
-    """LAPACK's dlaed9 in numpy's bundled ILP64 OpenBLAS; None where numpy exports none (numpy 1.x, Windows)."""
-    try:
-        solve = ctypes.CDLL(np.linalg._umath_linalg.__file__).scipy_dlaed9_64_
-    except (AttributeError, OSError):
-        return None
-    solve.argtypes, solve.restype = [ctypes.c_void_p] * 13, None
-    return solve
+    """LAPACK's dlaed9 in numpy's bundled ILP64 OpenBLAS; None where numpy exports none."""
+    return _openblas("scipy_dlaed9_64_", None, *[ctypes.c_void_p] * 13)
 
 
 class _SecularWorkspace:
@@ -423,27 +422,28 @@ def isotropic_reduce(frame: Frame) -> Frame:
     eliminating vertices in weight form, lightest weighted degree first (so
     heavy rows stay O(w^-1/2) and do not cancel): the pivot d_k is the sum
     of k's current weights, the fill is a_ij += a_ik (a_jk / d_k), and a zero
-    pivot grounds one vertex per component.  W = M^-T D^-1/2 on the positive
-    pivots comes from back substitution over the nonnegative multipliers.
-    Nothing is subtracted (Demmel-Koev, Numer. Math. 98, 2004).  Both run by
-    panels of 32 vertices: within a panel, each vertex's row and column take
-    the panel's earlier eliminations by two products before its pivot, and
-    the trailing matrix then takes the whole panel by one product; the back
-    substitution takes the rows below a panel by one product, then the
-    panel's own rows from the bottom up.  The terms are the one-at-a-time
-    elimination's, summed in another order.  Row k is the
-    last row nonzero in column k and a grounded row is zero, so rows are
-    distinct.  W must span L's whole range: when a weight or fill term
-    underflows to 0 and grounds more vertices than the positive-weight
-    edges have components, CertificationError is raised.  W is then refined
-    once against its own Gram W^T L W, formed edge by edge (``Frame.gram``):
-    W <- W C^-T, C its Cholesky factor (CertificationError when it has none),
-    by a panel triangular solve (``_right_triangular_solve``), which keeps W's
-    rows distinct and its grounded rows zero.
+    pivot grounds one vertex per component.  It runs by panels of 32
+    vertices: within a panel, each vertex's row and column take the panel's
+    earlier eliminations by two products before its pivot, and the trailing
+    matrix then takes the whole panel by one product.  The terms are the
+    one-at-a-time elimination's, summed in another order.  W = M^-T D^-1/2
+    on the positive pivots, and M^-T = (I - N)^-1 I, N the nonnegative
+    multipliers, comes from back substitution (``_upper_solve``), which
+    then subtracts nothing either (Demmel-Koev, Numer. Math. 98, 2004).
+    Row k is the last row nonzero in column k and a grounded row is zero,
+    so rows are distinct.  W must span L's whole range: when a weight or
+    fill term underflows to 0 and grounds more vertices than the
+    positive-weight edges have components, CertificationError is raised.
+    W is then refined once against its own Gram W^T L W, formed edge by
+    edge (``Frame.gram``): W <- W C^-T, C its Cholesky factor
+    (CertificationError when it has none), by the same back substitution
+    against C with its rows and columns reversed, which is upper
+    triangular; nothing is pivoted, W's rows stay distinct and its grounded
+    rows zero.
 
     Either result must pass ``Frame``'s isotropy check, or CertificationError
-    names the residual (two K16 clusters of weight 1e16 joined by a unit edge
-    miss I by 3.8e-8), so a returned frame covers the whole span.
+    names the residual (two K16 clusters of weight 1e50 joined by a unit edge
+    miss I by 1.0), so a returned frame covers the whole span.
     """
     inc = frame.incidence
     if inc is None:
@@ -462,8 +462,8 @@ def isotropic_reduce(frame: Frame) -> Frame:
         a += a.T
         order = np.argsort(a.sum(axis=1), kind="stable")
         a = a[np.ix_(order, order)]
-        pivots, panels = np.empty(n), range(0, n, _PANEL)
-        for p0 in panels:
+        pivots = np.empty(n)
+        for p0 in range(0, n, _PANEL):
             p1 = min(p0 + _PANEL, n)
             for k in range(p0, p1):  # row k's tail becomes the multipliers a_jk / d_k
                 if k > p0:  # the panel's earlier eliminations reach row and column k
@@ -473,12 +473,6 @@ def isotropic_reduce(frame: Frame) -> Frame:
                 if d > 0.0:
                     a[k, k + 1 :] = a[k + 1 :, k] / d
             a[p1:, p1:] += a[p1:, p0:p1] @ a[p0:p1, p1:]  # a grounded row is zero and adds nothing
-        inverse = np.eye(n)  # M^-T, by back substitution over the nonnegative multipliers
-        for q0 in reversed(panels):
-            q1 = min(q0 + _PANEL, n)
-            inverse[q0:q1, q1:] = a[q0:q1, q1:] @ inverse[q1:, q1:]
-            for k in range(q1 - 2, q0 - 1, -1):
-                inverse[k, k + 1 :] += a[k, k + 1 : q1] @ inverse[k + 1 : q1, k + 1 :]
         kept, live = pivots > 0.0, inc.weights > 0.0
         r = n - int(np.count_nonzero(_components(n, inc.heads[live], inc.tails[live]) == np.arange(n)))
         if np.count_nonzero(kept) != r:
@@ -486,36 +480,36 @@ def isotropic_reduce(frame: Frame) -> Frame:
                 f"whitening resolved {np.count_nonzero(kept)} of the Laplacian's {r} range directions; a weight "
                 "or fill term underflowed to 0, so the edge weights span too wide a range to certify"
             )
-        basis = inverse[:, kept]
-        del a, inverse  # the refinement needs neither
+        np.fill_diagonal(np.negative(a, out=a), 1.0)  # the upper triangle is now M^T = I - (the multipliers)
+        basis = _upper_solve(a, np.eye(n))[:, kept]
+        del a  # the refinement needs none of it
         basis /= np.sqrt(pivots[kept])
         eliminated = replace(inc, weights=weights, basis=basis[np.argsort(order)])  # rows in input order
         del basis
-        try:  # one refinement, W <- W C^-T with C C^T = W^T L W
+        try:  # one refinement, W <- W C^-T with C C^T = W^T L W, as a back substitution against C reversed
             factor = np.linalg.cholesky(Frame(incidence=eliminated).gram())
         except np.linalg.LinAlgError as exc:
             raise CertificationError(f"whitening's Laplacian Gram is not positive definite: {exc}") from exc
-        whitened = Frame(incidence=replace(eliminated, basis=_right_triangular_solve(eliminated.basis, factor)))
-        del eliminated, factor  # nor does the isotropy check
+        refined = _upper_solve(factor[::-1, ::-1], eliminated.basis.T[::-1].copy())[::-1].T
+        whitened = Frame(incidence=replace(eliminated, basis=np.ascontiguousarray(refined)))  # rows gather fast
+        del eliminated, factor, refined  # nor does the isotropy check
     try:
         return replace(whitened, isotropy_certified=True)
     except ValueError as exc:  # the shapes passed above, so only the isotropy check can fail here
         raise CertificationError(f"whitening missed the identity: {exc}") from exc
 
 
-def _right_triangular_solve(w: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """W C^-T for lower-triangular C, by panels of ``_PANEL`` columns.
-
-    X C^T = W is solved for X's columns panel by panel: one product takes the
-    earlier panels out of the right-hand side, then a solve against the
-    panel's diagonal block of C gives its columns.
-    """
-    x = np.empty_like(w)
-    for j0 in range(0, c.shape[0], _PANEL):
-        j1 = min(j0 + _PANEL, c.shape[0])
-        rhs = w[:, j0:j1] - x[:, :j0] @ c[j0:j1, :j0].T
-        x[:, j0:j1] = np.linalg.solve(c[j0:j1, j0:j1], rhs.T).T
-    return x
+def _upper_solve(u: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``b`` overwritten with U^-1 B, U the upper triangle of ``u``, nothing pivoted: from the bottom, each
+    panel of ``_PANEL`` rows takes the rows below it by one product, then its own rows by back substitution."""
+    u = np.ascontiguousarray(u)  # U's rows read fast even when it is a reversed view
+    for q0 in reversed(range(0, len(u), _PANEL)):
+        q1 = min(q0 + _PANEL, len(u))
+        b[q0:q1] -= u[q0:q1, q1:] @ b[q1:]
+        for k in range(q1 - 1, q0 - 1, -1):
+            b[k] -= u[k, k + 1 : q1] @ b[k + 1 : q1]
+            b[k] /= u[k, k]
+    return b
 
 
 def _components(n: int, heads: np.ndarray, tails: np.ndarray) -> np.ndarray:

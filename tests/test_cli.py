@@ -94,6 +94,9 @@ class TestFormats:
             ("read_graph", "# nothing but a comment\n", 1, "empty graph file; expected a 'n <vertexcount>' header"),
             ("read_graph", "n three\n", 1, "vertex count 'three' is not an integer"),
             ("read_graph", "# header\nn 0\n", 2, "vertex count must be positive, got 0"),
+            ("read_graph", "n 99999999999999999999\n", 1, "vertex count 99999999999999999999 does not fit an array index"),
+            ("read_graph", "n 3\n0\t1\t1.0\n1\t0\t2.0\n", 3, "duplicate edge (0, 1) (first seen on line 2)"),
+            ("read_graph", "n 3\n2\t0\t1.0\n\n0\t2\tinf\n", 4, "duplicate edge (0, 2) (first seen on line 2)"),
             ("read_graph", "n 3\n0\t1\t1.0\n1\t2\n", 3, "expected 'i<TAB>j<TAB>w', got '1\\t2'"),
             ("read_graph", "n 3\n0\tone\t1.0\n", 2, "could not parse edge fields ['0', 'one', '1.0']"),
             ("read_graph", "n 3\n\n2\t1\t0.0\n", 3, "edge (1, 2) has nonpositive weight 0.0"),
@@ -171,7 +174,7 @@ class TestFormats:
         assert peak < 1.2 * 2**20
 
     def test_read_graph_working_memory(self, tmp_path):
-        # K256 is 32,640 edges and 850 KB: holding the list of all lines took 13.4 MiB
+        # K256 is 32,640 edges and 850 KB: holding the list of all lines took 13.4 MiB, and edge tuples 9.1 MiB
         path = tmp_path / "k256.edges"
         g = complete_graph(256, np.random.default_rng(0))
         formats.write_graph(path, g)
@@ -182,7 +185,7 @@ class TestFormats:
         finally:
             tracemalloc.stop()
         assert back.edges == g.edges
-        assert peak < 10 * 2**20
+        assert peak < 7 * 2**20
 
 
 class TestRun:
@@ -284,7 +287,7 @@ class TestRun:
         assert report["status"] == "certification-failure"
         assert "disconnects vertices 0 and 4" in report["error"]
 
-    @pytest.mark.parametrize("k, heavy", [(16, 1e16), (20, 1e20)])
+    @pytest.mark.parametrize("k, heavy", [(16, 1e50), (24, 1e50)])
     def test_dumbbell_whitening_miss_exit_code(self, tmp_path, k, heavy):
         # two K_k clusters of weight ``heavy`` joined by one unit edge: refined whitening misses isotropy
         path = str(tmp_path / "g.edges")

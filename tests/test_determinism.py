@@ -191,3 +191,10 @@ def test_every_pinned_call_runs_without_the_symbols(monkeypatch, rng):
     assert embed_lp_even(rng.standard_normal((2, 12)), 4, 0.5).support.size > 0
     status, report = run(build_parser().parse_args(["cycle-demo", "--n", "5", "--p", "2", "--q", "4", "--eps", "0.5"]))
     assert status == 0 and report["blas_threads"] is None
+
+
+def test_a_missing_openblas_symbol_reads_none(monkeypatch):
+    # both loaders resolve through linalg._openblas, so a numpy without the symbols gives None from each
+    assert linalg._openblas("no_such_openblas_symbol", None) is None
+    monkeypatch.setattr(linalg, "_openblas", lambda name, *types: None)
+    assert linalg._blas_thread_controls() is None and linalg._dlaed9() is None

@@ -457,9 +457,9 @@ class TestSparsifyGraph:
         with pytest.raises(CertificationError, match="not positive definite"):
             isotropic_reduce(edge_frame(complete_graph(4)))
 
-    @pytest.mark.parametrize("k, heavy", [(16, 1e16), (20, 1e20)])
+    @pytest.mark.parametrize("k, heavy", [(16, 1e50), (24, 1e50)])
     def test_dumbbell_whitening_miss_raises(self, k, heavy):
-        # refined whitening misses the 1e-8 isotropy check here (residual 3.8e-8 and 6.8e-6): a refusal, not bad input
+        # refined whitening misses the 1e-8 isotropy check here: a refusal, not bad input
         g = dumbbell_graph(k, heavy)
         with pytest.raises(CertificationError, match="identity residual"):
             sparsify_graph(g, 0.5)
@@ -570,7 +570,7 @@ class TestVerifyQuality:
         self.assert_matches_mpmath(dumbbell_graph(16, heavy))
         assert sum(scored) > 0
 
-    @pytest.mark.parametrize("k, heavy", [(8, 1e15), (8, 1e16), (8, 1e20), (16, 1e14)])
+    @pytest.mark.parametrize("k, heavy", [(8, 1e15), (8, 1e16), (8, 1e20), (16, 1e14), (16, 1e16), (20, 1e20)])
     def test_refined_dumbbells_match_mpmath_pencil(self, k, heavy):
         # heavy clusters joined by a light edge: these pass the 1e-8 isotropy check only after whitening's refinement
         pytest.importorskip("mpmath")
@@ -664,20 +664,30 @@ class TestEdgeWhiteningPanels:
 
     @pytest.mark.parametrize("r", [31, 32, 33, 64, 65])
     def test_refinement_solves_by_panels(self, r, monkeypatch):
-        # W <- W C^-T on whitened dimensions around the 32-column panels, two components so two rows are grounded
+        # both triangular solves, M^-T and W C^-T, around the 32-row panels; two components, so two rows are grounded
         g = sparse_random_graph(np.random.default_rng(r), r + 2, 2)
-        solves = []
-        solve = rforge.linalg._right_triangular_solve
-        monkeypatch.setattr(
-            rforge.linalg, "_right_triangular_solve", lambda w, c: solves.append((w, c)) or solve(w, c)
-        )
+        solves, solve = [], rforge.linalg._upper_solve
+
+        def recorded(u, b):  # the solve overwrites b
+            solves.append((u, b.copy(), solve(u, b)))
+            return solves[-1][2]
+
+        monkeypatch.setattr(rforge.linalg, "_upper_solve", recorded)
         basis = isotropic_reduce(edge_frame(g)).incidence.basis
-        (w, c), = solves
-        assert basis.shape == w.shape == (r + 2, r) and c.shape == (r, r)
-        assert np.array_equal(c, np.tril(c))
-        reference = np.linalg.solve(c, w.T).T
-        assert np.max(np.abs(basis - reference)) <= 1e-15 * np.max(np.abs(reference))
-        grounded = ~w.any(axis=1)
+        (u, b, inverse), (c, w, refined) = solves
+        assert u.shape == b.shape == (r + 2, r + 2) and c.shape == (r, r) and w.shape == (r, r + 2)
+        assert np.array_equal(c, np.triu(c)) and np.tril(u, -1).any()  # whitening leaves its fill below M^T
+        for upper, rhs, x in solves:  # only the upper triangle is read
+            assert np.array_equal(solve(np.triu(upper), rhs.copy()), x)
+            reference = np.linalg.solve(np.triu(upper), rhs)
+            assert np.max(np.abs(x - reference)) <= 1e-15 * np.max(np.abs(reference))
+        # M^T = I - (the multipliers), which are nonnegative, so M^-T is too
+        assert np.array_equal(np.diag(u), np.ones(r + 2)) and np.all(np.triu(u, 1) <= 0.0)
+        assert np.array_equal(b, np.eye(r + 2)) and np.all(inverse >= 0.0)
+        multipliers = np.triu(np.random.default_rng(r).uniform(0.0, 1.0, (r, r)), 1)
+        assert np.all(solve(np.eye(r) - multipliers, np.eye(r)) >= 0.0)
+        np.testing.assert_array_equal(basis, refined[::-1].T)
+        grounded = ~w.any(axis=0)
         assert np.count_nonzero(grounded) == 2
         assert np.array_equal(basis[grounded], np.zeros((2, r))) and basis[~grounded].any(axis=1).all()
         for j in (-200, -50, 50, 200):  # weights times 4^j whiten to the same basis, bit for bit
@@ -686,19 +696,11 @@ class TestEdgeWhiteningPanels:
 
     @pytest.mark.parametrize("k", range(4, 44, 4))
     def test_dumbbells_verify_or_refuse(self, k):
-        # K_k-K_k joined by a unit edge: whitening either misses the 1e-8 isotropy check and refuses, or passes it
-        # after its one refinement against the per-edge Gram, and then the quotients of (L_G, L_G) are 1 to
-        # rounding (observed within 3.2e-15); these 6 of the 130 cases refuse
-        refused = {(16, 1e15), (16, 1e16), (20, 1e15), (20, 1e20), (28, 1e15), (28, 1e20)}
+        # K_k-K_k joined by a unit edge: after its one refinement against the per-edge Gram, whitening passes the
+        # 1e-8 isotropy check on all 130 cases, and the quotients of (L_G, L_G) are 1 to rounding (observed within
+        # 3.4e-15); heavier clusters still refuse (test_dumbbell_whitening_miss_raises)
         for heavy in [1e10, 3e10, 1e11, 3e11, 1e12, 3e12, 1e13, 3e13, 1e14, 3e14, 1e15, 1e16, 1e20]:
-            g = dumbbell_graph(k, heavy)
-            try:
-                report = verify_quality(g, g)
-            except CertificationError as exc:
-                assert "identity residual" in str(exc)
-                assert (k, heavy) in refused
-                continue
-            assert (k, heavy) not in refused
+            report = verify_quality(dumbbell_graph(k, heavy), dumbbell_graph(k, heavy))
             assert report.range_dim == 2 * k - 1
             spread = max(1.0 - report.min_quotient, report.max_quotient - 1.0)
             assert spread <= 1e-12
